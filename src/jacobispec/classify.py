@@ -67,8 +67,9 @@ class CriterionVerdict:
     evidence: str
 
     def __post_init__(self):
-        if self.conclusion is not CriterionConclusion.NO_CONCLUSION:
-            assert self.applies, "a conclusive criterion must apply"
+        conclusive = self.conclusion is not CriterionConclusion.NO_CONCLUSION
+        if conclusive and not self.applies:
+            raise ValueError("a conclusive criterion must apply")
 
     def to_json(self) -> dict:
         return {
@@ -96,11 +97,12 @@ class Classification:
     notes: tuple = field(default_factory=tuple)
 
     def __post_init__(self):
-        if self.regime is Regime.LCC:
-            assert self.predicted_exponent is not None
+        if self.regime is Regime.LCC and self.predicted_exponent is None:
+            raise ValueError("an lcc classification needs a predicted exponent")
         if isinstance(self.predicted_exponent, tuple):
             lo, hi = self.predicted_exponent
-            assert lo <= hi
+            if not lo <= hi:
+                raise ValueError("predicted exponent interval must have lo <= hi")
 
     def exponent_bounds(self) -> Optional[tuple]:
         if self.predicted_exponent is None:

@@ -55,7 +55,6 @@ class ExperimentConfig:
     r_points: int
     window: Optional[tuple]
     rays: int
-    scan_points: int
     eig_tol: Optional[float]
     out: Optional[str]
     raw_bytes: bytes
@@ -117,7 +116,6 @@ def load_config(path: str, seed: Optional[int] = None) -> ExperimentConfig:
         r_points=r_points,
         window=window,
         rays=int(obj.get("rays", 16)),
-        scan_points=int(obj.get("scan_points", 8192)),
         eig_tol=tol.get("eig_tol"),
         out=obj.get("out"),
         raw_bytes=raw,
@@ -256,9 +254,7 @@ def cmd_growth(cfg: ExperimentConfig, out: Path, jobs: int) -> int:
 
     # route 2: max modulus on rays
     rs = cfg.r_grid()
-    evaluator = growth.b_log_max_modulus(sol, N, rays=cfg.rays)
-    with ThreadPoolExecutor(max_workers=max(1, jobs)) as pool:
-        logM = list(pool.map(evaluator, rs))
+    logM = growth.b_log_max_modulus(sol, N, rays=cfg.rays)(rs).tolist()
     _write_counting_csv(out / "log_max_modulus.csv", rs, logM)
     order_m, type_m = growth.order_type_from_max_modulus(
         lambda r, _c=dict(zip(rs.tolist(), logM)): _c[float(r)], rs
@@ -266,7 +262,7 @@ def cmd_growth(cfg: ExperimentConfig, out: Path, jobs: int) -> int:
     report["max_modulus_route"] = {"order": order_m, "type_at_order": type_m}
 
     # route 3: zeros of B
-    zeros = growth.scan_b_zeros(sol, N, cfg.r_max, grid=cfg.scan_points)
+    zeros = growth.scan_b_zeros(sol, seq, N, cfg.r_max)
     np.savetxt(out / "b_zeros.csv", zeros, header="zero", comments="", fmt="%.17g")
     mods = np.sort(np.abs(zeros))
     zero_route = {"count": int(zeros.size)}

@@ -5,13 +5,13 @@ identity factors built from (Q_n(0), P_n(0)), seeded with [[0,-1],[1,0]]
 so that the columns reproduce the classical partial sums (B_N(0) = -1,
 C_N(0) = 1, det = 1).  Orders, types, convergence exponents and densities
 are then read off three independent routes: power-series coefficients,
-max-modulus sampling, and zero counting.
+max-modulus sampling, and the real zeros of B_N, which are the eigenvalues
+of a modified truncation.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -21,6 +21,7 @@ from . import _kernels
 from .classify import Classification, Regime, classify
 from .params import JacobiSequence
 from .recurrence import ExponentFit, PolySolution, power_law_fit
+from .spectrum import _sturm_brackets
 
 __all__ = [
     "NevanlinnaPartial",
@@ -82,7 +83,8 @@ class GrowthEstimate:
     diagnostics: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        assert self.order >= 0 and self.type_at_order >= 0
+        if not (self.order >= 0 and self.type_at_order >= 0):
+            raise ValueError("order and type must be nonnegative")
 
     def to_json(self) -> dict:
         def _finite(x):
@@ -140,131 +142,66 @@ def nevanlinna_evaluate(
 # zeros of B on the real axis
 # ---------------------------------------------------------------------------
 
-def _scan_grid(r: float, grid: int) -> np.ndarray:
-    r0 = min(1.0, 0.1 * r)
-    decades = max(1, int(math.ceil(math.log10(r / r0))))
-    per_side = max(grid // 2, 4096 * decades)
-    pos = np.geomspace(r0, r, per_side)
-    core = np.linspace(-r0, r0, 129)
-    return np.unique(np.concatenate([-pos[::-1], core, pos]))
-
-
-def _bisect_signs(sol, N, lo, hi, slo, tol):
-    lo = lo.copy()
-    hi = hi.copy()
-    for _ in range(200):
-        if np.max(hi - lo) <= tol:
-            break
-        mid = 0.5 * (lo + hi)
-        _, Bm, _, _, _ = evaluate_entries_real(sol, mid, N)
-        sm = np.where(Bm < 0, -1.0, 1.0)
-        same = sm == slo
-        lo = np.where(same, mid, lo)
-        hi = np.where(same, hi, mid)
-    return 0.5 * (lo + hi)
-
-
-def _suspicious_runs(logmag: np.ndarray, change: np.ndarray) -> list:
-    """Indices where |B| dips far below its local envelope with no sign
-    change nearby: the signature of a zero pair hiding inside one cell.
-
-    A clean double zero at distance <= one cell from a grid point sits
-    about 2 log(half-width) below the rolling max, while the midpoint
-    between two resolved zeros is either shallower or adjacent to their
-    sign changes; half = 32 with a 6.0 threshold separates the two.
-    """
-    n = logmag.shape[0]
-    half = 32
-    if n <= 2 * half + 2:
-        return []
-    interior = np.arange(half, n - half)
-    env = logmag[interior - half].copy()
-    for off in range(-half + 1, half + 1):
-        np.maximum(env, logmag[interior + off], out=env)
-    deep = env - logmag[interior] > 6.0
-    near_change = np.zeros(n, dtype=bool)
-    for off in range(-3, 3):
-        cells = np.arange(max(0, -off), min(n - 1, n - 1 - off))
-        near_change[cells + off] |= change[cells]
-    flagged = interior[deep & ~near_change[interior]]
-    runs = []
-    for i in flagged:
-        if runs and i - runs[-1][-1] <= 4:
-            runs[-1].append(i)
-        else:
-            runs.append([i])
-    return runs
-
-
-_MAX_REFINE_DEPTH = 8
-
-
 def scan_b_zeros(
-    sol: PolySolution, N: int, r: float, grid: int = 8192
+    sol: PolySolution, seq: JacobiSequence, N: int, r: float
 ) -> np.ndarray:
-    """Real zeros of B_N in [-r, r] by sign scan plus bisection.
+    """Real zeros of B_N in [-r, r] as eigenvalues of a modified truncation.
 
-    The scan grid is geometric per decade (4096 points each) with a linear
-    core through the origin.  Regions where |B| dips deep below its local
-    envelope without a sign change risk hiding a close pair of zeros; they
-    are re-scanned recursively at increasing resolution and reported with
-    a warning (a dip persisting at the depth limit is a tangency the sign
-    scan cannot represent).
+    The mixed Christoffel-Darboux identity gives
+    B_N(z) = rho_{N-1} [P_N(z) Q_{N-1}(0) - P_{N-1}(z) Q_N(0)], so the zeros
+    of B_N are the eigenvalues of J_N with q_{N-1} replaced by
+    q_{N-1} + rho_{N-1} Q_N(0) / Q_{N-1}(0) (of J_{N-1} when Q_{N-1}(0) = 0).
+    They are bracketed by Sturm bisection; B_N is then evaluated through the
+    transfer product at both ends of every bracket, so the zero route stays
+    independent of the truncation eigenvalues it is compared against, and a
+    bracket without a sign change of B_N raises RuntimeError.
     """
-    if grid < 64:
-        raise ValueError("need a grid of at least 64 points")
     if r <= 0:
         raise ValueError("r must be positive")
-    brackets = []
-    refined = 0
-    unresolved = 0
-    segments = [(_scan_grid(float(r), grid), 0)]
-    while segments:
-        xs, depth = segments.pop()
-        _, B, _, _, ls = evaluate_entries_real(sol, xs, N)
-        sg = np.where(B < 0, -1.0, 1.0)
-        logmag = np.log(np.abs(B) + 5e-324) + ls
-        change = sg[:-1] * sg[1:] < 0
-        idx = np.nonzero(change)[0]
-        if idx.size:
-            brackets.append((xs[idx], xs[idx + 1], sg[idx]))
-        for run in _suspicious_runs(logmag, change):
-            if depth >= _MAX_REFINE_DEPTH:
-                unresolved += 1
-                continue
-            refined += 1
-            lo_i, hi_i = run[0] - 1, run[-1] + 1
-            segments.append((np.linspace(xs[lo_i], xs[hi_i], 513), depth + 1))
-    if refined:
-        warnings.warn(
-            f"{refined} deep |B| dips without a sign change; refined them "
-            f"recursively" + (f" ({unresolved} unresolved)" if unresolved else ""),
-            RuntimeWarning,
-        )
-    if not brackets:
+    if not 1 <= N <= min(sol.N, len(seq)):
+        raise ValueError(f"need 1 <= N <= {min(sol.N, len(seq))}")
+    # B_N is proportional to P_{N-1} when Q_{N-1}(0) = 0
+    n = N - 1 if sol.Q[N - 1] == 0.0 else N
+    if n == 0:
         return np.empty(0)
-    lo = np.concatenate([b[0] for b in brackets])
-    hi = np.concatenate([b[1] for b in brackets])
-    slo = np.concatenate([b[2] for b in brackets])
+    diag = np.array(seq.q[:n], dtype=np.float64)
+    if n == N:
+        diag[-1] += seq.rho[N - 1] * sol.Q[N] / sol.Q[N - 1]
+    offsq = np.ascontiguousarray(seq.rho[: n - 1] ** 2)
     tol = 1e-9 * max(1.0, float(r))
-    zeros = _bisect_signs(sol, N, lo, hi, slo, tol)
-    zeros = np.sort(zeros)
-    return zeros[(zeros >= -r) & (zeros <= r)]
+    lo, hi = _sturm_brackets(diag, offsq, -float(r), float(r), tol)
+    if lo.size:
+        _, B, _, _, _ = evaluate_entries_real(sol, np.concatenate([lo, hi]), N)
+        flat = np.nonzero(np.sign(B[: lo.size]) * np.sign(B[lo.size :]) >= 0)[0]
+        if flat.size:
+            raise RuntimeError(
+                f"B_{N} has no sign change across {flat.size} of {lo.size} "
+                f"eigenvalue brackets of the modified truncation (first at "
+                f"[{float(lo[flat[0]])!r}, {float(hi[flat[0]])!r}])"
+            )
+    return 0.5 * (lo + hi)
 
 
 def b_log_max_modulus(
     sol: PolySolution, N: int, rays: int = 16
 ) -> Callable[[float], float]:
-    """Evaluator r -> log max_theta |B_N(r e^{i theta})| over a ray grid."""
+    """Evaluator r -> log max_theta |B_N(r e^{i theta})| over a ray grid.
+
+    An array of radii is evaluated in one transfer-product call and gives
+    an array; a scalar radius gives a float.
+    """
     if rays < 16:
         raise ValueError("need at least 16 directions")
     theta = np.arange(rays) * 2.0 * np.pi / rays
 
-    def evaluator(r: float) -> float:
-        zs = r * np.exp(1j * theta)
-        _, B, _, _, ls = evaluate_entries(sol, zs, N)
+    def evaluator(r):
+        rs = np.asarray(r, dtype=np.float64)
+        zs = rs[..., None] * np.exp(1j * theta)
+        _, B, _, _, ls = evaluate_entries(sol, zs.ravel(), N)
         # the real rays can hit a zero of B exactly; other rays dominate
-        return float(np.max(np.log(np.abs(B) + 5e-324) + ls))
+        logm = np.log(np.abs(B) + 5e-324) + ls
+        logM = np.max(logm.reshape(zs.shape), axis=-1)
+        return float(logM) if rs.ndim == 0 else logM
 
     return evaluator
 

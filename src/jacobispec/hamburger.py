@@ -131,5 +131,6 @@ def exponent_upper_bounds(beta: float) -> tuple[float, float]:
         raise ValueError("bounds apply for beta > 3/2 only")
     naive = 1.0 / (beta - 0.5)
     improved = exceptional_order_bound(beta) if beta < 2.0 else 1.0 / beta
-    assert improved <= naive
+    if not improved <= naive:
+        raise ValueError("improved bound exceeds the naive bound")
     return naive, improved

@@ -87,7 +87,8 @@ class ExponentFit:
     window: tuple
 
     def __post_init__(self):
-        assert self.window[1] - self.window[0] + 1 >= 16, "window too short"
+        if self.window[1] - self.window[0] + 1 < 16:
+            raise ValueError("window too short")
 
     def to_json(self) -> dict:
         return {

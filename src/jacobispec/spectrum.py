@@ -77,26 +77,17 @@ def gershgorin_interval(seq: JacobiSequence, N: int) -> tuple[float, float]:
     return float(np.min(diag)) - spread, float(np.max(diag)) + spread
 
 
-def eigenvalues_in(
-    seq: JacobiSequence,
-    N: int,
-    interval: tuple,
-    tol: float | None = None,
-) -> np.ndarray:
-    """All truncation eigenvalues in [a, b], each bracketed to width <= tol.
+def _sturm_brackets(
+    diag: np.ndarray, offsq: np.ndarray, a: float, b: float, tol: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Brackets (lo_k, hi_k) of width <= tol, one around each eigenvalue in
+    [a, b] of the tridiagonal with diagonal ``diag`` and squared off-diagonal
+    ``offsq``.
 
     Bisection runs on the Sturm count; the brackets for the different
     eigenvalue indices are narrowed simultaneously (one batched count
     evaluation per sweep).
     """
-    a, b = float(interval[0]), float(interval[1])
-    if not a < b:
-        raise ValueError("need a < b")
-    if tol is None:
-        tol = 1e-10 * max(1.0, abs(a), abs(b))
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    diag, offsq = _submatrix(seq, N)
 
     def counts(xs):
         return _kernels.sturm_counts(diag, offsq, np.asarray(xs, dtype=np.float64))
@@ -104,10 +95,10 @@ def eigenvalues_in(
     ca = int(counts([a])[0])
     cb = int(counts([np.nextafter(b, np.inf)])[0])
     ks = np.arange(ca + 1, cb + 1, dtype=np.int64)
-    if ks.size == 0:
-        return np.empty(0, dtype=np.float64)
     lo = np.full(ks.size, a)
     hi = np.full(ks.size, b)
+    if ks.size == 0:
+        return lo, hi
     for _ in range(256):
         if np.max(hi - lo) <= tol:
             break
@@ -116,6 +107,25 @@ def eigenvalues_in(
         above = c >= ks
         hi = np.where(above, mid, hi)
         lo = np.where(above, lo, mid)
+    return lo, hi
+
+
+def eigenvalues_in(
+    seq: JacobiSequence,
+    N: int,
+    interval: tuple,
+    tol: float | None = None,
+) -> np.ndarray:
+    """All truncation eigenvalues in [a, b], each bracketed to width <= tol."""
+    a, b = float(interval[0]), float(interval[1])
+    if not a < b:
+        raise ValueError("need a < b")
+    if tol is None:
+        tol = 1e-10 * max(1.0, abs(a), abs(b))
+    if tol <= 0:
+        raise ValueError("tol must be positive")
+    diag, offsq = _submatrix(seq, N)
+    lo, hi = _sturm_brackets(diag, offsq, a, b, tol)
     return 0.5 * (lo + hi)
 
 

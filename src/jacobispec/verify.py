@@ -106,7 +106,7 @@ def _sol(which: str, N: int):
 
 @lru_cache(maxsize=None)
 def _b_zeros(which: str, N: int, r: float) -> np.ndarray:
-    return growth.scan_b_zeros(_sol(which, N), N, r)
+    return growth.scan_b_zeros(_sol(which, N), _seq(which, N), N, r)
 
 
 @lru_cache(maxsize=None)

@@ -7,7 +7,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from jacobispec.classify import (
+    Classification,
     CriterionConclusion,
+    CriterionVerdict,
     Regime,
     berezanskii_test,
     carleman_test,
@@ -331,3 +333,17 @@ def test_classification_json_round_trip():
         pytest.approx(1 / 1.6),
     ]
     assert isinstance(doc["notes"], list)
+
+
+class TestInvariants:
+    def test_conclusive_verdict_must_apply(self):
+        with pytest.raises(ValueError, match="must apply"):
+            CriterionVerdict("carleman", False, CriterionConclusion.IMPLIES_LPC, "")
+
+    def test_lcc_needs_exponent(self):
+        with pytest.raises(ValueError, match="predicted exponent"):
+            Classification(Regime.LCC, "T1(ii)")
+
+    def test_exponent_interval_ordered(self):
+        with pytest.raises(ValueError, match="lo <= hi"):
+            Classification(Regime.LCC, "T3", predicted_exponent=(0.6, 0.5))

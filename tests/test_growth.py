@@ -3,7 +3,9 @@ import math
 import numpy as np
 import pytest
 
+from jacobispec import _kernels
 from jacobispec.growth import (
+    GrowthEstimate,
     b_log_max_modulus,
     convergence_exponent_from_zeros,
     leading_coefficient_logs,
@@ -18,7 +20,7 @@ from jacobispec.growth import (
 )
 from jacobispec.params import JacobiSequence
 from jacobispec.spectrum import eigenvalues_in
-from jacobispec.verify import _b_zeros
+from jacobispec.verify import _b_zeros, _seq, _sol
 
 
 def classical_partial_sums(seq, sol, z, N):
@@ -106,46 +108,59 @@ class TestZeroScan:
         tagged = tags[np.argsort(np.concatenate([zeros, ev]))]
         assert np.all(tagged[1:] != tagged[:-1]), merged
 
-    def test_grid_validation(self, m1_sol_2000):
+    def test_grid_validation(self, m1_seq_2000, m1_sol_2000):
         with pytest.raises(ValueError):
-            scan_b_zeros(m1_sol_2000, 2000, 100.0, grid=32)
+            scan_b_zeros(m1_sol_2000, m1_seq_2000, 2000, -5.0)
         with pytest.raises(ValueError):
-            scan_b_zeros(m1_sol_2000, 2000, -5.0)
+            scan_b_zeros(m1_sol_2000, m1_seq_2000, 2001, 100.0)
 
-    def test_dip_refinement_recovers_close_pair(self, monkeypatch, m1_sol_2000):
-        # white-box drive of the refinement branch: a synthetic B with two
-        # zeros closer than any grid spacing dips deeply without a sign
-        # change at grid resolution; the scan must warn and refine them out
+    @pytest.mark.parametrize(
+        "which, r, expected", [("m1", 1e4, 116), ("m3", 1e6, 134), ("m4", 1e6, 133)]
+    )
+    def test_count_equals_modified_sturm_count(self, which, r, expected):
+        seq, sol = _seq(which, 2000), _sol(which, 2000)
+        diag = seq.q[:2000].copy()
+        diag[-1] += seq.rho[1999] * sol.Q[2000] / sol.Q[1999]
+        c = _kernels.sturm_counts(
+            diag, seq.rho[:1999] ** 2, np.array([np.nextafter(r, np.inf), -r])
+        )
+        zeros = _b_zeros(which, 2000, r)
+        assert len(zeros) == int(c[0] - c[1]) == expected
+        assert np.all(np.diff(zeros) > 0) and np.all(np.abs(zeros) <= r)
+
+    def test_matches_dense_modified_truncation(self, m1_seq_2000, m1_sol_2000):
+        N, r = 200, 1e4
+        seq, sol = m1_seq_2000, m1_sol_2000
+        off = np.diag(seq.rho[: N - 1], 1)
+        J = np.diag(seq.q[:N]) + off + off.T
+        J[-1, -1] += seq.rho[N - 1] * sol.Q[N] / sol.Q[N - 1]
+        ev = np.linalg.eigvalsh(J)
+        ev = ev[np.abs(ev) <= r]
+        zeros = scan_b_zeros(sol, seq, N, r)
+        assert len(zeros) == len(ev) > 32
+        assert np.max(np.abs(zeros - ev)) <= 1e-9 * r
+
+    def test_vanishing_q_gives_shorter_truncation(self, free_seq, free_sol):
+        # free matrix: Q_n(0) = 0, 1, 0, -1, ... so Q_8(0) = 0 and B_9 is a
+        # multiple of P_8, whose zeros are the eigenvalues 2 cos(k pi / 9) of J_8
+        assert free_sol.Q[8] == 0.0
+        zeros = scan_b_zeros(free_sol, free_seq, 9, 3.0)
+        expected = np.sort(2.0 * np.cos(np.arange(1, 9) * np.pi / 9))
+        assert zeros == pytest.approx(expected, abs=3e-9)
+
+    def test_bracket_without_sign_change_raises(
+        self, monkeypatch, m1_seq_2000, m1_sol_2000
+    ):
         import jacobispec.growth as G
 
-        a, eps = 50.0, 1e-6
-
-        def fake_entries(sol, xs, N=None):
+        def constant_sign(sol, xs, N=None):
             xs = np.asarray(xs, dtype=np.float64)
-            B = (xs - a) ** 2 - eps**2
-            zeros_like = np.zeros_like(xs)
-            return zeros_like, B, zeros_like, zeros_like, zeros_like
-
-        monkeypatch.setattr(G, "evaluate_entries_real", fake_entries)
-        with pytest.warns(RuntimeWarning, match="deep"):
-            zeros = G.scan_b_zeros(m1_sol_2000, 2000, 100.0)
-        pair = zeros[np.abs(zeros - a) < 1.0]
-        assert len(pair) == 2
-        assert pair == pytest.approx([a - eps, a + eps], abs=1e-7)
-
-    def test_dip_without_zeros_only_warns(self, monkeypatch, m1_sol_2000):
-        import jacobispec.growth as G
-
-        def fake_entries(sol, xs, N=None):
-            xs = np.asarray(xs, dtype=np.float64)
-            B = (xs - 50.0) ** 2 + 1e-9
             z = np.zeros_like(xs)
-            return z, B, z, z, z
+            return z, np.ones_like(xs), z, z, z
 
-        monkeypatch.setattr(G, "evaluate_entries_real", fake_entries)
-        with pytest.warns(RuntimeWarning):
-            zeros = G.scan_b_zeros(m1_sol_2000, 2000, 100.0)
-        assert zeros.size == 0
+        monkeypatch.setattr(G, "evaluate_entries_real", constant_sign)
+        with pytest.raises(RuntimeError, match="no sign change"):
+            G.scan_b_zeros(m1_sol_2000, m1_seq_2000, 2000, 100.0)
 
 
 class TestMajorant:
@@ -246,6 +261,23 @@ class TestMaxModulus:
     def test_rays_floor(self, m1_sol_2000):
         with pytest.raises(ValueError):
             b_log_max_modulus(m1_sol_2000, 2000, rays=8)
+
+    def test_batched_radii_match_single_calls(self, m1_sol_2000):
+        evaluator = b_log_max_modulus(m1_sol_2000, 2000)
+        rs = np.geomspace(10, 1e4, 20)
+        batched = evaluator(rs)
+        single = [evaluator(r) for r in rs]
+        assert all(type(v) is float for v in single)
+        assert batched.tolist() == single
+
+
+def test_growth_estimate_rejects_negative_order():
+    with pytest.raises(ValueError, match="nonnegative"):
+        GrowthEstimate(order=-0.5, type_at_order=1.0, convergence_exponent=0.5,
+                       upper_density=1.0)
+    with pytest.raises(ValueError, match="nonnegative"):
+        GrowthEstimate(order=0.5, type_at_order=float("nan"),
+                       convergence_exponent=0.5, upper_density=1.0)
 
 
 class TestZeroStatistics:

@@ -132,3 +132,10 @@ class TestIntervalComparison:
     def test_domain(self):
         with pytest.raises(ValueError):
             exponent_upper_bounds(1.5)
+
+    def test_improved_bound_never_exceeds_naive(self, monkeypatch):
+        import jacobispec.hamburger as H
+
+        monkeypatch.setattr(H, "exceptional_order_bound", lambda beta: 2.0)
+        with pytest.raises(ValueError, match="exceeds the naive"):
+            H.exponent_upper_bounds(1.75)

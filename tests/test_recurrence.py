@@ -9,6 +9,7 @@ from jacobispec.params import (
     materialize,
 )
 from jacobispec.recurrence import (
+    ExponentFit,
     PolySolution,
     RecurrenceOverflowError,
     RootFlavor,
@@ -98,6 +99,11 @@ class TestNormExponent:
             norm_exponent(m1_sol, (100, 6000))
         with pytest.raises(ValueError):
             norm_exponent(m1_sol, (100, 110))
+
+    def test_fit_window_at_least_16_points(self):
+        with pytest.raises(ValueError, match="too short"):
+            ExponentFit(slope=-2.0, intercept=0.0, r_squared=1.0, stderr=0.0,
+                        window=(100, 114))
 
     def test_rejects_zero_values(self):
         # free matrix with q = 0 has P vanishing on every other index

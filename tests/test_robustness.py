@@ -73,8 +73,8 @@ def test_series_order_type_survive_noise(noisy_seq):
 
 
 def test_zero_fit_survives_noise(noisy_quadratic):
-    sol = solve_at_zero(materialize(noisy_quadratic, 2000))
-    zeros = scan_b_zeros(sol, 2000, 1e4)
+    seq = materialize(noisy_quadratic, 2000)
+    zeros = scan_b_zeros(solve_at_zero(seq), seq, 2000, 1e4)
     fit = convergence_exponent_from_zeros(np.sort(np.abs(zeros)))
     assert fit.slope == pytest.approx(0.5, abs=0.1)
 
