@@ -7,10 +7,21 @@ The three inner loops that dominate runtime live here:
 * ``transfer_real`` / ``transfer_complex`` -- partial products of the
   rank-one-perturbed identity factors that build the Nevanlinna matrix.
 
+The numpy ``sturm_counts`` works on all shifts at once and on blocks of
+``_BLOCK`` rows: it writes the block's pivots with no floor check, in the
+same operation order as the floored step, so every pivot at or above the
+floor ``_PIVMIN`` is bit-identical to it.  At the end of the block the
+smallest pivot magnitude decides: if it is at or above the floor (a NaN
+fails this test) the block's negative pivots are counted, otherwise the
+block is replayed row by row with floored pivots from the pivot that
+entered it.  The counts therefore equal those of the per-row floored
+loop exactly; the blocking only removes per-row call overhead (cf.
+LAPACK's ``dlaneg``).
+
 Set ``JACOBISPEC_NO_NUMBA=1`` to force the numpy fallback (useful for
-debugging and for the benchmark in ``benchmarks/bench_kernels.py``).
-Both backends are exported with ``_numba`` / ``_numpy`` suffixes so they
-can be compared directly; the unsuffixed names are the active selection.
+debugging).  Both backends are exported with ``_numba`` / ``_numpy``
+suffixes so they can be compared directly; the unsuffixed names are the
+active selection.
 """
 
 import os
@@ -63,15 +74,41 @@ def solve_three_term_numpy(rho, q, u0, u1):
 # strictly below each shift x (LD factorization sign count, pivots floored)
 # ---------------------------------------------------------------------------
 
+_BLOCK = 16  # rows per block; each pool thread holds a (_BLOCK, S) buffer, so
+            # larger blocks raise peak RSS
+
+
+def _floor_pivots(d):
+    return np.where(np.abs(d) < _PIVMIN, np.where(d > 0, _PIVMIN, -_PIVMIN), d)
+
+
 def sturm_counts_numpy(diag, offsq, xs):
     xs = np.asarray(xs, dtype=np.float64)
-    d = diag[0] - xs
-    d = np.where(np.abs(d) < _PIVMIN, np.where(d > 0, _PIVMIN, -_PIVMIN), d)
+    n = diag.shape[0]
+    col = diag[:, None]
+    offsq = offsq.tolist()
+    d = _floor_pivots(diag[0] - xs)
     count = (d < 0).astype(np.int64)
-    for k in range(1, diag.shape[0]):
-        d = (diag[k] - xs) - offsq[k - 1] / d
-        d = np.where(np.abs(d) < _PIVMIN, np.where(d > 0, _PIVMIN, -_PIVMIN), d)
-        count += d < 0
+    buf = np.empty((_BLOCK,) + xs.shape)
+    t = np.empty(xs.shape)
+    for k0 in range(1, n, _BLOCK):
+        block = buf[: n - k0]
+        prev = d
+        # unfloored pass; a block holding a pivot below the floor (or a NaN)
+        # is replayed with floored pivots, so its warnings are not wanted
+        with np.errstate(all="ignore"):
+            np.subtract(col[k0 : k0 + _BLOCK], xs, out=block)
+            for w, row in zip(offsq[k0 - 1 : k0 - 1 + _BLOCK], block):
+                np.divide(w, prev, out=t)
+                np.subtract(row, t, out=row)
+                prev = row
+        if np.abs(block).min() >= _PIVMIN:
+            count += np.count_nonzero(block < 0, axis=0)
+            d = prev.copy()
+        else:
+            for k in range(k0, k0 + block.shape[0]):
+                d = _floor_pivots((diag[k] - xs) - offsq[k - 1] / d)
+                count += d < 0
     return count
 
 

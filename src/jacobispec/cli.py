@@ -81,6 +81,10 @@ def _git_blob_sha1(content: bytes) -> str:
     return h.hexdigest()
 
 
+def _is_json_number(x, types=(int, float)) -> bool:
+    return isinstance(x, types) and not isinstance(x, bool)
+
+
 def load_config(path: str, seed: Optional[int] = None) -> ExperimentConfig:
     raw = Path(path).read_bytes()
     obj = json.loads(raw)
@@ -98,6 +102,8 @@ def load_config(path: str, seed: Optional[int] = None) -> ExperimentConfig:
     if len(Ns) < 1 or any(b <= a for a, b in zip(Ns, Ns[1:])):
         raise ValueError("N values must be strictly increasing")
     rg = obj.get("r_grid", {})
+    if not isinstance(rg, dict):
+        raise ValueError("r_grid must be a JSON object")
     r_min = float(rg.get("r_min", 10.0))
     r_max = float(rg.get("r_max", 1e4))
     r_points = int(rg.get("points", 20))
@@ -105,8 +111,22 @@ def load_config(path: str, seed: Optional[int] = None) -> ExperimentConfig:
         raise ValueError("need 0 < r_min < r_max and at least 8 grid points")
     window = obj.get("window")
     if window is not None:
-        window = (int(window[0]), int(window[1]))
+        if not (
+            isinstance(window, list)
+            and len(window) == 2
+            and all(_is_json_number(w, int) for w in window)
+            and 1 <= window[0] < window[1]
+        ):
+            raise ValueError("window must be two integers lo, hi with 1 <= lo < hi")
+        window = (window[0], window[1])
     tol = obj.get("tolerances", {})
+    if not isinstance(tol, dict):
+        raise ValueError("tolerances must be a JSON object")
+    eig_tol = tol.get("eig_tol")
+    if eig_tol is not None and not (
+        _is_json_number(eig_tol) and np.isfinite(eig_tol) and eig_tol > 0
+    ):
+        raise ValueError("tolerances.eig_tol must be a finite positive number")
     return ExperimentConfig(
         descriptor=descriptor,
         sequence_file=obj.get("sequence_file"),
@@ -116,7 +136,7 @@ def load_config(path: str, seed: Optional[int] = None) -> ExperimentConfig:
         r_points=r_points,
         window=window,
         rays=int(obj.get("rays", 16)),
-        eig_tol=tol.get("eig_tol"),
+        eig_tol=eig_tol,
         out=obj.get("out"),
         raw_bytes=raw,
     )
@@ -216,10 +236,11 @@ def cmd_spectrum(cfg: ExperimentConfig, out: Path, jobs: int) -> int:
         counts = [spectrum.counting_function(spec, r) for r in rs]
         _write_counting_csv(out / f"counting_N{N}.csv", rs, counts)
         per_n[str(N)] = {"count_in_window": int(ev.size), "counts": counts}
-    stabilization = []
-    for r in rs:
-        counts, stable = spectrum.stabilized_counting(seq, float(r), cfg.Ns)
-        stabilization.append({"r": float(r), "counts": counts, "stabilized": stable})
+    table, stable = spectrum.stabilized_counting(seq, rs, cfg.Ns)
+    stabilization = [
+        {"r": float(r), "counts": counts, "stabilized": bool(s)}
+        for r, counts, s in zip(rs, table.tolist(), stable)
+    ]
     report["window"] = [-cfg.r_max, cfg.r_max]
     report["per_N"] = per_n
     report["stabilization"] = stabilization

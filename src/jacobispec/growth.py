@@ -125,17 +125,23 @@ def nevanlinna_evaluate(
     sol: PolySolution, z: complex, N: Optional[int] = None
 ) -> NevanlinnaPartial:
     """The partial product M_N(z) = prod_{n<N} (I + z R_n) * [[0,-1],[1,0]]."""
+    return _partials(sol, [z], N)[0]
+
+
+def _partials(
+    sol: PolySolution, zs, N: Optional[int] = None
+) -> list[NevanlinnaPartial]:
+    """One partial product per point of zs, from one transfer-product call."""
     N = _check_N(sol, N)
-    A, B, C, D, ls = evaluate_entries(sol, np.array([z], dtype=np.complex128), N)
-    return NevanlinnaPartial(
-        N=N,
-        z=complex(z),
-        A=complex(A[0]),
-        B=complex(B[0]),
-        C=complex(C[0]),
-        D=complex(D[0]),
-        log_scale=float(ls[0]),
-    )
+    zs = np.asarray(zs, dtype=np.complex128).reshape(-1)
+    A, B, C, D, ls = evaluate_entries(sol, zs, N)
+    return [
+        NevanlinnaPartial(
+            N=N, z=complex(z), A=complex(a), B=complex(b), C=complex(c),
+            D=complex(d), log_scale=float(s),
+        )
+        for z, a, b, c, d, s in zip(zs, A, B, C, D, ls)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -248,11 +254,13 @@ def majorant_bound_gap(
     """log ||M_N(z)|| - log F(|z|) over the sample; bounded above when the
     majorant dominates up to a constant."""
     zs = np.asarray(zs, dtype=np.complex128)
-    gaps = np.empty(zs.shape, dtype=np.float64)
-    for i, z in enumerate(zs):
-        part = nevanlinna_evaluate(sol, complex(z), N)
-        gaps[i] = part.log_spectral_norm() - log_majorant_product(seq, abs(z))
-    return gaps
+    parts = _partials(sol, zs, N)
+    return np.array(
+        [
+            part.log_spectral_norm() - log_majorant_product(seq, abs(z))
+            for part, z in zip(parts, zs)
+        ]
+    )
 
 
 # ---------------------------------------------------------------------------

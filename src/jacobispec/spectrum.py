@@ -153,27 +153,34 @@ def counting_function(spec: TruncatedSpectrum, r: float) -> int:
     return hi - lo
 
 
-def stabilized_counting(
-    seq: JacobiSequence, r: float, Ns: Sequence[int]
-) -> tuple[list, bool]:
+def stabilized_counting(seq: JacobiSequence, r, Ns: Sequence[int]):
     """Counting-function values of growing truncations at radius r.
 
     In the limit circle case the low-lying truncation eigenvalues settle
     as N grows, so the counts stabilize; the flag reports whether the last
-    two agree.
+    two agree.  A scalar r gives ``(counts, flag)`` with a list of counts,
+    one per N.  An array of radii is counted in one Sturm call per N and
+    gives a ``(len(r), len(Ns))`` count table and a flag array.
     """
     Ns = list(Ns)
     if len(Ns) < 3 or any(b <= a for a, b in zip(Ns, Ns[1:])):
         raise ValueError("need at least three strictly increasing dimensions")
-    if r < 0:
+    rs = np.asarray(r, dtype=np.float64)
+    if rs.ndim > 1:
+        raise ValueError("r must be a scalar or a 1-d array of radii")
+    if np.any(rs < 0):
         raise ValueError("r must be nonnegative")
-    counts = []
-    rp = np.nextafter(float(r), np.inf)
-    for N in Ns:
+    flat = rs.reshape(-1)
+    shifts = np.concatenate([np.nextafter(flat, np.inf), -flat])
+    table = np.empty((flat.size, len(Ns)), dtype=np.int64)
+    for j, N in enumerate(Ns):
         diag, offsq = _submatrix(seq, N)
-        c = _kernels.sturm_counts(diag, offsq, np.array([rp, -float(r)]))
-        counts.append(int(c[0] - c[1]))
-    return counts, counts[-1] == counts[-2]
+        c = _kernels.sturm_counts(diag, offsq, shifts)
+        table[:, j] = c[: flat.size] - c[flat.size :]
+    stable = table[:, -1] == table[:, -2]
+    if rs.ndim == 0:
+        return table[0].tolist(), bool(stable[0])
+    return table, stable
 
 
 # ---------------------------------------------------------------------------

@@ -81,6 +81,28 @@ class TestClassifyCommand:
         assert main(["classify", "--config", str(cfg)]) == 2
 
 
+@pytest.mark.parametrize(
+    "overrides, message",
+    [
+        ({"tolerances": {"eig_tol": "abc"}}, "eig_tol"),
+        ({"tolerances": {"eig_tol": -1e-9}}, "eig_tol"),
+        ({"window": [5]}, "window"),
+        ({"window": [20, 10]}, "window"),
+        ({"window": [0, 10]}, "window"),
+        ({"window": ["5", 100]}, "window"),
+        ({"tolerances": [1e-9]}, "tolerances"),
+        ({"r_grid": [10.0, 500.0]}, "r_grid"),
+    ],
+)
+def test_malformed_config_key_exits_2(tmp_path, capsys, overrides, message):
+    cfg = write_config(tmp_path, **overrides)
+    for command in ("spectrum", "growth"):
+        assert main([command, "--config", str(cfg), "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert err.count("\n") == 1 and "Traceback" not in err
+
+
 class TestSpectrumCommand:
     def test_writes_curves(self, tmp_path):
         cfg = write_config(tmp_path)

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from jacobispec import _kernels
 from jacobispec.params import JacobiSequence
 from jacobispec.spectrum import (
     TruncatedSpectrum,
@@ -58,6 +59,87 @@ class TestSturmCount:
         a, b = gershgorin_interval(seq, 6)
         assert sturm_count(seq, 6, a) == 0
         assert sturm_count(seq, 6, np.nextafter(b, np.inf)) == 6
+
+
+def _sturm_counts_per_row(diag, offsq, xs):
+    """The per-row floored Sturm loop that the blocked kernel must match."""
+    piv = _kernels._PIVMIN
+    xs = np.asarray(xs, dtype=np.float64)
+    d = diag[0] - xs
+    d = np.where(np.abs(d) < piv, np.where(d > 0, piv, -piv), d)
+    count = (d < 0).astype(np.int64)
+    for k in range(1, diag.shape[0]):
+        d = (diag[k] - xs) - offsq[k - 1] / d
+        d = np.where(np.abs(d) < piv, np.where(d > 0, piv, -piv), d)
+        count += d < 0
+    return count
+
+
+_EDGE_SHIFTS = np.array([0.0, -0.0, 5e-324, -5e-324, 1e-300, -1e-300])
+
+
+class TestBlockedSturmKernel:
+    """The numpy kernel runs row blocks without the pivot floor and replays
+    a block that breaks down; its counts must equal the per-row loop's."""
+
+    @staticmethod
+    def assert_parity(diag, offsq, xs):
+        got = _kernels.sturm_counts_numpy(diag, offsq, xs)
+        assert np.array_equal(got, _sturm_counts_per_row(diag, offsq, xs))
+
+    @pytest.fixture
+    def floored_rows(self, monkeypatch):
+        """Calls of the floored step: one per kernel call for row 0, plus one
+        per row of every replayed block."""
+        calls = []
+        floor = _kernels._floor_pivots
+        monkeypatch.setattr(
+            _kernels, "_floor_pivots", lambda d: calls.append(1) or floor(d)
+        )
+        return calls
+
+    @pytest.mark.parametrize("N", [1, 15, 16, 17, 33])
+    def test_random_matrices(self, rng, N):
+        for _ in range(20):
+            diag = rng.uniform(-3.0, 3.0, N)
+            offsq = rng.uniform(0.05, 4.0, N - 1)
+            xs = np.concatenate([rng.uniform(-8.0, 8.0, 24), _EDGE_SHIFTS])
+            self.assert_parity(diag, offsq, xs)
+
+    @pytest.mark.parametrize("N", [15, 16, 17, 33])
+    def test_integer_matrices_with_zero_pivots(self, rng, floored_rows, N):
+        for _ in range(20):
+            diag = rng.integers(-2, 3, N).astype(float)
+            offsq = rng.integers(0, 3, N - 1).astype(float)
+            xs = np.concatenate([rng.integers(-4, 5, 24).astype(float), _EDGE_SHIFTS])
+            self.assert_parity(diag, offsq, xs)
+        assert len(floored_rows) > 20  # exact zero pivots made blocks replay
+
+    @pytest.mark.parametrize("row", [15, 16, 17])
+    @pytest.mark.parametrize("pivot", [0.0, -0.0, 1e-310, -1e-310, 5e-324, -1e-301])
+    def test_sub_floor_pivot_at_block_edges(self, rng, floored_rows, row, pivot):
+        N = 33
+        diag = rng.uniform(1.0, 3.0, N)
+        offsq = rng.uniform(0.05, 1.0, N - 1)
+        # a zero coupling makes the pivot at x = 0 exactly diag[row]
+        offsq[row - 1] = 0.0
+        diag[row] = pivot
+        xs = np.concatenate([[0.0], rng.uniform(-1.0, 1.0, 8), _EDGE_SHIFTS])
+        self.assert_parity(diag, offsq, xs)
+        assert len(floored_rows) > 1  # the block holding `row` was replayed
+
+    def test_tiny_scale_matrices(self, rng):
+        for N in (16, 17, 33):
+            diag = rng.uniform(-1.0, 1.0, N) * 1e-200
+            offsq = rng.uniform(0.0, 1.0, N - 1) * 1e-290
+            xs = np.concatenate([rng.uniform(-1e-200, 1e-200, 12), _EDGE_SHIFTS])
+            self.assert_parity(diag, offsq, xs)
+
+    def test_golden_truncation(self):
+        seq = _seq("m1", 2000)
+        diag, offsq = seq.q[:2000], seq.rho[:1999] ** 2
+        rs = np.geomspace(1.0, 1e4, 40)
+        self.assert_parity(diag, offsq, np.concatenate([-rs, rs]))
 
 
 class TestEigenvaluesIn:
@@ -140,6 +222,20 @@ class TestStabilizedCounting:
     def test_zero_radius(self):
         counts, stable = stabilized_counting(_seq("m1", 2000), 0.0, (500, 1000, 2000))
         assert stable and counts == [0, 0, 0]
+
+    @pytest.mark.parametrize("which, rmax", [("m1", 1e4), ("m5", 2.0)])
+    def test_array_of_radii_matches_scalar_calls(self, which, rmax):
+        seq = _seq("m1", 2000) if which == "m1" else golden_m5_sequence(2000)
+        rs = np.concatenate([[0.0], np.geomspace(0.1, rmax, 19)])
+        table, stable = stabilized_counting(seq, rs, (500, 1000, 2000))
+        assert table.shape == (20, 3) and stable.shape == (20,)
+        for r, row, flag in zip(rs, table, stable):
+            counts, s = stabilized_counting(seq, float(r), (500, 1000, 2000))
+            assert counts == row.tolist() and s == flag
+
+    def test_negative_radius_in_array_rejected(self):
+        with pytest.raises(ValueError):
+            stabilized_counting(_seq("m1", 2000), [1.0, -1.0], (500, 1000, 2000))
 
     def test_needs_increasing_dims(self):
         with pytest.raises(ValueError):
