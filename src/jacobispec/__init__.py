@@ -8,7 +8,7 @@ asymptotics and entire-function growth estimation.
 
 __version__ = "0.1.0"
 
-from ._kernels import BACKEND, NUMBA_AVAILABLE, NUMBA_ENABLED
+from ._kernels import BACKEND
 from .classify import (
     Classification,
     CriterionConclusion,

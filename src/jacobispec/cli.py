@@ -12,9 +12,7 @@ import argparse
 import dataclasses
 import hashlib
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from typing import Optional
 
@@ -85,6 +83,11 @@ def _is_json_number(x, types=(int, float)) -> bool:
     return isinstance(x, types) and not isinstance(x, bool)
 
 
+def _is_finite_number(x) -> bool:
+    # also rejects an integer literal too large for a double
+    return _is_json_number(x) and abs(x) <= sys.float_info.max
+
+
 def load_config(path: str, seed: Optional[int] = None) -> ExperimentConfig:
     raw = Path(path).read_bytes()
     obj = json.loads(raw)
@@ -98,15 +101,26 @@ def load_config(path: str, seed: Optional[int] = None) -> ExperimentConfig:
         if seed is not None:
             remainder = dataclasses.replace(descriptor.remainder, seed=seed)
             descriptor = dataclasses.replace(descriptor, remainder=remainder)
-    Ns = [int(n) for n in obj.get("N", [500, 1000, 2000])]
-    if len(Ns) < 1 or any(b <= a for a, b in zip(Ns, Ns[1:])):
+    Ns = obj.get("N", [500, 1000, 2000])
+    if not (
+        isinstance(Ns, list)
+        and len(Ns) >= 1
+        and all(_is_json_number(n, int) and n >= 1 for n in Ns)
+    ):
+        raise ValueError("N must be a non-empty list of integers >= 1")
+    if any(b <= a for a, b in zip(Ns, Ns[1:])):
         raise ValueError("N values must be strictly increasing")
     rg = obj.get("r_grid", {})
     if not isinstance(rg, dict):
         raise ValueError("r_grid must be a JSON object")
-    r_min = float(rg.get("r_min", 10.0))
-    r_max = float(rg.get("r_max", 1e4))
-    r_points = int(rg.get("points", 20))
+    r_min = rg.get("r_min", 10.0)
+    r_max = rg.get("r_max", 1e4)
+    if not (_is_finite_number(r_min) and _is_finite_number(r_max)):
+        raise ValueError("r_grid.r_min and r_grid.r_max must be finite numbers")
+    r_min, r_max = float(r_min), float(r_max)
+    r_points = rg.get("points", 20)
+    if not _is_json_number(r_points, int):
+        raise ValueError("r_grid.points must be an integer")
     if not (0 < r_min < r_max) or r_points < 8:
         raise ValueError("need 0 < r_min < r_max and at least 8 grid points")
     window = obj.get("window")
@@ -123,10 +137,11 @@ def load_config(path: str, seed: Optional[int] = None) -> ExperimentConfig:
     if not isinstance(tol, dict):
         raise ValueError("tolerances must be a JSON object")
     eig_tol = tol.get("eig_tol")
-    if eig_tol is not None and not (
-        _is_json_number(eig_tol) and np.isfinite(eig_tol) and eig_tol > 0
-    ):
+    if eig_tol is not None and not (_is_finite_number(eig_tol) and eig_tol > 0):
         raise ValueError("tolerances.eig_tol must be a finite positive number")
+    rays = obj.get("rays", 16)
+    if not _is_json_number(rays, int):
+        raise ValueError("rays must be an integer")
     return ExperimentConfig(
         descriptor=descriptor,
         sequence_file=obj.get("sequence_file"),
@@ -135,7 +150,7 @@ def load_config(path: str, seed: Optional[int] = None) -> ExperimentConfig:
         r_max=r_max,
         r_points=r_points,
         window=window,
-        rays=int(obj.get("rays", 16)),
+        rays=rays,
         eig_tol=eig_tol,
         out=obj.get("out"),
         raw_bytes=raw,
@@ -183,7 +198,7 @@ def _exponent_str(exp) -> str:
     return f"{exp:.6g}"
 
 
-def cmd_classify(cfg: ExperimentConfig, out: Path, jobs: int) -> int:
+def cmd_classify(cfg: ExperimentConfig, out: Path) -> int:
     report = _report_envelope(cfg)
     seq = cfg.sequence(max(cfg.Ns))
     criteria = [wouk_test(seq), carleman_test(seq), berezanskii_test(seq)]
@@ -213,22 +228,15 @@ def cmd_classify(cfg: ExperimentConfig, out: Path, jobs: int) -> int:
     return 0
 
 
-def cmd_spectrum(cfg: ExperimentConfig, out: Path, jobs: int) -> int:
+def cmd_spectrum(cfg: ExperimentConfig, out: Path) -> int:
     report = _report_envelope(cfg)
     seq = cfg.sequence(max(cfg.Ns))
     rs = cfg.r_grid()
-
-    def solve_one(N):
+    per_n = {}
+    for N in cfg.Ns:
         ev = spectrum.eigenvalues_in(
             seq, N, (-cfg.r_max, cfg.r_max), tol=cfg.eig_tol
         )
-        return N, ev
-
-    with ThreadPoolExecutor(max_workers=max(1, jobs)) as pool:
-        solved = dict(pool.map(solve_one, cfg.Ns))
-    per_n = {}
-    for N in cfg.Ns:
-        ev = solved[N]
         spec = spectrum.TruncatedSpectrum(
             N=N, eigenvalues=ev, tol=cfg.eig_tol or 1e-10 * cfg.r_max
         )
@@ -253,7 +261,7 @@ def cmd_spectrum(cfg: ExperimentConfig, out: Path, jobs: int) -> int:
     return 0
 
 
-def cmd_growth(cfg: ExperimentConfig, out: Path, jobs: int) -> int:
+def cmd_growth(cfg: ExperimentConfig, out: Path) -> int:
     report = _report_envelope(cfg)
     N = max(cfg.Ns)
     seq = cfg.sequence(N)
@@ -345,7 +353,7 @@ def cmd_growth(cfg: ExperimentConfig, out: Path, jobs: int) -> int:
     return 0
 
 
-def cmd_verify(cfg: Optional[ExperimentConfig], out: Path, jobs: int) -> int:
+def cmd_verify(cfg: Optional[ExperimentConfig], out: Path) -> int:
     results = run_all_checks()
     for r in results:
         print(r.line())
@@ -359,10 +367,10 @@ def cmd_verify(cfg: Optional[ExperimentConfig], out: Path, jobs: int) -> int:
     return 1 if failed else 0
 
 
-def cmd_report(cfg: ExperimentConfig, out: Path, jobs: int) -> int:
-    rc = cmd_classify(cfg, out, jobs)
-    rc = max(rc, cmd_spectrum(cfg, out, jobs))
-    rc = max(rc, cmd_growth(cfg, out, jobs))
+def cmd_report(cfg: ExperimentConfig, out: Path) -> int:
+    rc = cmd_classify(cfg, out)
+    rc = max(rc, cmd_spectrum(cfg, out))
+    rc = max(rc, cmd_growth(cfg, out))
     combined = {}
     for name in ("classification", "spectrum_report", "growth_report"):
         path = out / f"{name}.json"
@@ -390,7 +398,6 @@ def main(argv: Optional[list] = None) -> int:
         p = sub.add_parser(name, help=helptext)
         p.add_argument("--config", required=name != "verify", help="JSON config path")
         p.add_argument("--out", help="output directory (default: config 'out' or '.')")
-        p.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
         p.add_argument("--seed", type=int, help="override the remainder seed")
     args = parser.parse_args(argv)
 
@@ -415,7 +422,7 @@ def main(argv: Optional[list] = None) -> int:
         "report": cmd_report,
     }
     try:
-        return commands[args.command](cfg, out, args.jobs)
+        return commands[args.command](cfg, out)
     except (ValueError, RuntimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -410,15 +410,6 @@ CHECKS: list[tuple[str, Callable]] = [
 ]
 
 
-def _warm_kernels() -> None:
-    # first call may JIT-compile; keep that out of per-check timings
-    tiny = JacobiSequence(rho=np.ones(4), q=np.zeros(4), source="external")
-    solve_at_zero(tiny)
-    spectrum.sturm_count(tiny, 4, 0.0)
-    growth.evaluate_entries_real(solve_at_zero(tiny), np.array([0.5]), 4)
-    growth.evaluate_entries(solve_at_zero(tiny), np.array([0.5 + 0.5j]), 4)
-
-
 def run_check(name: str) -> CheckResult:
     fn = dict(CHECKS)[name]
     t0 = time.perf_counter()
@@ -436,7 +427,6 @@ def run_check(name: str) -> CheckResult:
 
 
 def run_all_checks(names: Optional[list] = None) -> list:
-    _warm_kernels()
     selected = names or [n for n, _ in CHECKS]
     return [run_check(n) for n in selected]
 

@@ -64,12 +64,6 @@ def m1_b_zeros():
     return verify._b_zeros("m1", 2000, 1e4)
 
 
-@pytest.fixture(scope="session", autouse=True)
-def _warm():
-    verify._warm_kernels()
-    return None
-
-
 @pytest.fixture()
 def rng():
     return np.random.default_rng(1234)

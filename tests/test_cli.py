@@ -92,6 +92,17 @@ class TestClassifyCommand:
         ({"window": ["5", 100]}, "window"),
         ({"tolerances": [1e-9]}, "tolerances"),
         ({"r_grid": [10.0, 500.0]}, "r_grid"),
+        ({"N": [100, 200, 1e400]}, "N"),
+        ({"N": [100.7, 200]}, "N"),
+        ({"N": [0, 200]}, "N"),
+        ({"N": 400}, "N"),
+        ({"rays": 16.5}, "rays"),
+        ({"rays": "16"}, "rays"),
+        ({"r_grid": {"r_min": 5.0, "r_max": 500.0, "points": 1e400}}, "points"),
+        ({"r_grid": {"r_min": 5.0, "r_max": 500.0, "points": 10.0}}, "points"),
+        ({"r_grid": {"r_min": 5.0, "r_max": 1e400, "points": 10}}, "r_max"),
+        ({"r_grid": {"r_min": 5.0, "r_max": 10**400, "points": 10}}, "r_max"),
+        ({"r_grid": {"r_min": "5", "r_max": 500.0, "points": 10}}, "r_min"),
     ],
 )
 def test_malformed_config_key_exits_2(tmp_path, capsys, overrides, message):
@@ -124,7 +135,7 @@ class TestGrowthCommand:
     def test_report_contains_all_routes(self, tmp_path):
         cfg = write_config(tmp_path)
         out = tmp_path / "g"
-        rc = main(["growth", "--config", str(cfg), "--out", str(out), "--jobs", "2"])
+        rc = main(["growth", "--config", str(cfg), "--out", str(out)])
         assert rc == 0
         doc = json.loads((out / "growth_report.json").read_text())
         assert doc["coefficient_route"]["order"] == pytest.approx(0.5, abs=0.05)
@@ -139,9 +150,9 @@ class TestGrowthCommand:
         cfg = write_config(tmp_path)
         out1, out2 = tmp_path / "r1", tmp_path / "r2"
         assert main(["growth", "--config", str(cfg), "--out", str(out1)]) == 0
-        assert main(["growth", "--config", str(cfg), "--out", str(out2), "--jobs", "4"]) == 0
+        assert main(["growth", "--config", str(cfg), "--out", str(out2)]) == 0
         assert main(["spectrum", "--config", str(cfg), "--out", str(out1)]) == 0
-        assert main(["spectrum", "--config", str(cfg), "--out", str(out2), "--jobs", "3"]) == 0
+        assert main(["spectrum", "--config", str(cfg), "--out", str(out2)]) == 0
         for name in (
             "growth_report.json",
             "b_zeros.csv",
@@ -229,7 +240,12 @@ class TestVerifyCommand:
         assert 'tests="14"' in xml and 'failures="0"' in xml
 
 
-def test_usage_error_exit_code():
+def test_usage_error_exit_code(tmp_path):
     with pytest.raises(SystemExit) as err:
         main(["frobnicate"])
+    assert err.value.code == 2
+    # the thread-pool flag is gone; it is an unknown argument now
+    cfg = write_config(tmp_path)
+    with pytest.raises(SystemExit) as err:
+        main(["growth", "--config", str(cfg), "--out", str(tmp_path), "--jobs", "2"])
     assert err.value.code == 2

@@ -84,7 +84,7 @@ class TestBlockedSturmKernel:
 
     @staticmethod
     def assert_parity(diag, offsq, xs):
-        got = _kernels.sturm_counts_numpy(diag, offsq, xs)
+        got = _kernels.sturm_counts(diag, offsq, xs)
         assert np.array_equal(got, _sturm_counts_per_row(diag, offsq, xs))
 
     @pytest.fixture
