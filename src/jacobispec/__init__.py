@@ -80,7 +80,6 @@ from .recurrence import (
 from .spectrum import (
     TruncatedSpectrum,
     charpoly_eigenvalues,
-    counting_function,
     eigenvalues_in,
     full_spectrum,
     stabilized_counting,

@@ -104,13 +104,6 @@ class Classification:
             if not lo <= hi:
                 raise ValueError("predicted exponent interval must have lo <= hi")
 
-    def exponent_bounds(self) -> Optional[tuple]:
-        if self.predicted_exponent is None:
-            return None
-        if isinstance(self.predicted_exponent, tuple):
-            return self.predicted_exponent
-        return (self.predicted_exponent, self.predicted_exponent)
-
     def to_json(self) -> dict:
         exp = self.predicted_exponent
         if isinstance(exp, tuple):

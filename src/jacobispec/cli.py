@@ -24,6 +24,7 @@ from .classify import Regime, berezanskii_test, carleman_test, classify, wouk_te
 from .params import (
     JacobiSequence,
     PowerAsymptotics,
+    _is_finite_number,
     descriptor_from_json,
     descriptor_to_json,
     exceptional_parameters,
@@ -41,6 +42,9 @@ _BOUNDARY_NOTE = (
     "case boundaries use exact rational comparisons; equality of derived "
     "quantities is granted within 1e-12 relative and flagged as near-boundary"
 )
+#: largest accepted truncation dimension and r-grid size; the arrays are
+#: allocated as asked, so a larger value would only exhaust memory
+_MAX_SIZE = 10**7
 
 
 @dataclasses.dataclass
@@ -83,11 +87,6 @@ def _is_json_number(x, types=(int, float)) -> bool:
     return isinstance(x, types) and not isinstance(x, bool)
 
 
-def _is_finite_number(x) -> bool:
-    # also rejects an integer literal too large for a double
-    return _is_json_number(x) and abs(x) <= sys.float_info.max
-
-
 def load_config(path: str, seed: Optional[int] = None) -> ExperimentConfig:
     raw = Path(path).read_bytes()
     obj = json.loads(raw)
@@ -105,9 +104,9 @@ def load_config(path: str, seed: Optional[int] = None) -> ExperimentConfig:
     if not (
         isinstance(Ns, list)
         and len(Ns) >= 1
-        and all(_is_json_number(n, int) and n >= 1 for n in Ns)
+        and all(_is_json_number(n, int) and 1 <= n <= _MAX_SIZE for n in Ns)
     ):
-        raise ValueError("N must be a non-empty list of integers >= 1")
+        raise ValueError(f"N must be a non-empty list of integers in [1, {_MAX_SIZE}]")
     if any(b <= a for a, b in zip(Ns, Ns[1:])):
         raise ValueError("N values must be strictly increasing")
     rg = obj.get("r_grid", {})
@@ -119,8 +118,8 @@ def load_config(path: str, seed: Optional[int] = None) -> ExperimentConfig:
         raise ValueError("r_grid.r_min and r_grid.r_max must be finite numbers")
     r_min, r_max = float(r_min), float(r_max)
     r_points = rg.get("points", 20)
-    if not _is_json_number(r_points, int):
-        raise ValueError("r_grid.points must be an integer")
+    if not (_is_json_number(r_points, int) and r_points <= _MAX_SIZE):
+        raise ValueError(f"r_grid.points must be an integer <= {_MAX_SIZE}")
     if not (0 < r_min < r_max) or r_points < 8:
         raise ValueError("need 0 < r_min < r_max and at least 8 grid points")
     window = obj.get("window")
@@ -232,19 +231,18 @@ def cmd_spectrum(cfg: ExperimentConfig, out: Path) -> int:
     report = _report_envelope(cfg)
     seq = cfg.sequence(max(cfg.Ns))
     rs = cfg.r_grid()
+    table, stable = spectrum.stabilized_counting(seq, rs, cfg.Ns)
     per_n = {}
-    for N in cfg.Ns:
+    for j, N in enumerate(cfg.Ns):
         ev = spectrum.eigenvalues_in(
             seq, N, (-cfg.r_max, cfg.r_max), tol=cfg.eig_tol
         )
-        spec = spectrum.TruncatedSpectrum(
-            N=N, eigenvalues=ev, tol=cfg.eig_tol or 1e-10 * cfg.r_max
+        spectrum.TruncatedSpectrum(eigenvalues=ev).to_csv(
+            out / f"eigenvalues_N{N}.csv"
         )
-        spec.to_csv(out / f"eigenvalues_N{N}.csv")
-        counts = [spectrum.counting_function(spec, r) for r in rs]
+        counts = table[:, j].tolist()
         _write_counting_csv(out / f"counting_N{N}.csv", rs, counts)
         per_n[str(N)] = {"count_in_window": int(ev.size), "counts": counts}
-    table, stable = spectrum.stabilized_counting(seq, rs, cfg.Ns)
     stabilization = [
         {"r": float(r), "counts": counts, "stabilized": bool(s)}
         for r, counts, s in zip(rs, table.tolist(), stable)
@@ -283,11 +281,9 @@ def cmd_growth(cfg: ExperimentConfig, out: Path) -> int:
 
     # route 2: max modulus on rays
     rs = cfg.r_grid()
-    logM = growth.b_log_max_modulus(sol, N, rays=cfg.rays)(rs).tolist()
-    _write_counting_csv(out / "log_max_modulus.csv", rs, logM)
-    order_m, type_m = growth.order_type_from_max_modulus(
-        lambda r, _c=dict(zip(rs.tolist(), logM)): _c[float(r)], rs
-    )
+    logM = growth.b_log_max_modulus(sol, N, rays=cfg.rays)(rs)
+    _write_counting_csv(out / "log_max_modulus.csv", rs, logM.tolist())
+    order_m, type_m = growth.order_type_from_max_modulus(rs, logM)
     report["max_modulus_route"] = {"order": order_m, "type_at_order": type_m}
 
     # route 3: zeros of B

@@ -110,14 +110,14 @@ def _check_N(sol: PolySolution, N: Optional[int]) -> int:
 def evaluate_entries(sol: PolySolution, zs: np.ndarray, N: Optional[int] = None):
     """(A, B, C, D, log_scale) arrays of the N-step product at complex zs."""
     N = _check_N(sol, N)
-    zs = np.ascontiguousarray(np.asarray(zs, dtype=np.complex128))
+    zs = np.asarray(zs, dtype=np.complex128)
     return _kernels.transfer_complex(sol.P, sol.Q, zs, N)
 
 
 def evaluate_entries_real(sol: PolySolution, xs: np.ndarray, N: Optional[int] = None):
     """Real-axis specialization (all entries stay real there)."""
     N = _check_N(sol, N)
-    xs = np.ascontiguousarray(np.asarray(xs, dtype=np.float64))
+    xs = np.asarray(xs, dtype=np.float64)
     return _kernels.transfer_real(sol.P, sol.Q, xs, N)
 
 
@@ -173,7 +173,7 @@ def scan_b_zeros(
     diag = np.array(seq.q[:n], dtype=np.float64)
     if n == N:
         diag[-1] += seq.rho[N - 1] * sol.Q[N] / sol.Q[N - 1]
-    offsq = np.ascontiguousarray(seq.rho[: n - 1] ** 2)
+    offsq = seq.rho[: n - 1] ** 2
     tol = 1e-9 * max(1.0, float(r))
     lo, hi = _sturm_brackets(diag, offsq, -float(r), float(r), tol)
     if lo.size:
@@ -190,24 +190,22 @@ def scan_b_zeros(
 
 def b_log_max_modulus(
     sol: PolySolution, N: int, rays: int = 16
-) -> Callable[[float], float]:
-    """Evaluator r -> log max_theta |B_N(r e^{i theta})| over a ray grid.
+) -> Callable[[np.ndarray], np.ndarray]:
+    """Evaluator rs -> log max_theta |B_N(r e^{i theta})| over a ray grid.
 
-    An array of radii is evaluated in one transfer-product call and gives
-    an array; a scalar radius gives a float.
+    The evaluator takes an array of radii and evaluates every radius on
+    every ray in one transfer-product call.
     """
     if rays < 16:
         raise ValueError("need at least 16 directions")
     theta = np.arange(rays) * 2.0 * np.pi / rays
 
-    def evaluator(r):
-        rs = np.asarray(r, dtype=np.float64)
-        zs = rs[..., None] * np.exp(1j * theta)
+    def evaluator(rs):
+        zs = np.asarray(rs, dtype=np.float64)[..., None] * np.exp(1j * theta)
         _, B, _, _, ls = evaluate_entries(sol, zs.ravel(), N)
         # the real rays can hit a zero of B exactly; other rays dominate
         logm = np.log(np.abs(B) + 5e-324) + ls
-        logM = np.max(logm.reshape(zs.shape), axis=-1)
-        return float(logM) if rs.ndim == 0 else logM
+        return np.max(logm.reshape(zs.shape), axis=-1)
 
     return evaluator
 
@@ -286,9 +284,9 @@ def order_type_from_coefficients(log_coeffs: np.ndarray) -> tuple[float, float]:
 
     The order comes from fitting -log|c_n| to a n log n + b n + c log n + d
     over the last dyadic block (order = 1/a); the raw limsup formula
-    n log n / -log|c_n| converges too slowly to be usable at desk scale and
-    is kept as a diagnostic only.  The type then uses the rearranged
-    limsup tau = 1/(e rho) * limsup n |c_n|^(rho/n) on the same block.
+    n log n / -log|c_n| converges too slowly to be usable at desk scale.
+    The type then uses the rearranged limsup
+    tau = 1/(e rho) * limsup n |c_n|^(rho/n) on the same block.
     """
     logc = np.asarray(log_coeffs, dtype=np.float64)
     M = logc.shape[0]
@@ -308,27 +306,22 @@ def order_type_from_coefficients(log_coeffs: np.ndarray) -> tuple[float, float]:
     return order, tau
 
 
-def pointwise_order_estimates(log_coeffs: np.ndarray) -> np.ndarray:
-    """The raw limsup sequence n log n / (-log |c_n|) (diagnostic)."""
-    logc = np.asarray(log_coeffs, dtype=np.float64)
-    n = np.arange(logc.shape[0], dtype=np.float64)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return np.where(logc < 0, n * np.log(n) / (-logc), np.nan)
-
-
 # ---------------------------------------------------------------------------
 # max-modulus and zero-based estimates
 # ---------------------------------------------------------------------------
 
 def order_type_from_max_modulus(
-    evaluator: Callable[[float], float], r_grid: np.ndarray
+    r_grid: np.ndarray, logM: np.ndarray
 ) -> tuple[float, float]:
     """Order from the top-half slope of log log M(r) vs log r; type from
-    the mean of log M(r) / r^order there."""
+    the mean of log M(r) / r^order there.  ``logM`` holds log M(r) at
+    each radius of ``r_grid``."""
     r_grid = np.asarray(r_grid, dtype=np.float64)
+    logM = np.asarray(logM, dtype=np.float64)
+    if logM.shape != r_grid.shape:
+        raise ValueError("need one log M value per grid radius")
     if r_grid.size < 8 or np.any(np.diff(r_grid) <= 0):
         raise ValueError("need a geometric r grid with at least 8 increasing points")
-    logM = np.array([float(evaluator(r)) for r in r_grid])
     if np.any(np.diff(logM) <= 0) or np.any(logM <= 0):
         raise ValueError(
             "max-modulus values are not increasing: evaluation breakdown"

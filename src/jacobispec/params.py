@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import csv
 import enum
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping, Union
@@ -85,8 +86,6 @@ def _to_fraction(value: Numeric) -> Fraction:
     # Fraction("0.1") is exact 1/10; Fraction(0.1) is the exact binary64.
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, str):
-        return Fraction(value)
     return Fraction(value)
 
 
@@ -348,6 +347,30 @@ _KIND_ALIASES = {
 }
 
 
+def _is_finite_number(x) -> bool:
+    # a JSON number; also rejects an integer literal too large for a double
+    return (
+        isinstance(x, (int, float))
+        and not isinstance(x, bool)
+        and abs(x) <= sys.float_info.max
+    )
+
+
+def _json_numeric(key: str, value) -> Fraction:
+    """A descriptor number: a finite JSON number or a decimal string."""
+    frac = None
+    if isinstance(value, str) or _is_finite_number(value):
+        try:
+            frac = Fraction(value)
+        except ValueError:  # not a decimal string
+            pass
+    if frac is None or abs(frac) > sys.float_info.max:
+        raise ValueError(
+            f"descriptor key '{key}' must be a finite number or a decimal string"
+        )
+    return frac
+
+
 def descriptor_from_json(obj: dict) -> PowerAsymptotics:
     """Build a descriptor from its JSON document.
 
@@ -363,16 +386,22 @@ def descriptor_from_json(obj: dict) -> PowerAsymptotics:
     for key in ("beta1", "beta2", "x0", "y0"):
         if key not in obj:
             raise ValueError(f"descriptor is missing required key '{key}'")
-    kw = {k: obj[k] for k in _NUMERIC_FIELDS if k in obj}
+    kw = {k: _json_numeric(k, obj[k]) for k in _NUMERIC_FIELDS if k in obj}
     rem = obj.get("remainder")
     if rem is not None:
+        if not isinstance(rem, dict):
+            raise ValueError("descriptor remainder must be a JSON object")
         kind = _KIND_ALIASES.get(str(rem.get("kind", "none")).lower())
         if kind is None:
             raise ValueError(f"unknown remainder kind {rem.get('kind')!r}")
+        amplitude = rem.get("amplitude", 0.0)
+        if not _is_finite_number(amplitude):
+            raise ValueError("remainder amplitude must be a finite number")
+        seed = rem.get("seed", 0)
+        if not (isinstance(seed, int) and not isinstance(seed, bool) and seed >= 0):
+            raise ValueError("remainder seed must be an integer >= 0")
         kw["remainder"] = RemainderModel(
-            kind=kind,
-            amplitude=float(rem.get("amplitude", 0.0)),
-            seed=int(rem.get("seed", 0)),
+            kind=kind, amplitude=float(amplitude), seed=seed
         )
     order = obj.get("order")
     if order is not None:

@@ -23,7 +23,6 @@ __all__ = [
     "eigenvalues_in",
     "full_spectrum",
     "gershgorin_interval",
-    "counting_function",
     "stabilized_counting",
     "charpoly_values",
     "charpoly_eigenvalues",
@@ -32,9 +31,7 @@ __all__ = [
 
 @dataclass(frozen=True, eq=False)
 class TruncatedSpectrum:
-    N: int
     eigenvalues: np.ndarray
-    tol: float
 
     def __post_init__(self):
         ev = np.asarray(self.eigenvalues, dtype=np.float64)
@@ -59,9 +56,7 @@ class TruncatedSpectrum:
 def _submatrix(seq: JacobiSequence, N: int) -> tuple[np.ndarray, np.ndarray]:
     if not 1 <= N <= len(seq):
         raise ValueError(f"need 1 <= N <= {len(seq)}")
-    diag = np.ascontiguousarray(seq.q[:N])
-    offsq = np.ascontiguousarray(seq.rho[: N - 1] ** 2)
-    return diag, offsq
+    return seq.q[:N], seq.rho[: N - 1] ** 2
 
 
 def sturm_count(seq: JacobiSequence, N: int, x: float) -> int:
@@ -132,55 +127,43 @@ def eigenvalues_in(
 def full_spectrum(
     seq: JacobiSequence, N: int, tol: float | None = None
 ) -> TruncatedSpectrum:
-    a, b = gershgorin_interval(seq, N)
-    if tol is None:
-        tol = 1e-10 * max(1.0, abs(a), abs(b))
-    ev = eigenvalues_in(seq, N, (a, b), tol)
+    ev = eigenvalues_in(seq, N, gershgorin_interval(seq, N), tol)
     if ev.size != N:
         raise RuntimeError(
             f"expected {N} eigenvalues in the containment interval, found {ev.size}"
         )
-    return TruncatedSpectrum(N=N, eigenvalues=ev, tol=tol)
+    return TruncatedSpectrum(eigenvalues=ev)
 
 
-def counting_function(spec: TruncatedSpectrum, r: float) -> int:
-    """Number of eigenvalues with |lambda| <= r."""
-    if r < 0:
-        raise ValueError("r must be nonnegative")
-    ev = spec.eigenvalues
-    hi = int(np.searchsorted(ev, r, side="right"))
-    lo = int(np.searchsorted(ev, -r, side="left"))
-    return hi - lo
+def stabilized_counting(
+    seq: JacobiSequence, rs: np.ndarray, Ns: Sequence[int]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Counting functions n_N(r) = #{|lambda| <= r} of growing truncations.
 
-
-def stabilized_counting(seq: JacobiSequence, r, Ns: Sequence[int]):
-    """Counting-function values of growing truncations at radius r.
-
-    In the limit circle case the low-lying truncation eigenvalues settle
-    as N grows, so the counts stabilize; the flag reports whether the last
-    two agree.  A scalar r gives ``(counts, flag)`` with a list of counts,
-    one per N.  An array of radii is counted in one Sturm call per N and
-    gives a ``(len(r), len(Ns))`` count table and a flag array.
+    Every radius is counted exactly, in one Sturm call per N, and the
+    result is a ``(len(rs), len(Ns))`` count table.  In the limit circle
+    case the low-lying truncation eigenvalues settle as N grows, so the
+    counts stabilize; the flag array reports, per radius, whether the last
+    two agree.
     """
     Ns = list(Ns)
     if len(Ns) < 3 or any(b <= a for a, b in zip(Ns, Ns[1:])):
         raise ValueError("need at least three strictly increasing dimensions")
-    rs = np.asarray(r, dtype=np.float64)
-    if rs.ndim > 1:
-        raise ValueError("r must be a scalar or a 1-d array of radii")
+    rs = np.asarray(rs, dtype=np.float64)
+    if rs.ndim != 1:
+        raise ValueError("rs must be a 1-d array of radii")
     if np.any(rs < 0):
         raise ValueError("r must be nonnegative")
-    flat = rs.reshape(-1)
-    shifts = np.concatenate([np.nextafter(flat, np.inf), -flat])
-    table = np.empty((flat.size, len(Ns)), dtype=np.int64)
+    # a zero pivot is floored to a negative one, so an eigenvalue exactly at
+    # a shift may count as below it; shifting one ulp outward on both sides
+    # keeps eigenvalues at exactly +-r inside the count
+    shifts = np.concatenate([np.nextafter(rs, np.inf), np.nextafter(-rs, -np.inf)])
+    table = np.empty((rs.size, len(Ns)), dtype=np.int64)
     for j, N in enumerate(Ns):
         diag, offsq = _submatrix(seq, N)
         c = _kernels.sturm_counts(diag, offsq, shifts)
-        table[:, j] = c[: flat.size] - c[flat.size :]
-    stable = table[:, -1] == table[:, -2]
-    if rs.ndim == 0:
-        return table[0].tolist(), bool(stable[0])
-    return table, stable
+        table[:, j] = c[: rs.size] - c[rs.size :]
+    return table, table[:, -1] == table[:, -2]
 
 
 # ---------------------------------------------------------------------------
@@ -205,7 +188,8 @@ def charpoly_eigenvalues(
 
     Exhaustive grid refinement until all N sign changes of the
     characteristic polynomial are isolated; intended as the independent
-    oracle for dimensions <= ~12.
+    oracle for dimensions <= ~12.  Uses only ``charpoly_values``, never
+    the Sturm count.
     """
     a, b = gershgorin_interval(seq, N)
     pts = 64 * N
@@ -221,16 +205,15 @@ def charpoly_eigenvalues(
         pts *= 4
     else:
         raise RuntimeError("failed to isolate all characteristic-polynomial roots")
-    roots = []
-    for i in idx:
-        lo, hi = xs[i], xs[i + 1]
-        flo = charpoly_values(seq, N, np.array([lo]))[0]
-        while hi - lo > tol:
-            mid = 0.5 * (lo + hi)
-            fm = charpoly_values(seq, N, np.array([mid]))[0]
-            if (flo < 0) == (fm < 0):
-                lo, flo = mid, fm
-            else:
-                hi = mid
-        roots.append(0.5 * (lo + hi))
-    return np.array(roots)
+    # bisect all brackets at once; each stops at its own width, so every
+    # root takes the steps a bracket-by-bracket bisection would take
+    lo, hi = xs[idx], xs[idx + 1]
+    lo_neg = charpoly_values(seq, N, lo) < 0
+    active = np.nonzero(hi - lo > tol)[0]
+    while active.size:
+        mid = 0.5 * (lo[active] + hi[active])
+        same = (charpoly_values(seq, N, mid) < 0) == lo_neg[active]
+        lo[active[same]] = mid[same]
+        hi[active[~same]] = mid[~same]
+        active = active[hi[active] - lo[active] > tol]
+    return 0.5 * (lo + hi)

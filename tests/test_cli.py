@@ -7,12 +7,13 @@ from jacobispec.cli import main
 from jacobispec.params import JacobiSequence, sequence_to_csv
 
 
+M1 = {"beta1": 2, "beta2": 0, "x0": 1, "y0": 1, "x1": 2, "x2": 1, "order": "second"}
+NOISE = {"kind": "seeded_noise", "amplitude": 0.1, "seed": 1}
+
+
 def write_config(tmp_path, name="cfg.json", **overrides):
     cfg = {
-        "descriptor": {
-            "beta1": 2, "beta2": 0, "x0": 1, "y0": 1, "x1": 2, "x2": 1,
-            "order": "second",
-        },
+        "descriptor": M1,
         "N": [100, 200, 400],
         "r_grid": {"r_min": 5.0, "r_max": 500.0, "points": 10},
     }
@@ -103,6 +104,29 @@ class TestClassifyCommand:
         ({"r_grid": {"r_min": 5.0, "r_max": 1e400, "points": 10}}, "r_max"),
         ({"r_grid": {"r_min": 5.0, "r_max": 10**400, "points": 10}}, "r_max"),
         ({"r_grid": {"r_min": "5", "r_max": 500.0, "points": 10}}, "r_min"),
+        ({"N": [100, 200, 10**400]}, "N"),
+        ({"N": [100, 200, 10**12]}, "N"),
+        ({"r_grid": {"r_min": 5.0, "r_max": 500.0, "points": 10**400}}, "points"),
+        ({"r_grid": {"r_min": 5.0, "r_max": 500.0, "points": 10**12}}, "points"),
+        ({"descriptor": {**M1, "remainder": 5}}, "remainder"),
+        ({"descriptor": {**M1, "remainder": []}}, "remainder"),
+        ({"descriptor": {**M1, "beta1": 1e400}}, "beta1"),
+        ({"descriptor": {**M1, "x1": 10**400}}, "x1"),
+        ({"descriptor": {**M1, "x1": "1e400"}}, "x1"),
+        ({"descriptor": {**M1, "y1": True}}, "y1"),
+        ({"descriptor": {**M1, "y1": "abc"}}, "y1"),
+        ({"descriptor": {**M1, "remainder": {**NOISE, "seed": 1e400}}}, "seed"),
+        ({"descriptor": {**M1, "remainder": {**NOISE, "seed": 1.5}}}, "seed"),
+        ({"descriptor": {**M1, "remainder": {**NOISE, "seed": True}}}, "seed"),
+        ({"descriptor": {**M1, "remainder": {**NOISE, "seed": -1}}}, "seed"),
+        (
+            {"descriptor": {**M1, "remainder": {**NOISE, "amplitude": 1e400}}},
+            "amplitude",
+        ),
+        (
+            {"descriptor": {**M1, "remainder": {**NOISE, "amplitude": "0.1"}}},
+            "amplitude",
+        ),
     ],
 )
 def test_malformed_config_key_exits_2(tmp_path, capsys, overrides, message):
@@ -129,6 +153,14 @@ class TestSpectrumCommand:
         assert len(report["stabilization"]) == 10
         # low radii must stabilize for this strongly lcc model
         assert report["stabilization"][0]["stabilized"]
+
+    def test_too_few_dimensions_write_nothing(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, N=[300, 600])
+        out = tmp_path / "spec"
+        assert main(["spectrum", "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "three strictly increasing dimensions" in err and err.count("\n") == 1
+        assert list(out.iterdir()) == []
 
 
 class TestGrowthCommand:

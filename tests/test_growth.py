@@ -14,7 +14,6 @@ from jacobispec.growth import (
     nevanlinna_evaluate,
     order_type_from_coefficients,
     order_type_from_max_modulus,
-    pointwise_order_estimates,
     scan_b_zeros,
     upper_density,
 )
@@ -242,13 +241,6 @@ class TestCoefficientSeries:
         assert order == pytest.approx(0.5, abs=0.02)
         assert tau == pytest.approx(2.0, abs=0.1)
 
-    def test_pointwise_formula_is_biased_but_converging(self):
-        # diagnostic check that motivates the corrected estimator
-        n = np.arange(4000)
-        logc = -2.0 * np.array([math.lgamma(k + 1) for k in n])
-        pw = pointwise_order_estimates(logc)
-        assert 0.5 < np.nanmax(pw[2000:]) < 0.65
-
     def test_rejects_growing_coefficients(self):
         with pytest.raises(ValueError):
             order_type_from_coefficients(np.arange(128, dtype=float))
@@ -257,14 +249,14 @@ class TestCoefficientSeries:
 class TestMaxModulus:
     def test_synthetic_exact(self):
         rs = np.geomspace(10, 1e5, 16)
-        order, tau = order_type_from_max_modulus(lambda r: 2.0 * math.sqrt(r), rs)
+        order, tau = order_type_from_max_modulus(rs, 2.0 * np.sqrt(rs))
         assert order == pytest.approx(0.5, abs=1e-6)
         assert tau == pytest.approx(2.0, abs=1e-6)
 
     def test_m1_b_function(self, m1_sol_2000):
         rs = np.geomspace(10, 1e5, 24)
         order, tau = order_type_from_max_modulus(
-            b_log_max_modulus(m1_sol_2000, 2000), rs
+            rs, b_log_max_modulus(m1_sol_2000, 2000)(rs)
         )
         assert order == pytest.approx(0.5, abs=0.05)
         assert 1.8 <= tau <= 4.4  # theoretical type window [2, 4] with slack
@@ -272,7 +264,12 @@ class TestMaxModulus:
     def test_rejects_non_monotone(self):
         rs = np.geomspace(10, 1e3, 8)
         with pytest.raises(ValueError, match="not increasing"):
-            order_type_from_max_modulus(lambda r: math.sin(r) + 2.0, rs)
+            order_type_from_max_modulus(rs, np.sin(rs) + 2.0)
+
+    def test_rejects_shape_mismatch(self):
+        rs = np.geomspace(10, 1e3, 8)
+        with pytest.raises(ValueError, match="one log M value per grid radius"):
+            order_type_from_max_modulus(rs, 2.0 * np.sqrt(rs[:-1]))
 
     def test_rays_floor(self, m1_sol_2000):
         with pytest.raises(ValueError):
@@ -282,9 +279,9 @@ class TestMaxModulus:
         evaluator = b_log_max_modulus(m1_sol_2000, 2000)
         rs = np.geomspace(10, 1e4, 20)
         batched = evaluator(rs)
-        single = [evaluator(r) for r in rs]
-        assert all(type(v) is float for v in single)
-        assert batched.tolist() == single
+        single = [evaluator(np.array([r])) for r in rs]
+        assert all(v.shape == (1,) for v in single)
+        assert batched.tolist() == [float(v[0]) for v in single]
 
 
 def test_growth_estimate_rejects_negative_order():
@@ -342,7 +339,9 @@ class TestCrossMethodConsistency:
             return top + math.log(np.sum(np.exp(terms - top)))
 
         rs = np.geomspace(1e2, 1e5, 16)
-        order_m, _ = order_type_from_max_modulus(log_series, rs)
+        order_m, _ = order_type_from_max_modulus(
+            rs, np.array([log_series(r) for r in rs])
+        )
         order_c, _ = order_type_from_coefficients(logc)
         assert abs(order_m - order_c) <= 0.05
 

@@ -9,7 +9,6 @@ from jacobispec.spectrum import (
     TruncatedSpectrum,
     charpoly_eigenvalues,
     charpoly_values,
-    counting_function,
     eigenvalues_in,
     full_spectrum,
     gershgorin_interval,
@@ -181,47 +180,31 @@ class TestEigenvaluesIn:
             eigenvalues_in(seq, 2, (2.0, -2.0))
 
 
-class TestCountingFunction:
-    def test_two_point_spectrum(self):
-        spec = TruncatedSpectrum(N=2, eigenvalues=np.array([-1.0, 1.0]), tol=1e-10)
-        assert counting_function(spec, 0.5) == 0
-        assert counting_function(spec, 1.0) == 2
-
-    def test_three_point_spectrum(self):
-        spec = TruncatedSpectrum(
-            N=3, eigenvalues=np.array([-np.sqrt(2), 0.0, np.sqrt(2)]), tol=1e-10
-        )
-        assert counting_function(spec, 1.0) == 1
-
-    def test_monotone_on_grid(self):
-        seq = _seq("m1", 2000)
-        ev = eigenvalues_in(seq, 2000, (-1e4, 1e4), tol=1e-7)
-        spec = TruncatedSpectrum(N=2000, eigenvalues=ev, tol=1e-7)
-        grid = np.linspace(0.0, 1e4, 50)
-        counts = [counting_function(spec, r) for r in grid]
-        assert all(b >= a for a, b in zip(counts, counts[1:]))
-        assert counts[0] >= 0 and counts[-1] == len(ev)
-
-    def test_negative_radius_rejected(self):
-        spec = TruncatedSpectrum(N=1, eigenvalues=np.array([1.0]), tol=1e-10)
-        with pytest.raises(ValueError):
-            counting_function(spec, -1.0)
-
-
 class TestStabilizedCounting:
+    def test_counts_include_eigenvalues_at_radius(self):
+        # free matrix: J_1 has {0}, J_2 has {-1, 1}, J_3 has {-sqrt 2, 0, sqrt 2}
+        seq = tiny([1.0, 1.0, 1.0], [0.0, 0.0, 0.0])
+        table, stable = stabilized_counting(seq, np.array([0.5, 1.0]), (1, 2, 3))
+        assert table.tolist() == [[1, 0, 1], [1, 2, 1]]
+        assert stable.tolist() == [False, False]
+
     def test_m1_stabilizes_at_moderate_radius(self):
-        counts, stable = stabilized_counting(_seq("m1", 2000), 50.0, (500, 1000, 2000))
-        assert stable and counts[-1] == counts[-2]
+        table, stable = stabilized_counting(
+            _seq("m1", 2000), np.array([50.0]), (500, 1000, 2000)
+        )
+        assert stable[0] and table[0, -1] == table[0, -2]
 
     def test_free_matrix_counts_grow(self):
         seq = golden_m5_sequence(2000)
-        counts, stable = stabilized_counting(seq, 1.0, (500, 1000, 2000))
-        assert not stable
-        assert counts[0] < counts[1] < counts[2]
+        table, stable = stabilized_counting(seq, np.array([1.0]), (500, 1000, 2000))
+        assert not stable[0]
+        assert table[0, 0] < table[0, 1] < table[0, 2]
 
     def test_zero_radius(self):
-        counts, stable = stabilized_counting(_seq("m1", 2000), 0.0, (500, 1000, 2000))
-        assert stable and counts == [0, 0, 0]
+        table, stable = stabilized_counting(
+            _seq("m1", 2000), np.array([0.0]), (500, 1000, 2000)
+        )
+        assert stable[0] and table.tolist() == [[0, 0, 0]]
 
     @pytest.mark.parametrize("which, rmax", [("m1", 1e4), ("m5", 2.0)])
     def test_array_of_radii_matches_scalar_calls(self, which, rmax):
@@ -230,8 +213,8 @@ class TestStabilizedCounting:
         table, stable = stabilized_counting(seq, rs, (500, 1000, 2000))
         assert table.shape == (20, 3) and stable.shape == (20,)
         for r, row, flag in zip(rs, table, stable):
-            counts, s = stabilized_counting(seq, float(r), (500, 1000, 2000))
-            assert counts == row.tolist() and s == flag
+            one, s = stabilized_counting(seq, np.array([r]), (500, 1000, 2000))
+            assert one.tolist() == [row.tolist()] and s.tolist() == [flag]
 
     def test_negative_radius_in_array_rejected(self):
         with pytest.raises(ValueError):
@@ -239,7 +222,12 @@ class TestStabilizedCounting:
 
     def test_needs_increasing_dims(self):
         with pytest.raises(ValueError):
-            stabilized_counting(_seq("m1", 2000), 1.0, (500, 500, 1000))
+            stabilized_counting(_seq("m1", 2000), np.array([1.0]), (500, 500, 1000))
+
+    @pytest.mark.parametrize("rs", [1.0, [[1.0, 2.0]]])
+    def test_radii_must_be_one_dimensional(self, rs):
+        with pytest.raises(ValueError, match="1-d"):
+            stabilized_counting(_seq("m1", 2000), rs, (500, 1000, 2000))
 
 
 class TestInterlacing:
@@ -253,7 +241,53 @@ class TestInterlacing:
             prev = cur
 
 
+def _charpoly_roots_per_bracket(seq, N, tol=1e-11):
+    """The bracket-by-bracket bisection that charpoly_eigenvalues batched."""
+    a, b = gershgorin_interval(seq, N)
+    pts = 64 * N
+    for _ in range(16):
+        xs = np.linspace(a, b, pts)
+        sign = np.sign(charpoly_values(seq, N, xs))
+        sign[sign == 0] = -1.0
+        idx = np.nonzero(sign[:-1] * sign[1:] < 0)[0]
+        if idx.size == N:
+            break
+        pts *= 4
+    roots = []
+    for i in idx:
+        lo, hi = xs[i], xs[i + 1]
+        flo = charpoly_values(seq, N, np.array([lo]))[0]
+        while hi - lo > tol:
+            mid = 0.5 * (lo + hi)
+            fm = charpoly_values(seq, N, np.array([mid]))[0]
+            if (flo < 0) == (fm < 0):
+                lo, flo = mid, fm
+            else:
+                hi = mid
+        roots.append(0.5 * (lo + hi))
+    return np.array(roots)
+
+
 class TestCharpolyOracle:
+    def test_batched_bisection_matches_per_bracket_loop(self):
+        # the random sample of acceptance check c14
+        rng = np.random.default_rng(987654321)
+        for _ in range(100):
+            n = int(rng.integers(1, 9))
+            rho = rng.uniform(0.2, 3.0, max(n, 2))
+            seq = tiny(rho, rng.uniform(-5.0, 5.0, max(n, 2)))
+            got = charpoly_eigenvalues(seq, n)
+            assert np.array_equal(got, _charpoly_roots_per_bracket(seq, n))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 12])
+    @pytest.mark.parametrize("tol", [1e-11, 1e-3, 10.0])
+    def test_batched_bisection_matches_on_free_matrix(self, n, tol):
+        # integer entries put roots (such as 0) on grid points; a coarse tol
+        # leaves some brackets untouched
+        seq = tiny(np.ones(max(n, 2)), np.zeros(max(n, 2)))
+        got = charpoly_eigenvalues(seq, n, tol)
+        assert np.array_equal(got, _charpoly_roots_per_bracket(seq, n, tol))
+
     def test_values_match_numpy_det(self, rng):
         rho = rng.uniform(0.3, 2.0, 6)
         q = rng.uniform(-3.0, 3.0, 6)
@@ -268,4 +302,4 @@ class TestCharpolyOracle:
 
     def test_strict_spectrum_validation(self):
         with pytest.raises(ValueError):
-            TruncatedSpectrum(N=2, eigenvalues=np.array([1.0, 1.0]), tol=1e-10)
+            TruncatedSpectrum(eigenvalues=np.array([1.0, 1.0]))
