@@ -180,14 +180,29 @@ class TestEigenvaluesIn:
             eigenvalues_in(seq, 2, (2.0, -2.0))
 
 
-class TestStabilizedCounting:
-    def test_counts_include_eigenvalues_at_radius(self):
-        # free matrix: J_1 has {0}, J_2 has {-1, 1}, J_3 has {-sqrt 2, 0, sqrt 2}
+class TestCountingFunction:
+    # n_N(r) = #{|lambda| <= r} read from the Sturm count table of the free
+    # matrix: J_1 has {0}, J_2 has {-1, 1}, J_3 has {-sqrt 2, 0, sqrt 2}
+    def _free_table(self):
         seq = tiny([1.0, 1.0, 1.0], [0.0, 0.0, 0.0])
-        table, stable = stabilized_counting(seq, np.array([0.5, 1.0]), (1, 2, 3))
+        return stabilized_counting(seq, np.array([0.5, 1.0]), (1, 2, 3))
+
+    def test_two_point_spectrum(self):
+        table, _ = self._free_table()
+        assert table[:, 1].tolist() == [0, 2]  # eigenvalues at exactly +-r count
+
+    def test_three_point_spectrum(self):
+        table, stable = self._free_table()
         assert table.tolist() == [[1, 0, 1], [1, 2, 1]]
         assert stable.tolist() == [False, False]
 
+    def test_negative_radius_rejected(self):
+        seq = tiny([1.0, 1.0, 1.0], [1.0, 1.0, 1.0])
+        with pytest.raises(ValueError):
+            stabilized_counting(seq, np.array([-1.0]), (1, 2, 3))
+
+
+class TestStabilizedCounting:
     def test_m1_stabilizes_at_moderate_radius(self):
         table, stable = stabilized_counting(
             _seq("m1", 2000), np.array([50.0]), (500, 1000, 2000)
