@@ -8,16 +8,21 @@ The three inner loops that dominate runtime live here:
   rank-one-perturbed identity factors that build the Nevanlinna matrix;
   both are dtype entry points to the same loop.
 
-``sturm_counts`` works on all shifts at once and on blocks of ``_BLOCK``
-rows: it writes the block's pivots with no floor check, in the same
-operation order as the floored step, so every pivot at or above the
-floor ``_PIVMIN`` is bit-identical to it.  At the end of the block the
-smallest pivot magnitude decides: if it is at or above the floor (a NaN
-fails this test) the block's negative pivots are counted, otherwise the
-block is replayed row by row with floored pivots from the pivot that
-entered it.  The counts therefore equal those of the per-row floored
-loop exactly; the blocking only removes per-row call overhead (cf.
-LAPACK's ``dlaneg``).
+``sturm_counts`` works on all S shifts at once and on blocks of
+``max(16, _BUDGET // S)`` rows, so that its ``(rows, S)`` work buffer
+never holds more than ``max(16 S, _BUDGET)`` pivots and a call with few
+shifts runs in few blocks.  It writes the block's pivots with no floor
+check, in the same operation order as the floored step, so every pivot
+at or above the floor ``_PIVMIN`` is bit-identical to it.  At the end of
+the block the smallest pivot magnitude decides: if it is at or above the
+floor (a NaN fails this test) the block's negative pivots are counted,
+otherwise the block is replayed row by row with floored pivots from the
+pivot that entered it.  The counts and the last pivot therefore equal
+those of the per-row floored loop exactly, whatever the block height; the
+blocking only removes per-row call overhead (cf. LAPACK's ``dlaneg``).
+The last pivot d_N(x) comes back with the counts: it is negative exactly
+when x lies above one more eigenvalue of J_N than of J_{N-1}, and between
+two eigenvalues of J_{N-1} it is continuous and decreasing in x.
 """
 
 import numpy as np
@@ -49,11 +54,12 @@ def solve_three_term(rho, q, u0, u1):
 
 # ---------------------------------------------------------------------------
 # Sturm counts: eigenvalues of the leading principal tridiagonal submatrix
-# strictly below each shift x (LD factorization sign count, pivots floored)
+# below each shift x (LD factorization sign count, pivots floored; a zero
+# pivot is floored to a negative one, so an eigenvalue at exactly x counts)
 # ---------------------------------------------------------------------------
 
-_BLOCK = 16  # rows per block; each call holds a (_BLOCK, S) buffer, so
-            # larger blocks raise peak RSS
+_BUDGET = 32768  # float64 pivots per work buffer (256 KiB): the block height
+                 # times the shift count, for at least 16 rows
 
 
 def _floor_pivots(d):
@@ -61,22 +67,25 @@ def _floor_pivots(d):
 
 
 def sturm_counts(diag, offsq, xs):
+    """Return (counts, last pivots) of the floored LD factorization of
+    diag - x at every shift x of xs."""
     xs = np.asarray(xs, dtype=np.float64)
     n = diag.shape[0]
+    rows = min(max(16, _BUDGET // max(xs.size, 1)), max(n - 1, 1))
     col = diag[:, None]
     offsq = offsq.tolist()
     d = _floor_pivots(diag[0] - xs)
     count = (d < 0).astype(np.int64)
-    buf = np.empty((_BLOCK,) + xs.shape)
+    buf = np.empty((rows,) + xs.shape)
     t = np.empty(xs.shape)
-    for k0 in range(1, n, _BLOCK):
+    for k0 in range(1, n, rows):
         block = buf[: n - k0]
         prev = d
         # unfloored pass; a block holding a pivot below the floor (or a NaN)
         # is replayed with floored pivots, so its warnings are not wanted
         with np.errstate(all="ignore"):
-            np.subtract(col[k0 : k0 + _BLOCK], xs, out=block)
-            for w, row in zip(offsq[k0 - 1 : k0 - 1 + _BLOCK], block):
+            np.subtract(col[k0 : k0 + rows], xs, out=block)
+            for w, row in zip(offsq[k0 - 1 : k0 - 1 + rows], block):
                 np.divide(w, prev, out=t)
                 np.subtract(row, t, out=row)
                 prev = row
@@ -87,7 +96,7 @@ def sturm_counts(diag, offsq, xs):
             for k in range(k0, k0 + block.shape[0]):
                 d = _floor_pivots((diag[k] - xs) - offsq[k - 1] / d)
                 count += d < 0
-    return count
+    return count, d
 
 
 # ---------------------------------------------------------------------------

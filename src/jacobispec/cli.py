@@ -364,6 +364,8 @@ def cmd_verify(cfg: Optional[ExperimentConfig], out: Path) -> int:
 
 
 def cmd_report(cfg: ExperimentConfig, out: Path) -> int:
+    # the spectrum step needs three truncations: fail before any file is written
+    spectrum._check_dimensions(cfg.Ns)
     rc = cmd_classify(cfg, out)
     rc = max(rc, cmd_spectrum(cfg, out))
     rc = max(rc, cmd_growth(cfg, out))

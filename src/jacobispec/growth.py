@@ -157,10 +157,12 @@ def scan_b_zeros(
     B_N(z) = rho_{N-1} [P_N(z) Q_{N-1}(0) - P_{N-1}(z) Q_N(0)], so the zeros
     of B_N are the eigenvalues of J_N with q_{N-1} replaced by
     q_{N-1} + rho_{N-1} Q_N(0) / Q_{N-1}(0) (of J_{N-1} when Q_{N-1}(0) = 0).
-    They are bracketed by Sturm bisection; B_N is then evaluated through the
-    transfer product at both ends of every bracket, so the zero route stays
-    independent of the truncation eigenvalues it is compared against, and a
-    bracket without a sign change of B_N raises RuntimeError.
+    They are bracketed from Sturm counts to width tol = 1e-9 max(1, r),
+    each bracket centred on its zero where the secant finish converges; B_N
+    is then evaluated through the transfer product at both ends of every
+    bracket, so the zero route stays independent of the truncation
+    eigenvalues it is compared against, and a bracket without a sign change
+    of B_N raises RuntimeError.
     """
     if r <= 0:
         raise ValueError("r must be positive")

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import csv
 import enum
+import re
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -356,8 +357,25 @@ def _is_finite_number(x) -> bool:
     )
 
 
+#: largest decimal exponent a descriptor string may carry: Fraction builds
+#: 10**|exponent| exactly, so parsing slows as the exponent grows, while
+#: binary64 itself spans decimal exponents -324 .. 308 only
+_MAX_DECIMAL_EXPONENT = 1000
+_DECIMAL_EXPONENT = re.compile(r"[eE][-+]?([\d_]+)\s*\Z")
+
+
 def _json_numeric(key: str, value) -> Fraction:
     """A descriptor number: a finite JSON number or a decimal string."""
+    exponent = _DECIMAL_EXPONENT.search(value) if isinstance(value, str) else None
+    if exponent is not None:
+        # compared as digit strings first, so a huge exponent is never parsed
+        digits = exponent.group(1).replace("_", "").lstrip("0") or "0"
+        cap = str(_MAX_DECIMAL_EXPONENT)
+        if (len(digits), digits) > (len(cap), cap):
+            raise ValueError(
+                f"descriptor key '{key}' has a decimal exponent beyond "
+                f"+-{_MAX_DECIMAL_EXPONENT}"
+            )
     frac = None
     if isinstance(value, str) or _is_finite_number(value):
         try:

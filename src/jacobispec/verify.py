@@ -386,7 +386,7 @@ def _check_eigensolver_oracle():
     ok = worst <= 1e-9 and interlace_ok
     return (
         ok,
-        f"max |bisection - charpoly| = {worst:.2e}, interlacing "
+        f"max |Sturm - charpoly| = {worst:.2e}, interlacing "
         f"{'holds' if interlace_ok else 'fails'}",
         "<= 1e-9 over 100 random matrices; interlacing for N <= 50",
     )

@@ -127,6 +127,7 @@ class TestClassifyCommand:
             {"descriptor": {**M1, "remainder": {**NOISE, "amplitude": "0.1"}}},
             "amplitude",
         ),
+        ({"descriptor": {**M1, "x1": "1e-3000000"}}, "x1"),
     ],
 )
 def test_malformed_config_key_exits_2(tmp_path, capsys, overrides, message):
@@ -139,6 +140,22 @@ def test_malformed_config_key_exits_2(tmp_path, capsys, overrides, message):
 
 
 class TestSpectrumCommand:
+    def test_eigenvalue_at_the_lower_window_end_counts(self, tmp_path):
+        # free matrix: J_1 has {0}, J_2 has {-1, 1}, J_3 has {-sqrt 2, 0, sqrt 2}
+        seq_path = tmp_path / "free.csv"
+        sequence_to_csv(JacobiSequence(rho=np.ones(3), q=np.zeros(3)), seq_path)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "sequence_file": str(seq_path),
+            "N": [1, 2, 3],
+            "r_grid": {"r_min": 0.5, "r_max": 1.0, "points": 8},
+        }))
+        out = tmp_path / "spec"
+        assert main(["spectrum", "--config", str(cfg), "--out", str(out)]) == 0
+        per_n = json.loads((out / "spectrum_report.json").read_text())["per_N"]
+        assert [per_n[n]["count_in_window"] for n in ("1", "2", "3")] == [1, 2, 1]
+        assert [per_n[n]["counts"][-1] for n in ("1", "2", "3")] == [1, 2, 1]
+
     def test_writes_curves(self, tmp_path):
         cfg = write_config(tmp_path)
         out = tmp_path / "spec"
@@ -241,6 +258,13 @@ class TestReportCommand:
         assert set(combined) == {
             "classification", "spectrum_report", "growth_report"
         }
+
+    def test_too_few_dimensions_write_nothing(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, N=[300, 600])
+        out = tmp_path / "rep"
+        assert main(["report", "--config", str(cfg), "--out", str(out)]) == 2
+        assert "three strictly increasing" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
 
 
 class TestSeedOverride:

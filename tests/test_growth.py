@@ -8,6 +8,7 @@ from jacobispec.growth import (
     GrowthEstimate,
     b_log_max_modulus,
     convergence_exponent_from_zeros,
+    evaluate_entries_real,
     leading_coefficient_logs,
     log_majorant_product,
     majorant_bound_gap,
@@ -17,8 +18,9 @@ from jacobispec.growth import (
     scan_b_zeros,
     upper_density,
 )
-from jacobispec.params import JacobiSequence
-from jacobispec.spectrum import eigenvalues_in
+from jacobispec.params import JacobiSequence, descriptor_from_json, materialize
+from jacobispec.recurrence import solve_at_zero
+from jacobispec.spectrum import _sturm_brackets, eigenvalues_in
 from jacobispec.verify import _b_zeros, _seq, _sol
 
 
@@ -136,7 +138,7 @@ class TestZeroScan:
         seq, sol = _seq(which, 2000), _sol(which, 2000)
         diag = seq.q[:2000].copy()
         diag[-1] += seq.rho[1999] * sol.Q[2000] / sol.Q[1999]
-        c = _kernels.sturm_counts(
+        c, _ = _kernels.sturm_counts(
             diag, seq.rho[:1999] ** 2, np.array([np.nextafter(r, np.inf), -r])
         )
         zeros = _b_zeros(which, 2000, r)
@@ -162,6 +164,36 @@ class TestZeroScan:
         zeros = scan_b_zeros(free_sol, free_seq, 9, 3.0)
         expected = np.sort(2.0 * np.cos(np.arange(1, 9) * np.pi / 9))
         assert zeros == pytest.approx(expected, abs=3e-9)
+
+    def test_zero_at_exactly_minus_r(self, free_seq, free_sol):
+        # Q_2(0) = 0, so the zeros of B_3 are the eigenvalues -1, 1 of J_2,
+        # whose pivots at +-1 are exactly zero
+        assert free_sol.Q[2] == 0.0
+        assert scan_b_zeros(free_sol, free_seq, 3, 1.0) == pytest.approx(
+            [-1.0, 1.0], abs=1e-9
+        )
+
+    def test_sign_change_confirmed_at_large_N(self):
+        # beta = 7/4 at N = 2e4, r = 1e5.  Plain bisection of [-r, r] passes
+        # through the window below and ends at [-77105.32303899527,
+        # -77105.32294586301], where B_N's transfer product returns the same
+        # sign at both ends; the centred bracket keeps both ends about
+        # 0.45 tol from the zero.  Only that window is bracketed here.
+        desc = descriptor_from_json({
+            "beta1": "1.75", "beta2": "1.75", "x0": 1, "y0": -2,
+            "x1": 2, "y1": 0, "x2": 0, "y2": 0, "order": "second",
+        })
+        N, r = 20000, 1e5
+        seq = materialize(desc, N)
+        sol = solve_at_zero(seq)
+        diag = seq.q[:N].copy()
+        diag[-1] += seq.rho[N - 1] * sol.Q[N] / sol.Q[N - 1]
+        tol = 1e-9 * r
+        window = (-77105.33142089844, -77105.14068603516)
+        lo, hi = _sturm_brackets(diag, seq.rho[: N - 1] ** 2, *window, tol)
+        assert lo.size == 1 and hi[0] - lo[0] <= tol
+        _, B, _, _, _ = evaluate_entries_real(sol, np.concatenate([lo, hi]), N)
+        assert np.sign(B[0]) * np.sign(B[1]) < 0
 
     def test_bracket_without_sign_change_raises(
         self, monkeypatch, m1_seq_2000, m1_sol_2000

@@ -329,6 +329,19 @@ class TestSerialization:
         with pytest.raises(ValueError, match="missing"):
             descriptor_from_json({"beta1": 1, "beta2": 0, "x0": 1})
 
+    @pytest.mark.parametrize("value", ["1e-1000", "2.5E+0300", "1e-0_1000"])
+    def test_decimal_exponent_up_to_the_cap(self, value):
+        doc = {"beta1": 2, "beta2": 0, "x0": 1, "y0": 1, "x1": value}
+        assert descriptor_from_json(doc).frac("x1") == Fraction(value)
+
+    @pytest.mark.parametrize(
+        "value", ["1e-1001", "1e+0001001", "1e-3000000", "1e" + "9" * 5000]
+    )
+    def test_decimal_exponent_beyond_the_cap(self, value):
+        doc = {"beta1": 2, "beta2": 0, "x0": 1, "y0": 1, "x1": value}
+        with pytest.raises(ValueError, match="decimal exponent"):
+            descriptor_from_json(doc)
+
     def test_csv_round_trip(self, tmp_path):
         seq = JacobiSequence(
             rho=np.array([1.0, 2.5, 3.25]), q=np.array([0.0, -1.0, 0.125])

@@ -7,6 +7,7 @@ from jacobispec import _kernels
 from jacobispec.params import JacobiSequence
 from jacobispec.spectrum import (
     TruncatedSpectrum,
+    _sturm_brackets,
     charpoly_eigenvalues,
     charpoly_values,
     eigenvalues_in,
@@ -61,7 +62,8 @@ class TestSturmCount:
 
 
 def _sturm_counts_per_row(diag, offsq, xs):
-    """The per-row floored Sturm loop that the blocked kernel must match."""
+    """The per-row floored Sturm loop that the blocked kernel must match:
+    the counts and the last pivot."""
     piv = _kernels._PIVMIN
     xs = np.asarray(xs, dtype=np.float64)
     d = diag[0] - xs
@@ -71,7 +73,7 @@ def _sturm_counts_per_row(diag, offsq, xs):
         d = (diag[k] - xs) - offsq[k - 1] / d
         d = np.where(np.abs(d) < piv, np.where(d > 0, piv, -piv), d)
         count += d < 0
-    return count
+    return count, d
 
 
 _EDGE_SHIFTS = np.array([0.0, -0.0, 5e-324, -5e-324, 1e-300, -1e-300])
@@ -79,12 +81,15 @@ _EDGE_SHIFTS = np.array([0.0, -0.0, 5e-324, -5e-324, 1e-300, -1e-300])
 
 class TestBlockedSturmKernel:
     """The numpy kernel runs row blocks without the pivot floor and replays
-    a block that breaks down; its counts must equal the per-row loop's."""
+    a block that breaks down; its counts and last pivots must equal the
+    per-row loop's."""
 
     @staticmethod
     def assert_parity(diag, offsq, xs):
-        got = _kernels.sturm_counts(diag, offsq, xs)
-        assert np.array_equal(got, _sturm_counts_per_row(diag, offsq, xs))
+        count, last = _kernels.sturm_counts(diag, offsq, xs)
+        ref_count, ref_last = _sturm_counts_per_row(diag, offsq, xs)
+        assert np.array_equal(count, ref_count)
+        assert np.array_equal(last, ref_last)
 
     @pytest.fixture
     def floored_rows(self, monkeypatch):
@@ -123,7 +128,29 @@ class TestBlockedSturmKernel:
         # a zero coupling makes the pivot at x = 0 exactly diag[row]
         offsq[row - 1] = 0.0
         diag[row] = pivot
-        xs = np.concatenate([[0.0], rng.uniform(-1.0, 1.0, 8), _EDGE_SHIFTS])
+        # 2048 shifts or more take the 16-row floor of the block height, so
+        # rows 15 and 16 end the first block and row 17 starts the second
+        xs = np.concatenate([[0.0], rng.uniform(-1.0, 1.0, 2048), _EDGE_SHIFTS])
+        self.assert_parity(diag, offsq, xs)
+        assert len(floored_rows) > 1  # the block holding `row` was replayed
+
+    @pytest.mark.parametrize("S", [1, 100, 2048, 5000])
+    @pytest.mark.parametrize("offset, pivot", [(-1, 0.0), (0, -1e-310), (1, 5e-324)])
+    def test_sub_floor_pivot_at_computed_block_edges(
+        self, rng, floored_rows, S, offset, pivot
+    ):
+        # the blocks hold rows 1 .. rows, rows + 1 .. 2 rows, ..., so rows - 1
+        # and rows are the last two rows of the first block and rows + 1 is
+        # the first of the second
+        rows = max(16, _kernels._BUDGET // S)
+        row = rows + offset
+        N = rows + 8
+        diag = rng.uniform(1.0, 3.0, N)
+        offsq = rng.uniform(0.05, 1.0, N - 1)
+        # a zero coupling makes the pivot at x = 0 exactly diag[row]
+        offsq[row - 1] = 0.0
+        diag[row] = pivot
+        xs = np.concatenate([[0.0], rng.uniform(-1.0, 1.0, S - 1)])
         self.assert_parity(diag, offsq, xs)
         assert len(floored_rows) > 1  # the block holding `row` was replayed
 
@@ -174,10 +201,129 @@ class TestEigenvaluesIn:
         seq = tiny([1.0, 1.0], [0.0, 0.0])
         assert eigenvalues_in(seq, 2, (5.0, 6.0)).size == 0
 
+    def test_eigenvalues_at_both_ends(self):
+        # the pivot at x = -1 is exactly zero, which the floor counts as
+        # negative: the count below the interval is taken one ulp lower
+        seq = tiny([1.0, 1.0], [0.0, 0.0])
+        assert sturm_count(seq, 2, -1.0) == 1
+        ev = eigenvalues_in(seq, 2, (-1.0, 1.0))
+        assert ev == pytest.approx([-1.0, 1.0], abs=1e-9)
+
     def test_bad_interval(self):
         seq = tiny([1.0, 1.0], [0.0, 0.0])
         with pytest.raises(ValueError):
             eigenvalues_in(seq, 2, (2.0, -2.0))
+
+
+def _count(diag, offsq, xs):
+    return _kernels.sturm_counts(diag, offsq, np.asarray(xs, dtype=np.float64))[0]
+
+
+class TestBracketContract:
+    """Every bracket is at most tol wide, holds its eigenvalue by the Sturm
+    count (count(lo) < k <= count(hi)) and has its midpoint within tol of
+    the eigenvalue computed independently."""
+
+    @staticmethod
+    def check(diag, offsq, window, tol, expected):
+        a, b = window
+        lo, hi = _sturm_brackets(diag, offsq, a, b, tol)
+        with np.errstate(over="ignore"):  # one ulp below -max is -inf
+            below = np.nextafter(a, -np.inf)
+        k = _count(diag, offsq, [below])[0] + 1 + np.arange(lo.size)
+        assert lo.size == expected.size
+        assert np.all(hi - lo <= tol)
+        assert np.all(_count(diag, offsq, lo) < k)
+        assert np.all(k <= _count(diag, offsq, hi))
+        assert np.all(np.abs(0.5 * (lo + hi) - expected) <= tol)
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 8, 40, 300])
+    @pytest.mark.parametrize("rel_tol", [1e-13, 1e-9, 1e-4])
+    def test_random_matrices(self, rng, n, rel_tol):
+        for _ in range(5):
+            rho = rng.uniform(0.2, 3.0, max(n, 2))
+            q = rng.uniform(-5.0, 5.0, max(n, 2))
+            seq = tiny(rho, q)
+            diag, offsq = seq.q[:n], seq.rho[: n - 1] ** 2
+            window = gershgorin_interval(seq, n)
+            tol = rel_tol * max(1.0, abs(window[0]), abs(window[1]))
+            J = np.diag(diag) + np.diag(rho[: n - 1], 1) + np.diag(rho[: n - 1], -1)
+            self.check(diag, offsq, window, tol, np.linalg.eigvalsh(J))
+            if n <= 8:
+                oracle = charpoly_eigenvalues(seq, n, tol / 4)
+                self.check(diag, offsq, window, tol, oracle)
+
+    def test_window_inside_the_spectrum(self):
+        seq = _seq("m1", 2000)
+        diag, offsq = seq.q[:300], seq.rho[:299] ** 2
+        off = np.diag(seq.rho[:299], 1)
+        ev = np.linalg.eigvalsh(np.diag(diag) + off + off.T)
+        window = (-200.0, 3000.0)
+        inside = ev[(ev >= window[0]) & (ev <= window[1])]
+        self.check(diag, offsq, window, 1e-9 * 3000.0, inside)
+
+    def test_eigenvalues_on_the_window_ends(self):
+        # free 4 x 4: eigenvalues +-2 cos(pi/5), +-2 cos(2 pi/5)
+        ev = 2.0 * np.cos(np.arange(4, 0, -1) * np.pi / 5)
+        self.check(np.zeros(4), np.ones(3), (ev[0], ev[3]), 1e-10, ev)
+        # free 2 x 2: the pivots at +-1 are exactly zero
+        self.check(np.zeros(2), np.ones(1), (-1.0, 1.0), 1e-10, np.array([-1.0, 1.0]))
+
+    def test_cluster_narrower_than_tol(self):
+        # two decoupled free 2 x 2 blocks: -1 and 1 are double eigenvalues of
+        # J_4 and also eigenvalues of J_3, so no interval isolates them
+        diag, offsq = np.zeros(4), np.array([1.0, 0.0, 1.0])
+        self.check(diag, offsq, (-3.0, 3.0), 1e-10, np.array([-1.0, -1.0, 1.0, 1.0]))
+
+    def test_window_as_wide_as_the_float_range(self):
+        top = np.finfo(np.float64).max
+        ev = np.array([-np.sqrt(2.0), 0.0, np.sqrt(2.0)])
+        self.check(np.zeros(3), np.ones(2), (-top, top), 1e-9, ev)
+
+    def test_empty_window(self):
+        lo, hi = _sturm_brackets(np.zeros(2), np.ones(1), 5.0, 6.0, 1e-10)
+        assert lo.size == hi.size == 0
+
+
+def _bisection_brackets(diag, offsq, a, b, tol):
+    """Plain Sturm bisection, the reference for the work count: one bracket
+    per eigenvalue, every bracket halved in every sweep until all are at
+    most tol wide."""
+    ks = np.arange(
+        _count(diag, offsq, [np.nextafter(a, -np.inf)])[0] + 1,
+        _count(diag, offsq, [np.nextafter(b, np.inf)])[0] + 1,
+    )
+    lo, hi = np.full(ks.size, a), np.full(ks.size, b)
+    while ks.size and np.max(hi - lo) > tol:
+        mid = 0.5 * (lo + hi)
+        above = _count(diag, offsq, mid) >= ks
+        hi = np.where(above, mid, hi)
+        lo = np.where(above, lo, mid)
+    return lo, hi
+
+
+class TestWorkCount:
+    def test_at_most_half_of_plain_bisection(self, monkeypatch):
+        # golden m1, N = 2000, window +-1e4: the shifts times rows counted
+        # by eigenvalues_in must stay at or below half of plain bisection's
+        seq = _seq("m1", 2000)
+        work = []
+        kernel = _kernels.sturm_counts
+
+        def counted(diag, offsq, xs):
+            work.append(diag.shape[0] * np.size(xs))
+            return kernel(diag, offsq, xs)
+
+        monkeypatch.setattr(_kernels, "sturm_counts", counted)
+        tol = 1e-7
+        ev = eigenvalues_in(seq, 2000, (-1e4, 1e4), tol=tol)
+        ours = sum(work)
+        work.clear()
+        lo, hi = _bisection_brackets(seq.q[:2000], seq.rho[:1999] ** 2, -1e4, 1e4, tol)
+        plain = sum(work)
+        assert ev.size == lo.size > 100
+        assert np.max(np.abs(ev - 0.5 * (lo + hi))) <= tol
+        assert ours <= 0.5 * plain
 
 
 class TestCountingFunction:
