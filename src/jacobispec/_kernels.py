@@ -4,9 +4,9 @@ The three inner loops that dominate runtime live here:
 
 * ``solve_three_term`` -- forward solution of the three-term recurrence,
 * ``sturm_counts``     -- Sturm-sequence eigenvalue counts for tridiagonals,
-* ``transfer_real`` / ``transfer_complex`` -- partial products of the
-  rank-one-perturbed identity factors that build the Nevanlinna matrix;
-  both are dtype entry points to the same loop.
+* ``transfer_real`` / ``transfer_complex`` -- one column of the partial
+  product of rank-one-perturbed identity factors that builds the
+  Nevanlinna matrix; both are dtype entry points to the same loop.
 
 ``sturm_counts`` works on all S shifts at once and on blocks of
 ``max(16, _BUDGET // S)`` rows, so that its ``(rows, S)`` work buffer
@@ -31,7 +31,6 @@ BACKEND = "numpy"
 
 _PIVMIN = 1e-300       # Sturm pivot floor
 _OVERFLOW = 1e300      # recurrence blowup guard
-_RESCALE = 1e150       # transfer-product rescaling threshold
 
 
 # ---------------------------------------------------------------------------
@@ -100,40 +99,54 @@ def sturm_counts(diag, offsq, xs):
 
 
 # ---------------------------------------------------------------------------
-# transfer products: M_N(z) = prod_{n<N} (I + z R_n) * [[0,-1],[1,0]]
-# with R_n = [[-P_n Q_n, Q_n^2], [-P_n^2, P_n Q_n]].  Entries are rescaled
-# whenever they exceed _RESCALE; the true entry is entry * exp(log_scale).
-# The loop keeps the dtype of zs; log_scale is always float64.
+# transfer products: M_N(z) = prod_{n<N} (I + z R_n) * [[0,-1],[1,0]] with
+# the rank-one R_n = (Q_n, P_n)^T (-P_n, Q_n), so a column (u, v) moves as
+# s = z (Q_n v - P_n u), u += Q_n s, v += P_n s; (A, C) starts at (0, 1),
+# (B, D) at (-1, 0).  As R_n^2 = 0, a factor changes a column's norm by at
+# most g_n = 1 + |z| (P_n^2 + Q_n^2) either way, so the column is scaled by
+# a power of two only where sum log g_n since the last scaling would pass
+# _LOG_BUDGET.  That is exact and commutes with the steps, so the result is
+# canonical and each point's is bit-identical whatever its batch: the true
+# column is (u, v) * 2**e, with e = 0 where every real and imaginary part
+# is below 2 in magnitude, else the largest in [1, 2).
 # ---------------------------------------------------------------------------
 
-def _transfer(P, Q, zs, N):
-    A = np.zeros_like(zs)
-    B = np.full_like(zs, -1.0)
-    C = np.ones_like(zs)
-    D = np.zeros_like(zs)
-    logscale = np.zeros(zs.shape)
-    for k in range(N):
-        pq = P[k] * Q[k]
-        qq = Q[k] * Q[k]
-        pp = P[k] * P[k]
-        A, C = A + zs * (qq * C - pq * A), C + zs * (pq * C - pp * A)
-        B, D = B + zs * (qq * D - pq * B), D + zs * (pq * D - pp * B)
-        m = np.maximum(np.maximum(np.abs(A), np.abs(B)),
-                       np.maximum(np.abs(C), np.abs(D)))
-        big = m > _RESCALE
-        if big.any():
-            s = np.where(big, m, 1.0)
-            A = A / s
-            B = B / s
-            C = C / s
-            D = D / s
-            logscale = logscale + np.where(big, np.log(s), 0.0)
-    return A, B, C, D, logscale
+_LOG_BUDGET = 600.0  # log growth allowed between scalings (1e308 ~ e^709)
 
 
-def transfer_real(P, Q, xs, N):
-    return _transfer(P, Q, np.asarray(xs, dtype=np.float64), N)
+def _transfer(P, Q, zs, N, u0, v0):
+    shape, zs = zs.shape, zs.reshape(-1)
+    col = np.array([np.broadcast_to(c, shape).reshape(-1) for c in (u0, v0)], zs.dtype)
+    e = np.zeros(zs.size, dtype=np.int64)
+    s, t = np.empty_like(zs), np.empty_like(zs)
+    # the real factors act on the float views, z on the values themselves
+    (uf, vf), sf, tf = col.view(np.float64), s.view(np.float64), t.view(np.float64)
+    logg = np.log1p(np.max(np.abs(zs), initial=0.0) * (P[:N] ** 2 + Q[:N] ** 2))
+    grown = 0.0
+    for p, q, g in zip(P[:N], Q[:N], logg):
+        if grown + g > _LOG_BUDGET:
+            # the largest real or imaginary part to [1/2, 1)
+            m = np.frexp(np.maximum(abs(col.real), abs(col.imag)).max(axis=0))[1]
+            col *= np.ldexp(1.0, -m)
+            e, grown = e + m, 0.0
+        grown += g
+        np.multiply(vf, q, out=sf)
+        np.multiply(uf, p, out=tf)
+        np.subtract(sf, tf, out=sf)
+        np.multiply(s, zs, out=s)
+        np.multiply(sf, q, out=tf)
+        np.add(uf, tf, out=uf)
+        np.multiply(sf, p, out=tf)
+        np.add(vf, tf, out=vf)
+    m = np.frexp(np.maximum(abs(col.real), abs(col.imag)).max(axis=0))[1]
+    m = np.maximum(m - 1, -e)  # to the canonical form
+    col *= np.ldexp(1.0, -m)
+    return col[0].reshape(shape), col[1].reshape(shape), (e + m).reshape(shape)
 
 
-def transfer_complex(P, Q, zs, N):
-    return _transfer(P, Q, np.asarray(zs, dtype=np.complex128), N)
+def transfer_real(P, Q, xs, N, u0, v0):
+    return _transfer(P, Q, np.asarray(xs, dtype=np.float64), N, u0, v0)
+
+
+def transfer_complex(P, Q, zs, N, u0, v0):
+    return _transfer(P, Q, np.asarray(zs, dtype=np.complex128), N, u0, v0)

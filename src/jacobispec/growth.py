@@ -45,8 +45,9 @@ __all__ = [
 class NevanlinnaPartial:
     """Entries of the N-step partial product at one point z.
 
-    True entry values are entry * exp(log_scale); the rescaling keeps the
-    stored entries inside binary64 range at any radius.
+    True entry values are entry * exp(log_scale), log_scale a multiple of
+    log 2: zero where every entry is below 2, else the largest real or
+    imaginary part lies in [1, 2), so entries stay in range at any radius.
     """
 
     N: int
@@ -58,20 +59,16 @@ class NevanlinnaPartial:
     log_scale: float
 
     def determinant_residual(self) -> float:
-        """|A D - B C - 1| after undoing the rescaling."""
-        det = (self.A * self.D - self.B * self.C) * math.exp(2.0 * self.log_scale)
-        return abs(det - 1.0)
+        """|A D - B C - 1| after undoing the rescaling; inf once that overflows."""
+        # exp overflows past log(max float) = 709.78
+        scale = math.exp(2.0 * self.log_scale) if self.log_scale < 354.89 else math.inf
+        return abs((self.A * self.D - self.B * self.C) * scale - 1.0)
 
     def log_spectral_norm(self) -> float:
-        # normalize by the largest entry so the 2x2 norm formula cannot
-        # overflow even at the rescaling threshold
-        m = max(abs(self.A), abs(self.B), abs(self.C), abs(self.D))
-        a, b, c, d = self.A / m, self.B / m, self.C / m, self.D / m
+        a, b, c, d = self.A, self.B, self.C, self.D  # each below 2 sqrt(2)
         s = abs(a) ** 2 + abs(b) ** 2 + abs(c) ** 2 + abs(d) ** 2
-        det = a * d - b * c
-        disc = max(s * s - 4.0 * abs(det) ** 2, 0.0)
-        top = 0.5 * (s + math.sqrt(disc))
-        return math.log(m) + 0.5 * math.log(top) + self.log_scale
+        disc = max(s * s - 4.0 * abs(a * d - b * c) ** 2, 0.0)
+        return 0.5 * math.log(0.5 * (s + math.sqrt(disc))) + self.log_scale
 
 
 @dataclass(frozen=True)
@@ -108,17 +105,26 @@ def _check_N(sol: PolySolution, N: Optional[int]) -> int:
 
 
 def evaluate_entries(sol: PolySolution, zs: np.ndarray, N: Optional[int] = None):
-    """(A, B, C, D, log_scale) arrays of the N-step product at complex zs."""
+    """(A, B, C, D, log_scale) arrays of the N-step product at complex zs:
+    both columns from one call over zs stacked twice, on their larger scale."""
     N = _check_N(sol, N)
     zs = np.asarray(zs, dtype=np.complex128)
-    return _kernels.transfer_complex(sol.P, sol.Q, zs, N)
+    start = np.reshape([0.0, -1.0, 1.0, 0.0], (4,) + (1,) * zs.ndim)
+    u, v, e = _kernels.transfer_complex(
+        sol.P, sol.Q, np.stack([zs, zs]), N, start[:2], start[2:]
+    )
+    top = e.max(axis=0)
+    (A, B), (C, D) = u * np.ldexp(1.0, e - top), v * np.ldexp(1.0, e - top)
+    return A, B, C, D, top * math.log(2.0)
 
 
 def evaluate_entries_real(sol: PolySolution, xs: np.ndarray, N: Optional[int] = None):
-    """Real-axis specialization (all entries stay real there)."""
+    """(B, D, log_scale) of the N-step product at real xs, where both are
+    real; the (A, C) column is never computed."""
     N = _check_N(sol, N)
     xs = np.asarray(xs, dtype=np.float64)
-    return _kernels.transfer_real(sol.P, sol.Q, xs, N)
+    B, D, e = _kernels.transfer_real(sol.P, sol.Q, xs, N, -1.0, 0.0)
+    return B, D, e * math.log(2.0)
 
 
 def nevanlinna_evaluate(
@@ -179,7 +185,7 @@ def scan_b_zeros(
     tol = 1e-9 * max(1.0, float(r))
     lo, hi = _sturm_brackets(diag, offsq, -float(r), float(r), tol)
     if lo.size:
-        _, B, _, _, _ = evaluate_entries_real(sol, np.concatenate([lo, hi]), N)
+        B, _, _ = evaluate_entries_real(sol, np.concatenate([lo, hi]), N)
         flat = np.nonzero(np.sign(B[: lo.size]) * np.sign(B[lo.size :]) >= 0)[0]
         if flat.size:
             raise RuntimeError(
@@ -200,13 +206,14 @@ def b_log_max_modulus(
     """
     if rays < 16:
         raise ValueError("need at least 16 directions")
+    N = _check_N(sol, N)
     theta = np.arange(rays) * 2.0 * np.pi / rays
 
     def evaluator(rs):
         zs = np.asarray(rs, dtype=np.float64)[..., None] * np.exp(1j * theta)
-        _, B, _, _, ls = evaluate_entries(sol, zs.ravel(), N)
+        B, _, e = _kernels.transfer_complex(sol.P, sol.Q, zs.ravel(), N, -1.0, 0.0)
         # the real rays can hit a zero of B exactly; other rays dominate
-        logm = np.log(np.abs(B) + 5e-324) + ls
+        logm = np.log(np.abs(B) + 5e-324) + e * math.log(2.0)
         return np.max(logm.reshape(zs.shape), axis=-1)
 
     return evaluator

@@ -95,7 +95,7 @@ _SECANT_SWEEPS = 100
 _SPLIT = 256
 
 # columns of the table of isolated eigenvalues in _sturm_brackets
-_LO, _HI, _FLO, _FHI, _K, _P, _LAST, _X, _MODE = range(9)
+_LO, _HI, _FLO, _FHI, _K, _P, _LAST, _X, _MODE, _FAILS = range(10)
 _SECANT, _CONFIRM, _BISECT = 0.0, 1.0, 2.0
 
 
@@ -181,8 +181,9 @@ def _sturm_brackets(
        bracket becomes [x - _HALF * tol, x + _HALF * tol] around the
        proposed point x, confirmed by the counts at both ends.
 
-    A bracket that fails its confirmation, or whose pivots disagree with
-    its counts, is bisected to width <= tol instead.  So is an interval
+    A bracket that fails its confirmation resumes the secant from the end
+    the confirmation moved; one that fails twice, or whose pivots disagree
+    with its counts, is bisected to width <= tol instead.  So is an interval
     that cannot be isolated, such as a cluster narrower than tol; each of
     its eigenvalues then gets the interval itself as its bracket.
     """
@@ -205,8 +206,9 @@ def _sturm_brackets(
     iso = iso[iso[:, 3] > iso[:, 2]]
     # isolated eigenvalues, in the columns named above: lo, hi, d_N at both
     # (weighted), the index k, the J_{N-1} count, the end replaced last (-1
-    # lo, +1 hi, 0 none), the next point to count and the phase
-    one = np.empty((0, 9))
+    # lo, +1 hi, 0 none), the next point to count, the phase and the number
+    # of failed finishes
+    one = np.empty((0, 10))
     sweeps = 0
     while iso.size or one.size:
         sweeps += 1
@@ -230,13 +232,22 @@ def _sturm_brackets(
             hi = np.where(up, np.minimum(one[:, _HI], x1), one[:, _HI])
             bis = mode == _BISECT
             done = np.zeros(k.size, dtype=bool)
+            # the point that moved each bracket, with its pivots
+            xc, fc, pc = x1.copy(), f[m0:m1].copy(), p[m0:m1].copy()
             if x2.size:
                 up2 = c[m1:] >= k[conf]
                 lo[conf] = np.where(up2, lo[conf], np.maximum(lo[conf], x2))
                 hi[conf] = np.where(up2, np.minimum(hi[conf], x2), hi[conf])
-                # the centred finish: confirmed, or bisected from here on
+                # the centred finish: confirmed, else back to the secant once
+                # from the end it moved (where d_N is huge at the other end a
+                # step is small far from the eigenvalue), then bisected
                 done[conf] = ~up[conf] & up2
-                bis |= conf & ~done
+                failed = conf & ~done
+                bis |= failed & (one[:, _FAILS] > 0)
+                one[failed, _FAILS] += 1
+                one[failed & ~bis, _MODE] = _SECANT
+                j = np.flatnonzero(conf)[~up2]  # x2 moved lo
+                xc[j], fc[j], pc[j] = x2[~up2], f[m1:][~up2], p[m1:][~up2]
             one[:, _LO], one[:, _HI] = lo, hi
             sec = mode == _SECANT
             if sec.any():
@@ -244,20 +255,19 @@ def _sturm_brackets(
                 # kept at the other end is weighted by 1 - f_new / f_old, or
                 # by 1/2 where that is not positive
                 rows = np.arange(k.size)
-                f1 = f[m0:m1]
                 side = np.where(up, 1.0, -1.0)
                 new_end = np.where(up, _FHI, _FLO)
                 again = sec & (one[:, _LAST] == side)
                 with np.errstate(all="ignore"):
-                    w = 1.0 - f1 / one[rows, new_end]
+                    w = 1.0 - fc / one[rows, new_end]
                 w = np.where(w > 0, w, 0.5)
                 one[rows[again], (_FLO + _FHI - new_end)[again]] *= w[again]
-                one[rows[sec], new_end[sec]] = f1[sec]
+                one[rows[sec], new_end[sec]] = fc[sec]
                 one[:, _LAST] = side
                 nxt = _secant_point(one)
                 one[sec, _X] = nxt[sec]
-                bad = sec & ((up != (f1 < 0)) | (p[m0:m1] != one[:, _P]))
-                step = np.abs(nxt - x1)
+                bad = sec & ((up != (fc < 0)) | (pc != one[:, _P]))
+                step = np.abs(nxt - xc)
                 near = sec & ~bad & ((step <= _STEP * tol) | (hi - lo <= tol))
                 one[near, _MODE] = _CONFIRM
                 bis |= bad
@@ -280,7 +290,7 @@ def _sturm_brackets(
                 iso = iso[~stop]
             ready = (iso[:, 3] - iso[:, 2] == 1.0) & (iso[:, 4] == iso[:, 5])
             if ready.any():
-                add = np.zeros((np.count_nonzero(ready), 9))
+                add = np.zeros((np.count_nonzero(ready), 10))
                 add[:, [_LO, _HI, _FLO, _FHI, _K, _P]] = iso[ready][:, [0, 1, 6, 7, 3, 4]]
                 add[:, _X] = _secant_point(add)
                 one = np.concatenate([one, add])

@@ -101,11 +101,25 @@ class TestNevanlinnaProduct:
             assert b.C * sb == pytest.approx(C2 * sa, rel=1e-12)
             assert b.D * sb == pytest.approx(D2 * sa, rel=1e-12)
 
+    def test_batched_points_match_single_calls_at_large_radius(self, m3_sol):
+        # the renormalization schedule follows the largest |z| of a call,
+        # the canonical power-of-two form makes each point independent of it
+        import jacobispec.growth as G
+
+        zs = np.geomspace(1.0, 1e8, 9) * np.exp(1j * np.linspace(0.0, np.pi, 9))
+        zs = np.concatenate([zs, [-1e8, 3e5, 0.0]])
+        parts = G._partials(m3_sol, zs, 2000)
+        assert max(p.log_scale for p in parts) > 700  # far beyond binary64
+        assert parts == [nevanlinna_evaluate(m3_sol, z, 2000) for z in zs]
+
     def test_rescaling_engages_without_overflow(self, m3_sol):
         part = nevanlinna_evaluate(m3_sol, 1e6 + 0j, 2000)
         assert part.log_scale > 0
         assert np.isfinite([part.A, part.B, part.C, part.D]).all()
         assert part.log_spectral_norm() > 300  # true value far beyond 1e150
+        # the entries' product is far beyond binary64: inf, not an exception
+        assert part.determinant_residual() == math.inf
+        assert nevanlinna_evaluate(m3_sol, 1e8j, 2000).determinant_residual() == math.inf
 
 
 class TestZeroScan:
@@ -192,7 +206,7 @@ class TestZeroScan:
         window = (-77105.33142089844, -77105.14068603516)
         lo, hi = _sturm_brackets(diag, seq.rho[: N - 1] ** 2, *window, tol)
         assert lo.size == 1 and hi[0] - lo[0] <= tol
-        _, B, _, _, _ = evaluate_entries_real(sol, np.concatenate([lo, hi]), N)
+        B, _, _ = evaluate_entries_real(sol, np.concatenate([lo, hi]), N)
         assert np.sign(B[0]) * np.sign(B[1]) < 0
 
     def test_bracket_without_sign_change_raises(
@@ -202,12 +216,31 @@ class TestZeroScan:
 
         def constant_sign(sol, xs, N=None):
             xs = np.asarray(xs, dtype=np.float64)
-            z = np.zeros_like(xs)
-            return z, np.ones_like(xs), z, z, z
+            return np.ones_like(xs), np.zeros_like(xs), np.zeros_like(xs)
 
         monkeypatch.setattr(G, "evaluate_entries_real", constant_sign)
         with pytest.raises(RuntimeError, match="no sign change"):
             G.scan_b_zeros(m1_sol_2000, m1_seq_2000, 2000, 100.0)
+
+    def test_one_kernel_call_per_route(self, monkeypatch, m1_seq_2000, m1_sol_2000):
+        # the zero check passes both ends of every bracket, and the
+        # max-modulus evaluator every radius on every ray, to one call each
+        calls = []
+
+        def spy(kernel):
+            def wrapped(P, Q, zs, N, u0, v0):
+                calls.append((kernel.__name__, np.size(zs), (u0, v0)))
+                return kernel(P, Q, zs, N, u0, v0)
+            return wrapped
+
+        for name in ("transfer_real", "transfer_complex"):
+            monkeypatch.setattr(_kernels, name, spy(getattr(_kernels, name)))
+        zeros = scan_b_zeros(m1_sol_2000, m1_seq_2000, 2000, 1e3)
+        assert calls == [("transfer_real", 2 * zeros.size, (-1.0, 0.0))]
+        calls.clear()
+        evaluator = b_log_max_modulus(m1_sol_2000, 2000, rays=24)
+        evaluator(np.geomspace(10.0, 1e4, 7))
+        assert calls == [("transfer_complex", 24 * 7, (-1.0, 0.0))]
 
 
 class TestMajorant:

@@ -1,6 +1,7 @@
-"""The numpy kernels: recurrence overflow index, transfer-product rescaling
-and the dtype-generic transfer loop."""
+"""The numpy kernels: recurrence overflow index and the transfer loop's
+accuracy, renormalization and dtype entry points."""
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -19,32 +20,47 @@ def model(rng_seed=2024):
     return P, Q
 
 
-def _transfer_real_reference(P, Q, xs, N):
-    """The real transfer loop as it stood before the real and complex loops
-    were merged; the merged loop must match it bit for bit."""
-    xs = np.asarray(xs, dtype=np.float64)
-    A = np.zeros_like(xs)
-    B = np.full_like(xs, -1.0)
-    C = np.ones_like(xs)
-    D = np.zeros_like(xs)
-    logscale = np.zeros_like(xs)
+def _transfer_reference(P, Q, zs, N):
+    """The four-entry transfer loop the column kernel replaced: all of A, B,
+    C, D advanced together and divided by their largest magnitude whenever
+    it passes 1e150.  Returns the entries and the list of divisors, whose
+    product is the scale of the true entries."""
+    A = np.zeros_like(zs)
+    B = np.full_like(zs, -1.0)
+    C = np.ones_like(zs)
+    D = np.zeros_like(zs)
+    divisors = []
     for k in range(N):
         pq = P[k] * Q[k]
         qq = Q[k] * Q[k]
         pp = P[k] * P[k]
-        A, C = A + xs * (qq * C - pq * A), C + xs * (pq * C - pp * A)
-        B, D = B + xs * (qq * D - pq * B), D + xs * (pq * D - pp * B)
+        A, C = A + zs * (qq * C - pq * A), C + zs * (pq * C - pp * A)
+        B, D = B + zs * (qq * D - pq * B), D + zs * (pq * D - pp * B)
         m = np.maximum(np.maximum(np.abs(A), np.abs(B)),
                        np.maximum(np.abs(C), np.abs(D)))
-        big = m > K._RESCALE
+        big = m > 1e150
         if big.any():
             s = np.where(big, m, 1.0)
             A = A / s
             B = B / s
             C = C / s
             D = D / s
-            logscale = logscale + np.where(big, np.log(s), 0.0)
-    return A, B, C, D, logscale
+            divisors.append(s)
+    return A, B, C, D, divisors
+
+
+def _mp_columns(P, Q, z, N):
+    """The (A, C) and (B, D) columns of the product of the float factors,
+    in 50-digit arithmetic."""
+    with mpmath.workdps(50):
+        z = mpmath.mpmathify(z)
+        cols = [[mpmath.mpf(0), mpmath.mpf(1)], [mpmath.mpf(-1), mpmath.mpf(0)]]
+        for p, q in zip(P[:N].tolist(), Q[:N].tolist()):
+            for col in cols:
+                s = z * (q * col[1] - p * col[0])
+                col[0] += q * s
+                col[1] += p * s
+        return cols
 
 
 def test_solve_overflow_index():
@@ -57,45 +73,72 @@ def test_solve_overflow_index():
     assert np.all(np.abs(u[:k]) <= K._OVERFLOW)
 
 
-def test_merged_transfer_loop_matches_reference(model, m1_sol_2000):
-    xs = np.concatenate([np.linspace(-1e6, 1e6, 301), -np.geomspace(1.0, 1e6, 40)])
-    for P, Q, N in (model + (400,), (m1_sol_2000.P, m1_sol_2000.Q, 2000)):
-        got = K.transfer_real(P, Q, xs, N)
-        want = _transfer_real_reference(P, Q, xs, N)
-        assert np.any(want[4] > 0)  # rescaling engaged
-        for a, b in zip(got, want):
-            assert a.dtype == b.dtype == np.float64
-            assert np.array_equal(a, b)
+def test_transfer_matches_mpmath_product(model):
+    # the column kernel against the product of the same float factors in
+    # 50-digit arithmetic, next to the four-entry loop it replaced
+    P, Q = model
+    N = 400
+    xs = np.concatenate([np.linspace(-1e8, 1e8, 9), -np.geomspace(1.0, 1e8, 5)])
+    zs = np.concatenate([
+        1e8 * np.exp(1j * np.linspace(0.1, 3.0, 6)),
+        np.geomspace(10.0, 1e7, 4) * np.exp(0.7j),
+    ])
+    # the growth bound passes the budget several times: renormalization engaged
+    assert np.sum(np.log1p(1e8 * (P**2 + Q**2))) > 5 * K._LOG_BUDGET
+    for kernel, points in ((K.transfer_real, xs), (K.transfer_complex, zs)):
+        A, B, C, D, divisors = _transfer_reference(P, Q, points.astype(complex), N)
+        got = [kernel(P, Q, points, N, 0.0, 1.0), kernel(P, Q, points, N, -1.0, 0.0)]
+        with mpmath.workdps(50):
+            for i, z in enumerate(points.tolist()):
+                exact = _mp_columns(P, Q, z, N)
+                ref_scale = mpmath.fprod(mpmath.mpf(float(s[i])) for s in divisors)
+                for (u, v, e), ref, col in zip(got, ((A, C), (B, D)), exact):
+                    scale = max(abs(x) for x in col)
+                    new = [complex(x[i]) * mpmath.ldexp(1, int(e[i])) for x in (u, v)]
+                    old = [complex(x[i]) * ref_scale for x in ref]
+                    for a, b, want in zip(new, old, col):
+                        err_new = abs(a - want) / scale
+                        assert err_new <= 2 * abs(b - want) / scale + 1e-13, (z, err_new)
+                        assert err_new < 1e-13
+                # B has the high-precision sign wherever it is not tiny
+                b, scale_b = exact[1][0], max(abs(x) for x in exact[1])
+                if kernel is K.transfer_real and abs(b) > 1e-8 * scale_b:
+                    assert np.sign(got[1][0][i]) == mpmath.sign(b)
 
 
 def test_transfer_with_heavy_rescaling(model, monkeypatch):
     P, Q = model
     zs = np.array([1e8 + 0j, -1e8 + 3e7j, 4e9 + 0j])
-    out = K.transfer_complex(P, Q, zs, 400)
-    assert [x.dtype for x in out] == [np.dtype(np.complex128)] * 4 + [np.float64]
-    assert np.all(out[4] > 0)  # rescaling definitely engaged
-    # rescaling much more often must give the same product once log_scale
-    # is undone; log_scale reaches ~5e3 here, so exp of the difference
-    # carries a relative error of a few 1e-12
-    monkeypatch.setattr(K, "_RESCALE", 1e10)
-    often = K.transfer_complex(P, Q, zs, 400)
-    assert np.all(often[4] > out[4])
-    factor = np.exp(out[4] - often[4])
-    for a, b in zip(out[:4], often[:4]):
-        assert np.allclose(a * factor, b, rtol=1e-10, atol=0)
+    out = K.transfer_complex(P, Q, zs, 400, -1.0, 0.0)
+    assert [x.dtype for x in out] == [np.dtype(np.complex128)] * 2 + [np.int64]
+    assert np.all(out[2] > 0)  # the entries are far beyond binary64 range
+    # renormalizing much more often gives the same canonical column bit for
+    # bit, since powers of two scale every step exactly
+    monkeypatch.setattr(K, "_LOG_BUDGET", 20.0)
+    often = K.transfer_complex(P, Q, zs, 400, -1.0, 0.0)
+    for a, b in zip(out, often):
+        assert np.array_equal(a, b)
+    # in the canonical form the largest real or imaginary part is in [1, 2)
+    top = np.maximum(np.abs(out[0].view(float)), np.abs(out[1].view(float)))
+    top = top.reshape(-1, 2).max(axis=1)
+    assert np.all((1.0 <= top) & (top < 2.0))
     # P and Q are real, so the product at conj(z) is the conjugate
-    conj = K.transfer_complex(P, Q, zs.conj(), 400)
-    for a, b in zip(conj, often):
+    conj = K.transfer_complex(P, Q, zs.conj(), 400, -1.0, 0.0)
+    assert np.array_equal(conj[2], often[2])
+    for a, b in zip(conj[:2], often[:2]):
         assert np.array_equal(a, np.conj(b))
 
 
 def test_transfer_real_agrees_with_complex(model):
+    # on the real axis the complex loop does the real loop's arithmetic
     P, Q = model
-    xs = np.linspace(-3e4, 3e4, 33)
-    Ar, Br, Cr, Dr, lsr = K.transfer_real(P, Q, xs, 400)
-    Ac, Bc, Cc, Dc, lsc = K.transfer_complex(P, Q, xs.astype(complex), 400)
-    assert np.allclose(Br * np.exp(lsr - lsc), Bc.real, rtol=1e-12)
-    assert np.max(np.abs(Bc.imag)) == 0.0
+    xs = np.concatenate([np.linspace(-3e4, 3e4, 33), [1e8, -4e9]])
+    for u0, v0 in ((0.0, 1.0), (-1.0, 0.0)):
+        ur, vr, er = K.transfer_real(P, Q, xs, 400, u0, v0)
+        uc, vc, ec = K.transfer_complex(P, Q, xs.astype(complex), 400, u0, v0)
+        assert np.array_equal(er, ec) and np.any(er > 0)
+        assert np.array_equal(ur, uc.real) and np.array_equal(vr, vc.real)
+        assert np.max(np.abs(uc.imag)) == np.max(np.abs(vc.imag)) == 0.0
 
 
 def test_backend_is_numpy():

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from jacobispec import _kernels
-from jacobispec.params import JacobiSequence
+from jacobispec.params import JacobiSequence, descriptor_from_json, materialize
 from jacobispec.spectrum import (
     TruncatedSpectrum,
     _sturm_brackets,
@@ -324,6 +324,42 @@ class TestWorkCount:
         assert ev.size == lo.size > 100
         assert np.max(np.abs(ev - 0.5 * (lo + hi))) <= tol
         assert ours <= 0.5 * plain
+
+
+class TestSecantFinish:
+    def test_small_step_far_from_the_eigenvalue(self, monkeypatch):
+        # golden m2, seed 1, N = 2000: the eigenvalue near 68.5546624 is
+        # isolated in [68.5302734375, 68.554687498813], whose lower end lies
+        # 1e-6 above an eigenvalue of J_1999, so d_N(lo) ~ 1e6 and the first
+        # secant step, 1.2e-9, is below 0.1 tol at 2.5e-5 from the
+        # eigenvalue.  Its failed finish goes back to the secant, which ends
+        # in a confirmed centred bracket instead of bisecting alone.
+        desc = descriptor_from_json({
+            "beta1": 0.5, "beta2": 0, "x0": 1, "y0": 1,
+            "remainder": {"kind": "seeded_noise", "amplitude": 0.5, "seed": 1},
+        })
+        seq = materialize(desc, 2000)
+        diag, offsq = seq.q[:2000], seq.rho[:1999] ** 2
+        sweeps = []
+        kernel = _kernels.sturm_counts
+
+        def counted(diag, offsq, xs):
+            sweeps.append(np.size(xs))
+            return kernel(diag, offsq, xs)
+
+        monkeypatch.setattr(_kernels, "sturm_counts", counted)
+        tol = 1e-7
+        lo, hi = _sturm_brackets(diag, offsq, -1e3, 1e3, tol)
+        n_sweeps = len(sweeps)
+        base = _count(diag, offsq, [np.nextafter(-1e3, -np.inf)])[0]
+        k = _count(diag, offsq, [68.5546875])[0]
+        i = k - base - 1
+        assert _count(diag, offsq, [lo[i]])[0] < k <= _count(diag, offsq, [hi[i]])[0]
+        assert 68.5546 < lo[i] and hi[i] < 68.5547
+        # centred: [x - 0.45 tol, x + 0.45 tol], not a bisection remainder
+        assert hi[i] - lo[i] == pytest.approx(0.9 * tol, rel=1e-6)
+        # bisecting this bracket alone took 12 more sweeps of one shift (28)
+        assert n_sweeps <= 20
 
 
 class TestCountingFunction:
