@@ -19,7 +19,6 @@ from .classify import (
     classify,
     classify_distinct_roots,
     classify_double_root,
-    equivalent_conditions_case3,
     wouk_test,
 )
 from .growth import (
@@ -50,28 +49,19 @@ from .params import (
     RemainderKind,
     RemainderModel,
     carleman_sum,
-    characteristic_roots,
     descriptor_from_json,
     descriptor_to_json,
-    log_concavity_defect,
     materialize,
-    normalized_coefficients,
     sequence_from_csv,
     sequence_to_csv,
-    wouk_expansion_coefficients,
     wouk_margin,
 )
 from .recurrence import (
     ExponentFit,
     PolySolution,
     RecurrenceOverflowError,
-    RieszSparsity,
-    RootFlavor,
     SummabilityTrend,
-    double_root_lcc,
-    indicial_roots,
     norm_exponent,
-    riesz_sparsity,
     solve_at_zero,
     square_summability_probe,
     transformed_recurrence,

@@ -43,7 +43,6 @@ __all__ = [
     "wouk_test",
     "berezanskii_test",
     "carleman_test",
-    "equivalent_conditions_case3",
 ]
 
 
@@ -434,29 +433,3 @@ def berezanskii_test(seq: JacobiSequence) -> CriterionVerdict:
         conclusion=CriterionConclusion.NO_CONCLUSION,
         evidence="; ".join(reasons),
     )
-
-
-def equivalent_conditions_case3(params: PowerAsymptotics) -> tuple[bool, bool]:
-    """The two rational inequalities equivalent to the boundary-family lcc test.
-
-    cond1:  1 < x1/x0 - y1/y0
-    cond2:  x1/|y0| + (y1/y0)((x1/x0 - y1/y0) - 1) < 3/8 + x2/x0 - y2/y0
-
-    Their conjunction equals the ``T2(iii)`` lcc verdict.
-    """
-    exceptional, _ = exceptional_parameters(params)
-    if not exceptional or params.order is not ExpansionOrder.SECOND:
-        raise ValueError("only defined for second-order double-root descriptors")
-    beta = params.frac("beta1")
-    x0, x1, x2 = params.frac("x0"), params.frac("x1"), params.frac("x2")
-    y0, y1, y2 = params.frac("y0"), params.frac("y1"), params.frac("y2")
-    bstar = 2 * x1 / x0 - 2 * y1 / y0
-    notes: list = []
-    if _compare(beta, bstar, "beta = 2 x1/x0 - 2 y1/y0", notes) != 0 or not (
-        beta > Fraction(3, 2)
-    ):
-        raise ValueError("descriptor is not in the boundary family (beta = B*, B* > 3/2)")
-    ratio = x1 / x0 - y1 / y0
-    cond1 = 1 < ratio
-    cond2 = x1 / abs(y0) + (y1 / y0) * (ratio - 1) < Fraction(3, 8) + x2 / x0 - y2 / y0
-    return bool(cond1), bool(cond2)

@@ -94,6 +94,9 @@ def load_config(path: str, seed: Optional[int] = None) -> ExperimentConfig:
         raise ValueError("config must be a JSON object")
     if ("descriptor" in obj) == ("sequence_file" in obj):
         raise ValueError("config needs exactly one of 'descriptor', 'sequence_file'")
+    for key in ("sequence_file", "out"):
+        if not isinstance(obj.get(key, ""), str):
+            raise ValueError(f"{key} must be a path string")
     descriptor = None
     if "descriptor" in obj:
         descriptor = descriptor_from_json(obj["descriptor"])
@@ -139,8 +142,8 @@ def load_config(path: str, seed: Optional[int] = None) -> ExperimentConfig:
     if eig_tol is not None and not (_is_finite_number(eig_tol) and eig_tol > 0):
         raise ValueError("tolerances.eig_tol must be a finite positive number")
     rays = obj.get("rays", 16)
-    if not _is_json_number(rays, int):
-        raise ValueError("rays must be an integer")
+    if not (_is_json_number(rays, int) and 16 <= rays <= _MAX_SIZE):
+        raise ValueError(f"rays must be an integer in [16, {_MAX_SIZE}]")
     return ExperimentConfig(
         descriptor=descriptor,
         sequence_file=obj.get("sequence_file"),
@@ -179,14 +182,14 @@ def _write_json(obj: dict, path: Path) -> None:
         fh.write("\n")
 
 
-def _write_counting_csv(path: Path, rs, counts) -> None:
+def _write_curve_csv(path: Path, column: str, rs, values) -> None:
     import csv
 
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
-        w.writerow(["r", "count"])
-        for r, c in zip(rs, counts):
-            w.writerow([repr(float(r)), c])
+        w.writerow(["r", column])
+        for r, v in zip(rs, values):
+            w.writerow([repr(float(r)), v])
 
 
 def _exponent_str(exp) -> str:
@@ -241,7 +244,7 @@ def cmd_spectrum(cfg: ExperimentConfig, out: Path) -> int:
             out / f"eigenvalues_N{N}.csv"
         )
         counts = table[:, j].tolist()
-        _write_counting_csv(out / f"counting_N{N}.csv", rs, counts)
+        _write_curve_csv(out / f"counting_N{N}.csv", "count", rs, counts)
         per_n[str(N)] = {"count_in_window": int(ev.size), "counts": counts}
     stabilization = [
         {"r": float(r), "counts": counts, "stabilized": bool(s)}
@@ -282,7 +285,9 @@ def cmd_growth(cfg: ExperimentConfig, out: Path) -> int:
     # route 2: max modulus on rays
     rs = cfg.r_grid()
     logM = growth.b_log_max_modulus(sol, N, rays=cfg.rays)(rs)
-    _write_counting_csv(out / "log_max_modulus.csv", rs, logM.tolist())
+    _write_curve_csv(
+        out / "log_max_modulus.csv", "log_max_modulus", rs, logM.tolist()
+    )
     order_m, type_m = growth.order_type_from_max_modulus(rs, logM)
     report["max_modulus_route"] = {"order": order_m, "type_at_order": type_m}
 

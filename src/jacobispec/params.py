@@ -31,11 +31,7 @@ __all__ = [
     "JacobiSequence",
     "CarlemanVerdict",
     "materialize",
-    "normalized_coefficients",
-    "characteristic_roots",
     "wouk_margin",
-    "wouk_expansion_coefficients",
-    "log_concavity_defect",
     "carleman_sum",
     "exceptional_parameters",
     "descriptor_from_json",
@@ -221,23 +217,6 @@ def materialize(params: PowerAsymptotics, N: int) -> JacobiSequence:
     return JacobiSequence(rho=rho, q=q, source=params)
 
 
-def normalized_coefficients(seq: JacobiSequence, n: int) -> tuple[float, float]:
-    """(C0, C1) = (rho_n/rho_{n+1}, q_{n+1}/rho_{n+1}) of the monic recurrence."""
-    if not 0 <= n < len(seq) - 1:
-        raise IndexError(f"need 0 <= n < {len(seq) - 1}, got {n}")
-    return (
-        float(seq.rho[n] / seq.rho[n + 1]),
-        float(seq.q[n + 1] / seq.rho[n + 1]),
-    )
-
-
-def characteristic_roots(c0: float, c1: float) -> tuple[complex, complex]:
-    """Both roots of x^2 + C1 x + C0 = 0 (complex-conjugate when disc < 0)."""
-    disc = complex(c1 * c1 / 4.0 - c0)
-    s = np.sqrt(disc)
-    return (complex(-c1 / 2.0 + s), complex(-c1 / 2.0 - s))
-
-
 def wouk_margin(seq: JacobiSequence) -> np.ndarray:
     """margin[n-1] = rho_n + rho_{n-1} - |q_n| for n = 1..N-1.
 
@@ -287,28 +266,6 @@ def _z2_fraction(params: PowerAsymptotics) -> Fraction:
     return x0 * (
         2 * x2 / x0 - 2 * y2 / y0 + Fraction(beta - 1, 2) * (beta - 2 * x1 / x0)
     )
-
-
-def wouk_expansion_coefficients(params: PowerAsymptotics) -> tuple[float, float]:
-    """(z1, z2) of the expansion rho_n + rho_{n-1} - |q_n| = n^beta (z1/n + z2/n^2 + ...).
-
-    Defined only for the exceptional family; z2 additionally needs the
-    second-order terms x2, y2.
-    """
-    exceptional, _ = exceptional_parameters(params)
-    if not exceptional:
-        raise ValueError("z1/z2 are defined only when beta1 = beta2 and 2 x0 = |y0|")
-    if params.order is not ExpansionOrder.SECOND:
-        raise ValueError("z2 requires a second-order descriptor (x2, y2)")
-    return float(_z1_fraction(params)), float(_z2_fraction(params))
-
-
-def log_concavity_defect(seq: JacobiSequence) -> int:
-    """Number of indices with rho_n^2 < rho_{n+1} rho_{n-1} (0 = log-concave)."""
-    if len(seq) < 3:
-        raise ValueError("need at least three entries")
-    rho = seq.rho
-    return int(np.sum(rho[1:-1] ** 2 < rho[2:] * rho[:-2]))
 
 
 def carleman_sum(seq: JacobiSequence) -> tuple[float, CarlemanVerdict]:

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -22,17 +21,12 @@ __all__ = [
     "PolySolution",
     "ExponentFit",
     "SummabilityTrend",
-    "RootFlavor",
-    "RieszSparsity",
     "solve_at_zero",
     "solve_with_initial_data",
     "power_law_fit",
     "norm_exponent",
     "square_summability_probe",
     "transformed_recurrence",
-    "indicial_roots",
-    "double_root_lcc",
-    "riesz_sparsity",
     "wronskian_residual",
 ]
 
@@ -104,12 +98,6 @@ class SummabilityTrend(enum.Enum):
     SUMMABLE = "summable"
     DIVERGENT = "divergent"
     UNCLEAR = "unclear"
-
-
-class RootFlavor(enum.Enum):
-    COMPLEX_PAIR = "complex_pair"
-    DOUBLE_ROOT = "double_root"
-    REAL_DISTINCT = "real_distinct"
 
 
 def solve_with_initial_data(
@@ -224,73 +212,3 @@ def transformed_recurrence(seq: JacobiSequence) -> tuple[np.ndarray, np.ndarray]
     if seq.q[0] == 0.0:
         C[0] = np.nan
     return r, C
-
-
-def indicial_roots(d: float) -> tuple[complex, complex, RootFlavor]:
-    """Roots of X^2 - X - d = 0, i.e. (1 +/- sqrt(1 + 4d))/2, with the subcase.
-
-    d < -1/4 gives a complex pair, d = -1/4 the double root 1/2, d > -1/4
-    two distinct real roots.
-    """
-    disc = 1.0 + 4.0 * d
-    s = np.sqrt(complex(disc))
-    a1 = complex(0.5 + 0.5 * s)
-    a2 = complex(0.5 - 0.5 * s)
-    if disc < 0.0:
-        flavor = RootFlavor.COMPLEX_PAIR
-    elif disc == 0.0:
-        flavor = RootFlavor.DOUBLE_ROOT
-    else:
-        flavor = RootFlavor.REAL_DISTINCT
-    return a1, a2, flavor
-
-
-def double_root_lcc(d: float, beta: float) -> bool:
-    """lcc condition of the z1 = 0 subcases.
-
-    Complex pair or double root (d <= -1/4): lcc iff beta > 2.  Distinct
-    real roots: lcc iff the dominating solution is square-summable, i.e.
-    sqrt(1 + 4d) < beta - 2.
-    """
-    disc = 1.0 + 4.0 * d
-    if disc <= 0.0:
-        return beta > 2.0
-    return bool(np.sqrt(disc) < beta - 2.0)
-
-
-@dataclass(frozen=True, eq=False)
-class RieszSparsity:
-    ratios: np.ndarray
-    first_quartile_mean: float
-    last_quartile_mean: float
-    decreasing: bool
-    skipped_zeros: int
-
-
-def riesz_sparsity(eigenvalues: Sequence[float]) -> RieszSparsity:
-    """Ratios n/|lambda_n| for eigenvalues sorted by increasing modulus.
-
-    A spectrum sparse relative to the integers drives the ratios to zero;
-    the trend diagnostic compares last- and first-quartile means.
-    """
-    lam = np.asarray(eigenvalues, dtype=np.float64)
-    mods = np.abs(lam)
-    if np.any(np.diff(mods) < 0):
-        raise ValueError("eigenvalues must be sorted by increasing modulus")
-    nonzero = mods > 0.0
-    skipped = int(np.sum(~nonzero))
-    mods = mods[nonzero]
-    if mods.size < 8:
-        raise ValueError("need at least eight nonzero eigenvalues")
-    n = np.arange(1, mods.size + 1, dtype=np.float64)
-    ratios = n / mods
-    quarter = max(mods.size // 4, 1)
-    first = float(np.mean(ratios[:quarter]))
-    last = float(np.mean(ratios[-quarter:]))
-    return RieszSparsity(
-        ratios=ratios,
-        first_quartile_mean=first,
-        last_quartile_mean=last,
-        decreasing=last < 0.9 * first,
-        skipped_zeros=skipped,
-    )

@@ -16,7 +16,6 @@ from jacobispec.classify import (
     classify,
     classify_distinct_roots,
     classify_double_root,
-    equivalent_conditions_case3,
     wouk_test,
 )
 from jacobispec.params import (
@@ -24,7 +23,6 @@ from jacobispec.params import (
     JacobiSequence,
     PowerAsymptotics,
     materialize,
-    wouk_expansion_coefficients,
 )
 from jacobispec.verify import golden_table
 
@@ -63,6 +61,54 @@ def descriptors(draw, exceptional=None):
         x2=draw(rational),
         y2=draw(rational),
     )
+
+
+# Test-only oracles for the boundary family T2(iii) (beta = B* > 3/2), each
+# an independent restatement of the lcc threshold beta < 3/2 + 2 z2/x0 that
+# ``classify`` decides.
+
+
+def _boundary_family(params):
+    """(beta, x0, x1, x2, y0, y1, y2) of a boundary-family descriptor."""
+    f = params.frac
+    beta, x0, y0 = f("beta1"), f("x0"), f("y0")
+    x1, y1 = f("x1"), f("y1")
+    if not (
+        params.order is ExpansionOrder.SECOND
+        and f("beta2") == beta
+        and 2 * x0 == abs(y0)
+        and beta == 2 * x1 / x0 - 2 * y1 / y0
+        and beta > Fraction(3, 2)
+    ):
+        raise ValueError("descriptor is not in the boundary family (beta = B* > 3/2)")
+    return beta, x0, x1, f("x2"), y0, y1, f("y2")
+
+
+def equivalent_conditions_case3(params):
+    """The two rational inequalities whose conjunction is the lcc verdict.
+
+    cond1:  1 < x1/x0 - y1/y0
+    cond2:  x1/|y0| + (y1/y0)((x1/x0 - y1/y0) - 1) < 3/8 + x2/x0 - y2/y0
+    """
+    _, x0, x1, x2, y0, y1, y2 = _boundary_family(params)
+    ratio = x1 / x0 - y1 / y0
+    cond1 = 1 < ratio
+    cond2 = x1 / abs(y0) + (y1 / y0) * (ratio - 1) < Fraction(3, 8) + x2 / x0 - y2 / y0
+    return cond1, cond2
+
+
+def double_root_lcc(params):
+    """lcc from the indicial roots (1 +- sqrt(1 + 4d))/2 of the z1 = 0 case.
+
+    A complex pair or double root (1 + 4d <= 0) is lcc iff beta > 2; distinct
+    real roots iff the dominating solution is square-summable, sqrt(1 + 4d)
+    < beta - 2.  Both read lcc <=> beta > 2 and 1 + 4d < (beta - 2)^2, which
+    needs no square root.
+    """
+    beta, x0, x1, x2, y0, _, y2 = _boundary_family(params)
+    z2 = x0 * (2 * x2 / x0 - 2 * y2 / y0 + (beta - 1) / 2 * (beta - 2 * x1 / x0))
+    d = -z2 / x0 + beta * (beta - 2) / 4
+    return beta > 2 and 1 + 4 * d < (beta - 2) ** 2
 
 
 class TestGoldenTable:
@@ -181,7 +227,7 @@ class TestWouk:
 
     def test_exceptional_negative_z1(self):
         p = second_order(beta1=3, beta2=3, x0=1, y0=-2, x1=1)  # z1 = 2 - 3 = -1
-        assert wouk_expansion_coefficients(p)[0] == -1.0
+        assert classify(p).z1 == -1.0
         assert wouk_test(p).conclusion is CriterionConclusion.IMPLIES_LPC
 
     def test_free_matrix_heuristic(self, free_seq):
@@ -220,12 +266,14 @@ class TestEquivalentConditions:
     def test_boundary_lcc_example(self):
         p = second_order(beta1=3, beta2=3, x0=1, y0=-2, x1=1.5, x2=2)
         assert equivalent_conditions_case3(p) == (True, True)
+        assert double_root_lcc(p)
 
     def test_cond1_boundary_excluded(self):
         # x1/x0 - y1/y0 = 1 exactly: beta = B* = 2, cond1 fails
         p = second_order(beta1=2, beta2=2, x0=1, y0=-2, x1=1)
         cond1, _ = equivalent_conditions_case3(p)
         assert not cond1
+        assert not double_root_lcc(p)
         assert classify(p).regime is Regime.LPC
 
     def test_rejects_non_boundary(self):
@@ -241,20 +289,34 @@ class TestEquivalentConditions:
         x2=rational,
         y2=rational,
         sign=st.sampled_from([1, -1]),
+        edge=st.sampled_from([None, "threshold", "beta_two"]),
     )
-    @settings(max_examples=80)
-    def test_conjunction_matches_verdict(self, x0, ratio, y1, x2, y2, sign):
+    @settings(max_examples=120)
+    def test_conjunction_matches_verdict(self, x0, ratio, y1, x2, y2, sign, edge):
         # build x1 so that beta = 2 (x1/x0 - y1/y0) = 2 ratio > 3/2 exactly
         y0 = 2 * x0 * sign
+        if edge == "beta_two":
+            ratio = Fraction(1)
         x1 = x0 * ratio + x0 * Fraction(y1) / y0
         beta = 2 * ratio
+        if edge == "threshold":
+            # x2 with beta = 3/2 + 2 z2/x0 exactly
+            x2 = x0 / 2 * (
+                (beta - Fraction(3, 2)) / 2
+                + 2 * Fraction(y2) / y0
+                - (beta - 1) / 2 * (beta - 2 * x1 / x0)
+            )
         p = second_order(
             beta1=beta, beta2=beta, x0=x0, y0=y0, x1=x1, y1=y1, x2=x2, y2=y2
         )
         cls = classify(p)
         assert cls.case_label == "T2(iii)"
         cond1, cond2 = equivalent_conditions_case3(p)
-        assert (cond1 and cond2) == (cls.regime is Regime.LCC)
+        lcc = cls.regime is Regime.LCC
+        assert (cond1 and cond2) == lcc
+        assert double_root_lcc(p) == lcc
+        if edge is not None:
+            assert cls.regime is Regime.LPC
 
 
 class TestProperties:

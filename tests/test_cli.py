@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from jacobispec.cli import main
+from jacobispec.cli import _MAX_SIZE, load_config, main
 from jacobispec.params import JacobiSequence, sequence_to_csv
 
 
@@ -12,12 +12,14 @@ NOISE = {"kind": "seeded_noise", "amplitude": 0.1, "seed": 1}
 
 
 def write_config(tmp_path, name="cfg.json", **overrides):
+    """A config of M1 with keys replaced by *overrides*; None drops a key."""
     cfg = {
         "descriptor": M1,
         "N": [100, 200, 400],
         "r_grid": {"r_min": 5.0, "r_max": 500.0, "points": 10},
     }
     cfg.update(overrides)
+    cfg = {key: value for key, value in cfg.items() if value is not None}
     path = tmp_path / name
     path.write_text(json.dumps(cfg))
     return path
@@ -128,6 +130,8 @@ class TestClassifyCommand:
             "amplitude",
         ),
         ({"descriptor": {**M1, "x1": "1e-3000000"}}, "x1"),
+        ({"descriptor": None, "sequence_file": 5}, "sequence_file"),
+        ({"out": 5}, "out"),
     ],
 )
 def test_malformed_config_key_exits_2(tmp_path, capsys, overrides, message):
@@ -137,6 +141,13 @@ def test_malformed_config_key_exits_2(tmp_path, capsys, overrides, message):
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err
         assert err.count("\n") == 1 and "Traceback" not in err
+
+
+@pytest.mark.parametrize("rays", [15, _MAX_SIZE + 1, 10**9])
+def test_rays_out_of_range_rejected_before_any_work(tmp_path, rays):
+    # load_config alone: an accepted 10**9 would allocate points x rays values
+    with pytest.raises(ValueError, match="rays"):
+        load_config(write_config(tmp_path, rays=rays))
 
 
 class TestSpectrumCommand:
@@ -193,7 +204,8 @@ class TestGrowthCommand:
         assert doc["wronskian_residual"] < 1e-8
         assert "majorant_gap" in doc
         assert (out / "b_zeros.csv").exists()
-        assert (out / "log_max_modulus.csv").exists()
+        lines = (out / "log_max_modulus.csv").read_text().splitlines()
+        assert lines[0] == "r,log_max_modulus" and len(lines) == 11
 
     def test_byte_identical_reruns(self, tmp_path):
         cfg = write_config(tmp_path)

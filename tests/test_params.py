@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from jacobispec.classify import CriterionConclusion, berezanskii_test, classify
 from jacobispec.params import (
     CarlemanVerdict,
     ExpansionOrder,
@@ -14,16 +15,12 @@ from jacobispec.params import (
     RemainderKind,
     RemainderModel,
     carleman_sum,
-    characteristic_roots,
     descriptor_from_json,
     descriptor_to_json,
     exceptional_parameters,
-    log_concavity_defect,
     materialize,
-    normalized_coefficients,
     sequence_from_csv,
     sequence_to_csv,
-    wouk_expansion_coefficients,
     wouk_margin,
 )
 
@@ -144,53 +141,6 @@ class TestMaterialize:
         assert np.all(np.abs(lhs - rhs) <= 4 * np.spacing(np.abs(rhs)))
 
 
-class TestNormalizedCoefficients:
-    def test_free_matrix(self):
-        seq = JacobiSequence(rho=np.ones(8), q=np.zeros(8))
-        assert normalized_coefficients(seq, 3) == (1.0, 0.0)
-
-    def test_hand_arithmetic(self):
-        rho = (np.arange(8) + 1.0) ** 2
-        seq = JacobiSequence(rho=rho, q=np.ones(8))
-        c0, c1 = normalized_coefficients(seq, 2)
-        assert c0 == 9.0 / 16.0 and c1 == 1.0 / 16.0
-
-    def test_tail_limit_q_over_rho(self, m1_seq):
-        # C1(n) n^(beta1-beta2) -> y0/x0 for dominant off-diagonal
-        n = 4000
-        _, c1 = normalized_coefficients(m1_seq, n)
-        assert abs(c1 * n**2 - 1.0) < 2e-3
-
-    def test_index_errors(self, m1_seq):
-        with pytest.raises(IndexError):
-            normalized_coefficients(m1_seq, len(m1_seq) - 1)
-
-
-class TestCharacteristicRoots:
-    def test_free_case(self):
-        r1, r2 = characteristic_roots(1.0, 0.0)
-        assert r1 == 1j and r2 == -1j
-
-    def test_equal_growth_limit(self):
-        # limiting polynomial of beta1=beta2, x0=y0=1: x^2 + x + 1
-        r1, r2 = characteristic_roots(1.0, 1.0)
-        assert r1 == pytest.approx(-0.5 + 1j * np.sqrt(0.75))
-        assert r2 == pytest.approx(-0.5 - 1j * np.sqrt(0.75))
-
-    def test_double_root(self):
-        r1, r2 = characteristic_roots(0.25, -1.0)
-        assert r1 == r2 == 0.5
-
-    @given(
-        c0=st.floats(-100, 100, allow_nan=False),
-        c1=st.floats(-100, 100, allow_nan=False),
-    )
-    def test_vieta(self, c0, c1):
-        r1, r2 = characteristic_roots(c0, c1)
-        assert abs(r1 * r2 - c0) <= 1e-12 * max(1.0, abs(c0))
-        assert abs(r1 + r2 + c1) <= 1e-12 * max(1.0, abs(c1))
-
-
 class TestWoukMargin:
     def test_free_matrix_margin_two(self, free_seq):
         assert np.all(wouk_margin(free_seq) == 2.0)
@@ -201,7 +151,7 @@ class TestWoukMargin:
         assert wouk_margin(seq)[1] == -1.0  # n = 2: 3 + 2 - 6
 
     def test_exceptional_tail_is_z1(self, m3_seq, m3):
-        z1, _ = wouk_expansion_coefficients(m3)
+        z1 = classify(m3).z1
         margin = wouk_margin(m3_seq)
         n = 10**4
         beta = m3.beta1
@@ -211,28 +161,24 @@ class TestWoukMargin:
 class TestZ1Z2:
     def test_hand_z1(self):
         p = second_order(beta1=3, beta2=3, x0=1, y0=-2, x1=2, y1=0)
-        z1, _ = wouk_expansion_coefficients(p)
-        assert z1 == 1.0
+        assert classify(p).z1 == 1.0
 
     def test_zero_when_terms_vanish(self):
         p = second_order(beta1=0, beta2=0, x0=1, y0=2)
-        z1, _ = wouk_expansion_coefficients(p)
-        assert z1 == 0.0
+        assert classify(p).z1 == 0.0
 
     def test_hand_z2(self):
         p = second_order(beta1=2, beta2=2, x0=1, y0=-2, x1=1, y2=1)
-        _, z2 = wouk_expansion_coefficients(p)
-        assert z2 == 1.0  # 2 x2 + y2 + (beta-1)(beta-2 x1)/2 at y0 = -2
+        # 2 x2 + y2 + (beta-1)(beta-2 x1)/2 at y0 = -2
+        assert classify(p).z2 == 1.0
 
-    def test_rejects_non_exceptional_and_first_order(self):
-        with pytest.raises(ValueError):
-            wouk_expansion_coefficients(
-                second_order(beta1=2, beta2=0, x0=1, y0=1)
-            )
-        with pytest.raises(ValueError):
-            wouk_expansion_coefficients(
-                PowerAsymptotics(beta1=2, beta2=2, x0=1, y0=2)
-            )
+    def test_none_off_the_second_order_exceptional_family(self):
+        for p in (
+            second_order(beta1=2, beta2=0, x0=1, y0=1),
+            PowerAsymptotics(beta1=2, beta2=2, x0=1, y0=2),
+        ):
+            cls = classify(p)
+            assert cls.z1 is None and cls.z2 is None
 
     @given(
         lam=st.fractions(min_value=Fraction(1, 100), max_value=100),
@@ -247,31 +193,50 @@ class TestZ1Z2:
         p = second_order(
             beta1=beta, beta2=beta, x0=1, y0=-2, x1=x1, y1=y1, x2=x2, y2=y2
         )
-        z1, z2 = wouk_expansion_coefficients(p)
-        w1, w2 = wouk_expansion_coefficients(p.scaled(lam))
-        assert w1 == pytest.approx(float(lam) * z1, rel=1e-12, abs=1e-12)
-        assert w2 == pytest.approx(float(lam) * z2, rel=1e-12, abs=1e-12)
+        base, scaled = classify(p), classify(p.scaled(lam))
+        assert scaled.z1 == pytest.approx(float(lam) * base.z1, rel=1e-12, abs=1e-12)
+        assert scaled.z2 == pytest.approx(float(lam) * base.z2, rel=1e-12, abs=1e-12)
 
 
 class TestLogConcavity:
+    """The defect count of ``berezanskii_test``, which starts at n = 2."""
+
+    # beta1 > 1 and beta2 - beta1 < -1: the series conditions hold, so the
+    # verdict turns on log-concavity alone
+    SOURCE = PowerAsymptotics(beta1=2, beta2=0, x0=1, y0=1)
+
+    def verdict(self, rho):
+        return berezanskii_test(
+            JacobiSequence(rho=rho, q=np.ones(rho.size), source=self.SOURCE)
+        )
+
     def test_squares_have_no_defect(self):
         # brute force over the mathematical sequence (n+1)^2, n <= 1e4
-        rho = (np.arange(10**4) + 1.0) ** 2
-        seq = JacobiSequence(rho=rho, q=np.ones(10**4))
-        assert log_concavity_defect(seq) == 0
+        v = self.verdict((np.arange(10**4) + 1.0) ** 2)
+        assert v.conclusion is CriterionConclusion.IMPLIES_LCC
+        assert "defect" not in v.evidence
 
     def test_index0_guard_creates_one_head_defect(self):
-        # rho[0] = rho[1] by the guard, so growing families defect at n = 1
+        # rho[0] = rho[1] by the guard, so growing families defect at n = 1;
+        # the dichotomy ignores finitely many entries, and so does the test
         p = second_order(beta1=2, beta2=0, x0=1, x1=2, x2=1, y0=1)
-        assert log_concavity_defect(materialize(p, 10**3)) == 1
+        seq = materialize(p, 10**3)
+        assert seq.rho[1] ** 2 < seq.rho[2] * seq.rho[0]
+        v = berezanskii_test(seq)
+        assert v.conclusion is CriterionConclusion.IMPLIES_LCC
+        assert "defect" not in v.evidence
 
     def test_single_defect(self):
-        seq = JacobiSequence(rho=np.array([1.0, 1.0, 10.0]), q=np.zeros(3))
-        assert log_concavity_defect(seq) == 1
+        rho = (np.arange(8) + 1.0) ** 2
+        rho[-1] *= 4.0  # rho_6^2 < rho_7 rho_5, and only there
+        v = self.verdict(rho)
+        assert v.conclusion is CriterionConclusion.NO_CONCLUSION
+        assert v.evidence == "1 log-concavity defects beyond n = 1"
 
     def test_geometric_equality_case(self):
-        seq = JacobiSequence(rho=2.0 ** np.arange(20), q=np.zeros(20))
-        assert log_concavity_defect(seq) == 0
+        v = self.verdict(2.0 ** np.arange(20))
+        assert v.conclusion is CriterionConclusion.IMPLIES_LCC
+        assert "defect" not in v.evidence
 
 
 class TestCarleman:

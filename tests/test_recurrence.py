@@ -12,19 +12,14 @@ from jacobispec.recurrence import (
     ExponentFit,
     PolySolution,
     RecurrenceOverflowError,
-    RootFlavor,
     SummabilityTrend,
-    double_root_lcc,
-    indicial_roots,
     norm_exponent,
-    riesz_sparsity,
     solve_at_zero,
     solve_with_initial_data,
     square_summability_probe,
     transformed_recurrence,
     wronskian_residual,
 )
-from jacobispec.spectrum import full_spectrum
 from jacobispec.verify import _seq, _sol
 
 
@@ -187,70 +182,3 @@ class TestTransformedRecurrence:
         assert np.max(np.abs(res) / np.maximum(scale, 1e-280)) <= 1e-8
         # and the reconstruction matches the direct solution
         assert u[1:N] == pytest.approx(sol.P[1:N], rel=1e-8, abs=1e-300)
-
-
-class TestIndicialRoots:
-    def test_zero_d(self):
-        a1, a2, flavor = indicial_roots(0.0)
-        assert (a1, a2) == (1.0, 0.0)
-        assert flavor is RootFlavor.REAL_DISTINCT
-
-    def test_double_root(self):
-        a1, a2, flavor = indicial_roots(-0.25)
-        assert a1 == a2 == 0.5
-        assert flavor is RootFlavor.DOUBLE_ROOT
-
-    def test_complex_pair(self):
-        a1, a2, flavor = indicial_roots(-1.0)
-        assert flavor is RootFlavor.COMPLEX_PAIR
-        assert a1 == pytest.approx(0.5 + 0.5j * np.sqrt(3))
-        assert a2 == pytest.approx(np.conj(a1))
-
-    @pytest.mark.parametrize(
-        "d,beta,expected",
-        [
-            (-1.0, 2.5, True),    # complex pair: lcc iff beta > 2
-            (-1.0, 1.9, False),
-            (-0.25, 2.1, True),   # double root branch
-            (0.0, 3.5, True),     # sqrt(1) = 1 < 1.5
-            (0.0, 2.5, False),    # sqrt(1) = 1 > 0.5
-        ],
-    )
-    def test_double_root_lcc(self, d, beta, expected):
-        assert double_root_lcc(d, beta) is expected
-
-
-class TestRieszSparsity:
-    def test_quadratic_is_sparse(self):
-        lam = (np.arange(1, 101, dtype=float)) ** 2
-        diag = riesz_sparsity(lam)
-        assert diag.decreasing
-        assert diag.ratios[0] == 1.0
-
-    def test_linear_is_not(self):
-        lam = np.arange(1.0, 101.0)
-        diag = riesz_sparsity(lam)
-        assert not diag.decreasing
-        assert np.all(diag.ratios == 1.0)
-
-    def test_zero_eigenvalues_skipped(self):
-        lam = np.concatenate([[0.0], np.arange(1.0, 20.0) ** 2])
-        diag = riesz_sparsity(lam)
-        assert diag.skipped_zeros == 1
-
-    def test_truncation_spectrum_trend(self):
-        # eigensolver output at N = 2000 (lowest part of the spectrum)
-        from jacobispec.verify import _trunc_eigs
-
-        mods = np.sort(np.abs(_trunc_eigs("m1", 2000, 1e4)))
-        assert riesz_sparsity(mods).decreasing
-
-    def test_small_truncation_trend(self):
-        seq = _seq("m1", 500)
-        spec = full_spectrum(seq, 400)
-        mods = np.sort(np.abs(spec.eigenvalues))
-        assert riesz_sparsity(mods).decreasing
-
-    def test_requires_sorted(self):
-        with pytest.raises(ValueError):
-            riesz_sparsity(np.array([3.0, 1.0, 2.0] * 10))

@@ -3,16 +3,26 @@
 * no ``assert``: invariants raise, they do not vanish under ``python -O``;
 * no read of ``os.environ`` / ``os.getenv``: no hidden runtime knobs;
 * no import of ``numba`` or ``concurrent.futures``: one numpy backend and
-  no thread pools.
+  no thread pools;
+* no dead surface: every module-level ``def`` and ``class`` is used
+  somewhere in the package outside its own definition (``__all__`` and
+  ``__init__.py`` do not count), or is named in ``perfbench/``, which is
+  only read.
 """
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "jacobispec"
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "jacobispec"
 SOURCES = sorted(PACKAGE.glob("*.py"))
+# public names with no caller in the package, kept on purpose
+UNUSED_ALLOWED = {
+    "params.sequence_to_csv",  # writes the documented ``n,rho,q`` input CSV
+}
 
 _ENV_NAMES = {"environ", "getenv", "environb", "getenvb"}
 _BANNED_MODULES = ("numba", "concurrent.futures")
@@ -82,3 +92,58 @@ def test_source_rule(rule):
 )
 def test_rule_catches_offence(rule, source):
     assert any(rule(node) for node in ast.walk(ast.parse(source)))
+
+
+def _unreferenced(modules, outside_text=""):
+    """``module.name`` of each module-level def or class of *modules* (a
+    mapping of module name to source) that no other node of any module
+    names, and that *outside_text* does not name either."""
+    trees = {name: ast.parse(text) for name, text in modules.items()}
+    used = {}
+    for name, tree in trees.items():
+        if name == "__init__":
+            continue
+        for node in ast.walk(tree):
+            ref = (
+                node.id if isinstance(node, ast.Name)
+                else node.attr if isinstance(node, ast.Attribute)
+                else None
+            )
+            if ref is not None:
+                used.setdefault(ref, []).append(node)
+    dead = []
+    for name, tree in trees.items():
+        for defn in tree.body:
+            if not isinstance(
+                defn, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+            ):
+                continue
+            own = set(map(id, ast.walk(defn)))
+            if any(id(node) not in own for node in used.get(defn.name, [])):
+                continue
+            if re.search(rf"\b{re.escape(defn.name)}\b", outside_text):
+                continue
+            dead.append(f"{name}.{defn.name}")
+    return dead
+
+
+def test_no_unused_module_level_definitions():
+    modules = {path.stem: path.read_text() for path in SOURCES}
+    perfbench = "\n".join(
+        path.read_text() for path in sorted((ROOT / "perfbench").glob("*.py"))
+    )
+    assert sorted(set(_unreferenced(modules, perfbench)) - UNUSED_ALLOWED) == []
+
+
+def test_unused_rule_catches_dead_definitions():
+    modules = {
+        "__init__": "from .a import dead, exported\n__all__ = ['dead']\n",
+        "a": (
+            "def dead():\n    return dead()\n"
+            "def used():\n    pass\n"
+            "def exported():\n    pass\n"
+            "class Benched:\n    pass\n"
+        ),
+        "b": "from .a import used, exported\nused()\n",
+    }
+    assert _unreferenced(modules, "Benched") == ["a.dead", "a.exported"]
