@@ -1,9 +1,13 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from jacobispec.classify import Regime, classify
 from jacobispec.params import (
+    ExpansionOrder,
     JacobiSequence,
     PowerAsymptotics,
     materialize,
@@ -129,6 +133,40 @@ class TestSummability:
         sol = solve_at_zero(JacobiSequence(rho=np.ones(16), q=np.zeros(16)))
         with pytest.raises(ValueError):
             square_summability_probe(sol)
+
+
+class TestIndicialRoots:
+    """lcc of the z1 = 0 boundary family read from the indicial roots.
+
+    The roots (1 +- sqrt(1 + 4d))/2 give lcc iff beta > 2 for a complex pair
+    or double root (1 + 4d <= 0), and iff sqrt(1 + 4d) < beta - 2 for
+    distinct real roots.
+    """
+
+    @pytest.mark.parametrize(
+        "d,beta,expected",
+        [
+            (-1.0, 2.5, True),    # complex pair: lcc iff beta > 2
+            (-1.0, 1.9, False),
+            (-0.25, 2.1, True),   # double root branch
+            (0.0, 3.5, True),     # sqrt(1) = 1 < 1.5
+            (0.0, 2.5, False),    # sqrt(1) = 1 > 0.5
+        ],
+    )
+    def test_double_root_lcc(self, d, beta, expected):
+        # x0 = 1, y1 = y2 = 0 and x1 = beta/2 put beta on the boundary
+        # 2 (x1/x0 - y1/y0); then z2 = 2 x2 and d = -z2 + beta (beta - 2)/4
+        d, beta = Fraction(str(d)), Fraction(str(beta))
+        x2 = (beta * (beta - 2) / 4 - d) / 2
+        p = PowerAsymptotics(
+            beta1=beta, beta2=beta, x0=1, y0=-2, x1=beta / 2, x2=x2,
+            order=ExpansionOrder.SECOND,
+        )
+        cls = classify(p)
+        assert cls.case_label == "T2(iii)"
+        assert cls.z1 == 0
+        assert cls.z2 == pytest.approx(float(2 * x2), abs=1e-12)
+        assert (cls.regime is Regime.LCC) is expected
 
 
 class TestTransformedRecurrence:
