@@ -70,7 +70,10 @@ from .recurrence import (
 from .spectrum import (
     TruncatedSpectrum,
     charpoly_eigenvalues,
+    charpoly_eigenvalues_each,
     eigenvalues_in,
+    eigenvalues_in_each,
+    full_spectra,
     full_spectrum,
     stabilized_counting,
     sturm_count,

@@ -23,6 +23,13 @@ blocking only removes per-row call overhead (cf. LAPACK's ``dlaneg``).
 The last pivot d_N(x) comes back with the counts: it is negative exactly
 when x lies above one more eigenvalue of J_N than of J_{N-1}, and between
 two eigenvalues of J_{N-1} it is continuous and decreasing in x.
+
+Its stacked form counts a stack of independent tridiagonals, one per
+column, each shift on its own matrix.  The shifts are sorted by the size
+of their matrix, largest first, so that the shifts still advanced at row
+k are a prefix; row blocks end where that prefix shrinks, and each shift
+gets the count and last pivot of the per-row floored loop on its own
+matrix, bit for bit.
 """
 
 import numpy as np
@@ -65,10 +72,16 @@ def _floor_pivots(d):
     return np.where(np.abs(d) < _PIVMIN, np.where(d > 0, _PIVMIN, -_PIVMIN), d)
 
 
-def sturm_counts(diag, offsq, xs):
+def sturm_counts(diag, offsq, xs, mat=None, sizes=None):
     """Return (counts, last pivots) of the floored LD factorization of
-    diag - x at every shift x of xs."""
+    diag - x at every shift x of xs.
+
+    Stacked form: ``diag`` is (n_max, M) and ``offsq`` (n_max - 1, M), the
+    tridiagonal of column m padded below its dimension ``sizes[m]``; shift
+    s is counted on matrix ``mat[s]``."""
     xs = np.asarray(xs, dtype=np.float64)
+    if mat is not None:
+        return _sturm_counts_stacked(diag, offsq, xs, np.asarray(mat), np.asarray(sizes))
     n = diag.shape[0]
     rows = min(max(16, _BUDGET // max(xs.size, 1)), max(n - 1, 1))
     col = diag[:, None]
@@ -96,6 +109,41 @@ def sturm_counts(diag, offsq, xs):
                 d = _floor_pivots((diag[k] - xs) - offsq[k - 1] / d)
                 count += d < 0
     return count, d
+
+
+def _sturm_counts_stacked(diag, offsq, xs, mat, sizes):
+    n_of = sizes[mat]
+    order = np.argsort(-n_of, kind="stable")
+    xs, mat, n_of = xs[order], mat[order], n_of[order]
+    d = _floor_pivots(diag[0, mat] - xs)
+    count = (d < 0).astype(np.int64)
+    t = np.empty(xs.shape)
+    k0, n = 1, int(n_of.max(initial=1))
+    while k0 < n:
+        act = int(np.count_nonzero(n_of > k0))
+        # the block ends where its smallest matrix does
+        k1 = min(int(n_of[act - 1]), k0 + max(16, _BUDGET // act))
+        m, x, ta = mat[:act], xs[:act], t[:act]
+        block = diag[k0:k1, m] - x
+        prev = d[:act]
+        with np.errstate(all="ignore"):
+            for w, row in zip(offsq[k0 - 1 : k1 - 1, m], block):
+                np.divide(w, prev, out=ta)
+                np.subtract(row, ta, out=row)
+                prev = row
+        if np.abs(block).min() >= _PIVMIN:
+            count[:act] += np.count_nonzero(block < 0, axis=0)
+            d[:act] = prev
+        else:
+            prev = d[:act]
+            for k in range(k0, k1):
+                prev = _floor_pivots((diag[k, m] - x) - offsq[k - 1, m] / prev)
+                count[:act] += prev < 0
+            d[:act] = prev
+        k0 = k1
+    out_count, out_d = np.empty_like(count), np.empty_like(d)
+    out_count[order], out_d[order] = count, d
+    return out_count, out_d
 
 
 # ---------------------------------------------------------------------------

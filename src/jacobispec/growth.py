@@ -170,8 +170,8 @@ def scan_b_zeros(
     eigenvalues it is compared against, and a bracket without a sign change
     of B_N raises RuntimeError.
     """
-    if r <= 0:
-        raise ValueError("r must be positive")
+    if not 0 < r < math.inf:
+        raise ValueError("r must be positive and finite")
     if not 1 <= N <= min(sol.N, len(seq)):
         raise ValueError(f"need 1 <= N <= {min(sol.N, len(seq))}")
     # B_N is proportional to P_{N-1} when Q_{N-1}(0) = 0

@@ -15,6 +15,7 @@ the independent cross-check for tiny matrices.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -27,11 +28,13 @@ __all__ = [
     "TruncatedSpectrum",
     "sturm_count",
     "eigenvalues_in",
+    "eigenvalues_in_each",
     "full_spectrum",
+    "full_spectra",
     "gershgorin_interval",
     "stabilized_counting",
-    "charpoly_values",
     "charpoly_eigenvalues",
+    "charpoly_eigenvalues_each",
 ]
 
 
@@ -94,8 +97,8 @@ _SECANT_SWEEPS = 100
 #: as much as one over _SPLIT (7.4 against 5.0 ms at N = 2000, 2-core Xeon)
 _SPLIT = 256
 
-# columns of the table of isolated eigenvalues in _sturm_brackets
-_LO, _HI, _FLO, _FHI, _K, _P, _LAST, _X, _MODE, _FAILS = range(10)
+# columns of the table of isolated eigenvalues in _stacked_brackets
+_LO, _HI, _FLO, _FHI, _K, _P, _LAST, _X, _MODE, _FAILS, _MAT = range(11)
 _SECANT, _CONFIRM, _BISECT = 0.0, 1.0, 2.0
 
 
@@ -129,43 +132,49 @@ def _secant_point(one: np.ndarray) -> np.ndarray:
 
 def _split(iso, cuts, c, p, f):
     """The parts of every interval between its cut points, each with the
-    counts and pivots at both of its ends; empty parts are dropped."""
+    counts and pivots at both of its ends and its matrix; empty parts are
+    dropped."""
     def with_ends(first, inner, last):
         return np.column_stack([iso[:, first], inner.reshape(cuts.shape), iso[:, last]])
 
     xs = np.column_stack([iso[:, 0], cuts, iso[:, 1]])
     # a count is kept monotone across the cuts of its interval
     cs = np.minimum(np.maximum.accumulate(with_ends(2, c, 3), axis=1), iso[:, 3:4])
+    mat = np.repeat(iso[:, 8:], cuts.shape[1] + 1, axis=1)
     parts = np.stack(
         [e[:, s] for e in (xs, cs, with_ends(4, p, 5), with_ends(6, f, 7))
-         for s in (slice(None, -1), slice(1, None))],
+         for s in (slice(None, -1), slice(1, None))] + [mat],
         axis=-1,
-    ).reshape(-1, 8)
+    ).reshape(-1, 9)
     return parts[parts[:, 3] > parts[:, 2]]
 
 
-def _store(out_lo, out_hi, brackets, base):
+def _store(out_lo, out_hi, brackets, shift):
     """Write each bracket (lo, hi, count(lo), count(hi)) as the bracket of
-    every eigenvalue index count(lo) + 1 .. count(hi)."""
+    every eigenvalue index count(lo) + 1 .. count(hi), at the output index
+    count(lo) + shift."""
     n_each = (brackets[:, 3] - brackets[:, 2]).astype(np.int64)
     first = np.repeat(np.cumsum(n_each) - n_each, n_each)
-    idx = np.repeat(brackets[:, 2].astype(np.int64) - base, n_each) + (
+    idx = np.repeat(brackets[:, 2].astype(np.int64) + shift, n_each) + (
         np.arange(first.size) - first
     )
     out_lo[idx] = np.repeat(brackets[:, 0], n_each)
     out_hi[idx] = np.repeat(brackets[:, 1], n_each)
 
 
-def _sturm_brackets(
-    diag: np.ndarray, offsq: np.ndarray, a: float, b: float, tol: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Brackets (lo_k, hi_k) of width <= tol with count(lo_k) < k <=
-    count(hi_k), one for each eigenvalue in [a, b] of the tridiagonal J_N
-    with diagonal ``diag`` and squared off-diagonal ``offsq``.
+def _stacked_brackets(mats, a, b, tol):
+    """Brackets (lo_k, hi_k) of width <= tol[m] with count(lo_k) < k <=
+    count(hi_k), one for each eigenvalue in [a[m], b[m]] of each matrix m
+    of a stack of tridiagonals J_N, given as (diagonal, squared
+    off-diagonal) pairs *mats*; those of matrix m are at offsets[m] ..
+    offsets[m + 1] - 1 of the returned (lo, hi, offsets).  A single matrix
+    is counted by the plain kernel call.
 
     Every sweep is one batched Sturm count, whose last pivot d_N(x) also
-    gives the count of J_{N-1} at x.  Each bracket passes through up to
-    three phases, and brackets in different phases share sweeps:
+    gives the count of J_{N-1} at x.  The first counts the window ends
+    together with the first cuts.  Each bracket passes through up to three
+    phases, and brackets in different phases, or of different matrices,
+    share sweeps:
 
     1. Isolation.  Distinct intervals, each with its counts at both ends,
        are bisected while they hold more than one eigenvalue of J_N or an
@@ -186,44 +195,71 @@ def _sturm_brackets(
     with its counts, is bisected to width <= tol instead.  So is an interval
     that cannot be isolated, such as a cluster narrower than tol; each of
     its eigenvalues then gets the interval itself as its bracket.
+
+    Every decision is taken per bracket, except the number of parts an
+    interval is cut into: about ``_SPLIT`` cut points per sweep are shared
+    by all intervals of the stack.  So a matrix in a stack may get other
+    brackets than alone, each still of width <= tol around its eigenvalue.
     """
 
-    def counts(xs):
-        c, d = _kernels.sturm_counts(diag, offsq, xs)
+    if len(mats) == 1:
+        (diag, offsq), sizes = mats[0], None
+    else:
+        diag, offsq, sizes = _stack(mats)
+
+    def counts(xs, mat):
+        if sizes is None:
+            c, d = _kernels.sturm_counts(diag, offsq, xs)
+        else:
+            c, d = _kernels.sturm_counts(diag, offsq, xs, mat, sizes)
         return c, c - (d < 0), d
 
+    a, b, tol = (np.asarray(v, dtype=np.float64) for v in (a, b, tol))
+    n_mat = a.size
     # the lower end is counted one ulp below a: an eigenvalue at exactly a
     # has a zero pivot there, which the floor counts as negative
     top = np.finfo(np.float64).max
     ends = np.clip([np.nextafter(a, -top), np.nextafter(b, top)], -top, top)
-    c, p, f = counts(ends)
-    base = int(c[0])
-    out_lo = np.empty(int(c[1]) - base)
-    out_hi = np.empty(out_lo.size)
     # intervals being isolated: lo, hi, the J_N counts, the J_{N-1} counts
-    # and d_N, each at both ends
-    iso = np.array([[ends[0], ends[1], c[0], c[1], p[0], p[1], f[0], f[1]]])
-    iso = iso[iso[:, 3] > iso[:, 2]]
+    # and d_N, each at both ends, and the matrix; the counts at the window
+    # ends come with the first sweep
+    iso = np.zeros((n_mat, 9))
+    iso[:, 0], iso[:, 1], iso[:, 8] = ends[0], ends[1], np.arange(n_mat)
     # isolated eigenvalues, in the columns named above: lo, hi, d_N at both
     # (weighted), the index k, the J_{N-1} count, the end replaced last (-1
-    # lo, +1 hi, 0 none), the next point to count, the phase and the number
-    # of failed finishes
-    one = np.empty((0, 10))
+    # lo, +1 hi, 0 none), the next point to count, the phase, the number
+    # of failed finishes and the matrix
+    one = np.empty((0, 11))
+    shift = None  # output index minus count(lo), per matrix
     sweeps = 0
-    while iso.size or one.size:
+    while shift is None or iso.size or one.size:
         sweeps += 1
         if sweeps >= _SECANT_SWEEPS:
             one[:, _MODE] = _BISECT
             one[:, _X] = _mid(one[:, _LO], one[:, _HI])
         parts = max(2, _SPLIT // max(len(iso), 1))
         cuts = _cut(iso[:, :1], iso[:, 1:2], np.arange(1, parts) / parts)
-        mode, k = one[:, _MODE], one[:, _K]
+        one_mat = one[:, _MAT].astype(np.int64)
+        mode, k, tk = one[:, _MODE], one[:, _K], tol[one_mat]
         conf = mode == _CONFIRM
         # a bracket in its centred finish is counted at both of its ends
-        x1 = one[:, _X] - np.where(conf, _HALF * tol, 0.0)
-        x2 = one[conf, _X] + _HALF * tol
-        c, p, f = counts(np.concatenate([cuts.ravel(), x1, x2]))
-        m0, m1 = cuts.size, cuts.size + x1.size
+        x1 = one[:, _X] - np.where(conf, _HALF * tk, 0.0)
+        x2 = one[conf, _X] + _HALF * tk[conf]
+        xs = [cuts.ravel(), x1, x2]
+        mat = [np.repeat(iso[:, 8].astype(np.int64), parts - 1), one_mat, one_mat[conf]]
+        if shift is None:
+            xs += [ends.ravel()]
+            mat += [np.tile(np.arange(n_mat), 2)]
+        c, p, f = counts(np.concatenate(xs), np.concatenate(mat))
+        m0 = cuts.size
+        m1 = m0 + x1.size
+        m2 = m1 + x2.size
+        if shift is None:
+            iso[:, 2:8] = np.column_stack([e[m2:].reshape(2, n_mat).T for e in (c, p, f)])
+            offsets = np.concatenate([[0], np.cumsum(iso[:, 3] - iso[:, 2])]).astype(np.int64)
+            shift = offsets[:-1] - iso[:, 2].astype(np.int64)
+            out_lo = np.empty(offsets[-1])
+            out_hi = np.empty(offsets[-1])
 
         if one.size:
             # every counted point narrows its bracket, as the count says
@@ -235,7 +271,7 @@ def _sturm_brackets(
             # the point that moved each bracket, with its pivots
             xc, fc, pc = x1.copy(), f[m0:m1].copy(), p[m0:m1].copy()
             if x2.size:
-                up2 = c[m1:] >= k[conf]
+                up2 = c[m1:m2] >= k[conf]
                 lo[conf] = np.where(up2, lo[conf], np.maximum(lo[conf], x2))
                 hi[conf] = np.where(up2, np.minimum(hi[conf], x2), hi[conf])
                 # the centred finish: confirmed, else back to the secant once
@@ -246,8 +282,8 @@ def _sturm_brackets(
                 bis |= failed & (one[:, _FAILS] > 0)
                 one[failed, _FAILS] += 1
                 one[failed & ~bis, _MODE] = _SECANT
-                j = np.flatnonzero(conf)[~up2]  # x2 moved lo
-                xc[j], fc[j], pc[j] = x2[~up2], f[m1:][~up2], p[m1:][~up2]
+                i = np.flatnonzero(conf)[~up2]  # x2 moved lo
+                xc[i], fc[i], pc[i] = x2[~up2], f[m1:m2][~up2], p[m1:m2][~up2]
             one[:, _LO], one[:, _HI] = lo, hi
             sec = mode == _SECANT
             if sec.any():
@@ -268,34 +304,87 @@ def _sturm_brackets(
                 one[sec, _X] = nxt[sec]
                 bad = sec & ((up != (fc < 0)) | (pc != one[:, _P]))
                 step = np.abs(nxt - xc)
-                near = sec & ~bad & ((step <= _STEP * tol) | (hi - lo <= tol))
+                near = sec & ~bad & ((step <= _STEP * tk) | (hi - lo <= tk))
                 one[near, _MODE] = _CONFIRM
                 bis |= bad
             # bisection, finished at width <= tol or when no float is left
             # strictly between the ends
-            stop = bis & _unsplittable(lo, hi, tol)
+            stop = bis & _unsplittable(lo, hi, tk)
             one[bis, _MODE] = _BISECT
             one[bis, _X] = _mid(lo[bis], hi[bis])
             if done.any() or stop.any():
-                _store(out_lo, out_hi, np.column_stack([lo, hi, k - 1, k])[stop], base)
+                brackets = np.column_stack([lo, hi, k - 1, k])
+                _store(out_lo, out_hi, brackets[stop], shift[one_mat[stop]])
                 finish = np.column_stack([x1[conf], x2, k[conf] - 1, k[conf]])
-                _store(out_lo, out_hi, finish[done[conf]], base)
+                _store(out_lo, out_hi, finish[done[conf]], shift[one_mat[conf][done[conf]]])
                 one = one[~(done | stop)]
 
         if m0:
             iso = _split(iso, cuts, c[:m0], p[:m0], f[:m0])
-            stop = _unsplittable(iso[:, 0], iso[:, 1], tol)
+            iso_mat = iso[:, 8].astype(np.int64)
+            stop = _unsplittable(iso[:, 0], iso[:, 1], tol[iso_mat])
             if stop.any():
-                _store(out_lo, out_hi, iso[stop], base)
+                _store(out_lo, out_hi, iso[stop], shift[iso_mat[stop]])
                 iso = iso[~stop]
             ready = (iso[:, 3] - iso[:, 2] == 1.0) & (iso[:, 4] == iso[:, 5])
             if ready.any():
-                add = np.zeros((np.count_nonzero(ready), 10))
-                add[:, [_LO, _HI, _FLO, _FHI, _K, _P]] = iso[ready][:, [0, 1, 6, 7, 3, 4]]
+                add = np.zeros((np.count_nonzero(ready), 11))
+                add[:, [_LO, _HI, _FLO, _FHI, _K, _P, _MAT]] = (
+                    iso[ready][:, [0, 1, 6, 7, 3, 4, 8]]
+                )
                 add[:, _X] = _secant_point(add)
                 one = np.concatenate([one, add])
                 iso = iso[~ready]
-    return out_lo, out_hi
+    return out_lo, out_hi, offsets
+
+
+def _stack(mats):
+    """The (diag, offsq) pairs *mats* as the columns of zero-padded arrays,
+    with their dimensions."""
+    sizes = np.array([diag.size for diag, _ in mats], dtype=np.int64)
+    n = int(sizes.max())
+    diag = np.zeros((n, sizes.size))
+    offsq = np.zeros((n - 1, sizes.size))
+    for m, (d, w) in enumerate(mats):
+        diag[: d.size, m], offsq[: w.size, m] = d, w
+    return diag, offsq, sizes
+
+
+def _sturm_brackets(
+    diag: np.ndarray, offsq: np.ndarray, a: float, b: float, tol: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Brackets (lo_k, hi_k) of width <= tol with count(lo_k) < k <=
+    count(hi_k), one for each eigenvalue in [a, b] of the tridiagonal J_N
+    with diagonal ``diag`` and squared off-diagonal ``offsq``; see
+    ``_stacked_brackets``."""
+    lo, hi, _ = _stacked_brackets([(diag, offsq)], [a], [b], [tol])
+    return lo, hi
+
+
+def _window(interval, tol) -> tuple[float, float, float]:
+    a, b = float(interval[0]), float(interval[1])
+    if not (math.isfinite(a) and math.isfinite(b)):
+        raise ValueError("interval ends must be finite")
+    if not a < b:
+        raise ValueError("need a < b")
+    if tol is None:
+        tol = 1e-10 * max(1.0, abs(a), abs(b))
+    if not tol > 0:
+        raise ValueError("tol must be positive")
+    return a, b, float(tol)
+
+
+def eigenvalues_in_each(problems) -> list:
+    """``eigenvalues_in`` for each ``(seq, N, interval, tol | None)`` of
+    *problems*, all bracketed in one stack: one array per problem, each
+    within its tol of its own ``eigenvalues_in``."""
+    problems = list(problems)
+    if not problems:
+        return []
+    windows = np.array([_window(interval, tol) for _, _, interval, tol in problems])
+    mats = [_submatrix(seq, N) for seq, N, _, _ in problems]
+    lo, hi, offsets = _stacked_brackets(mats, *windows.T)
+    return np.split(0.5 * (lo + hi), offsets[1:-1])
 
 
 def eigenvalues_in(
@@ -305,27 +394,27 @@ def eigenvalues_in(
     tol: float | None = None,
 ) -> np.ndarray:
     """All truncation eigenvalues in [a, b], each bracketed to width <= tol."""
-    a, b = float(interval[0]), float(interval[1])
-    if not a < b:
-        raise ValueError("need a < b")
-    if tol is None:
-        tol = 1e-10 * max(1.0, abs(a), abs(b))
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    diag, offsq = _submatrix(seq, N)
-    lo, hi = _sturm_brackets(diag, offsq, a, b, tol)
-    return 0.5 * (lo + hi)
+    return eigenvalues_in_each([(seq, N, interval, tol)])[0]
+
+
+def full_spectra(
+    seq: JacobiSequence, Ns: Sequence[int], tol: float | None = None
+) -> list:
+    """The whole spectrum of each truncation J_N, N in *Ns*, in one stack."""
+    Ns = list(Ns)
+    evs = eigenvalues_in_each((seq, N, gershgorin_interval(seq, N), tol) for N in Ns)
+    for N, ev in zip(Ns, evs):
+        if ev.size != N:
+            raise RuntimeError(
+                f"expected {N} eigenvalues in the containment interval, found {ev.size}"
+            )
+    return [TruncatedSpectrum(eigenvalues=ev) for ev in evs]
 
 
 def full_spectrum(
     seq: JacobiSequence, N: int, tol: float | None = None
 ) -> TruncatedSpectrum:
-    ev = eigenvalues_in(seq, N, gershgorin_interval(seq, N), tol)
-    if ev.size != N:
-        raise RuntimeError(
-            f"expected {N} eigenvalues in the containment interval, found {ev.size}"
-        )
-    return TruncatedSpectrum(eigenvalues=ev)
+    return full_spectra(seq, [N], tol)[0]
 
 
 def _check_dimensions(Ns: Sequence[int]) -> list:
@@ -352,8 +441,8 @@ def stabilized_counting(
     rs = np.asarray(rs, dtype=np.float64)
     if rs.ndim != 1:
         raise ValueError("rs must be a 1-d array of radii")
-    if np.any(rs < 0):
-        raise ValueError("r must be nonnegative")
+    if not np.all(rs >= 0):
+        raise ValueError("r must be nonnegative, not NaN")
     # a zero pivot is floored to a negative one, so an eigenvalue exactly at
     # a shift may count as below it; shifting one ulp outward on both sides
     # keeps eigenvalues at exactly +-r inside the count
@@ -370,15 +459,68 @@ def stabilized_counting(
 # brute-force characteristic-polynomial oracle (tiny N only)
 # ---------------------------------------------------------------------------
 
-def charpoly_values(seq: JacobiSequence, N: int, xs: np.ndarray) -> np.ndarray:
-    """det(J_N - x I) via the determinant recurrence, vectorized over x."""
-    diag, offsq = _submatrix(seq, N)
-    xs = np.asarray(xs, dtype=np.float64)
+def _charpoly_values(diag, offsq, sizes, xs, mat):
+    """det(J - x I) of matrix ``mat[i]`` of a padded stack at each x = xs[i]
+    by the determinant recurrence."""
+    n_of = sizes[mat]
+    diag, offsq = diag[:, mat], offsq[:, mat]
     pm1 = np.ones_like(xs)
     p = diag[0] - xs
-    for k in range(1, N):
-        p, pm1 = (diag[k] - xs) * p - offsq[k - 1] * pm1, p
+    for k in range(1, int(n_of.max(initial=1))):
+        i = np.flatnonzero(n_of > k) if n_of.min() <= k else slice(None)
+        p_k = (diag[k, i] - xs[i]) * p[i] - offsq[k - 1, i] * pm1[i]
+        pm1[i] = p[i]
+        p[i] = p_k
     return p
+
+
+def _charpoly_grid_brackets(diag, offsq, sizes, m, a, b):
+    """Grid cells holding the sign changes of matrix m's characteristic
+    polynomial on [a, b], refined until there are as many as its dimension."""
+    pts = 64 * int(sizes[m])
+    for _ in range(16):
+        xs = np.linspace(a, b, pts)
+        sign = np.sign(_charpoly_values(diag, offsq, sizes, xs, np.full(pts, m)))
+        # treat exact zeros as negative so each root yields one sign change
+        sign[sign == 0] = -1.0
+        idx = np.nonzero(sign[:-1] * sign[1:] < 0)[0]
+        if idx.size == sizes[m]:
+            return xs[idx], xs[idx + 1]
+        pts *= 4
+    raise RuntimeError("failed to isolate all characteristic-polynomial roots")
+
+
+def charpoly_eigenvalues_each(problems, tol: float = 1e-11) -> list:
+    """``charpoly_eigenvalues`` for each ``(seq, N)`` of *problems*: each
+    matrix's roots are isolated on its own grid, then every bisection step
+    evaluates the determinants of the whole stack at once.
+
+    Each root takes the steps it would take alone, and the recurrence keeps
+    its per-element operation order, so every root is bit-identical to its
+    own call's.
+    """
+    problems = list(problems)
+    if not problems:
+        return []
+    diag, offsq, sizes = _stack([_submatrix(seq, N) for seq, N in problems])
+    cells = [
+        _charpoly_grid_brackets(diag, offsq, sizes, m, *gershgorin_interval(seq, N))
+        for m, (seq, N) in enumerate(problems)
+    ]
+    lo = np.concatenate([c[0] for c in cells])
+    hi = np.concatenate([c[1] for c in cells])
+    mat = np.repeat(np.arange(sizes.size), sizes)
+    # every bracket stops at its own width, so every root takes the steps a
+    # bracket-by-bracket bisection would take
+    lo_neg = _charpoly_values(diag, offsq, sizes, lo, mat) < 0
+    active = np.nonzero(hi - lo > tol)[0]
+    while active.size:
+        mid = 0.5 * (lo[active] + hi[active])
+        same = (_charpoly_values(diag, offsq, sizes, mid, mat[active]) < 0) == lo_neg[active]
+        lo[active[same]] = mid[same]
+        hi[active[~same]] = mid[~same]
+        active = active[hi[active] - lo[active] > tol]
+    return np.split(0.5 * (lo + hi), np.cumsum(sizes)[:-1])
 
 
 def charpoly_eigenvalues(
@@ -388,32 +530,7 @@ def charpoly_eigenvalues(
 
     Exhaustive grid refinement until all N sign changes of the
     characteristic polynomial are isolated; intended as the independent
-    oracle for dimensions <= ~12.  Uses only ``charpoly_values``, never
-    the Sturm count.
+    oracle for dimensions <= ~12.  Uses only the determinant recurrence,
+    never the Sturm count.
     """
-    a, b = gershgorin_interval(seq, N)
-    pts = 64 * N
-    for _ in range(16):
-        xs = np.linspace(a, b, pts)
-        vals = charpoly_values(seq, N, xs)
-        sign = np.sign(vals)
-        # treat exact zeros as negative so each root yields one sign change
-        sign[sign == 0] = -1.0
-        idx = np.nonzero(sign[:-1] * sign[1:] < 0)[0]
-        if idx.size == N:
-            break
-        pts *= 4
-    else:
-        raise RuntimeError("failed to isolate all characteristic-polynomial roots")
-    # bisect all brackets at once; each stops at its own width, so every
-    # root takes the steps a bracket-by-bracket bisection would take
-    lo, hi = xs[idx], xs[idx + 1]
-    lo_neg = charpoly_values(seq, N, lo) < 0
-    active = np.nonzero(hi - lo > tol)[0]
-    while active.size:
-        mid = 0.5 * (lo[active] + hi[active])
-        same = (charpoly_values(seq, N, mid) < 0) == lo_neg[active]
-        lo[active[same]] = mid[same]
-        hi[active[~same]] = mid[~same]
-        active = active[hi[active] - lo[active] > tol]
-    return 0.5 * (lo + hi)
+    return charpoly_eigenvalues_each([(seq, N)], tol)[0]

@@ -362,27 +362,26 @@ def _check_interval_improvement():
 
 def _check_eigensolver_oracle():
     rng = np.random.default_rng(987654321)
-    worst = 0.0
+    problems = []
     for _ in range(100):
         n = int(rng.integers(1, 9))
         rho = rng.uniform(0.2, 3.0, size=max(n, 2))
         q = rng.uniform(-5.0, 5.0, size=max(n, 2))
         seq = JacobiSequence(rho=rho, q=q, source="external")
         a, b = spectrum.gershgorin_interval(seq, n)
-        ours = spectrum.eigenvalues_in(seq, n, (a, b), tol=1e-12 * max(1, abs(a), abs(b)))
-        oracle = spectrum.charpoly_eigenvalues(seq, n)
-        if ours.size != n or oracle.size != n:
+        problems.append((seq, n, (a, b), 1e-12 * max(1, abs(a), abs(b))))
+    ours = spectrum.eigenvalues_in_each(problems)
+    oracle = spectrum.charpoly_eigenvalues_each((seq, n) for seq, n, _, _ in problems)
+    worst = 0.0
+    for (_, n, _, _), mine, theirs in zip(problems, ours, oracle):
+        if mine.size != n or theirs.size != n:
             return False, f"eigenvalue count mismatch at n={n}", "all sizes match"
-        worst = max(worst, float(np.max(np.abs(ours - oracle))))
-    interlace_ok = True
-    seq = _seq("m1", 51)
-    prev = spectrum.full_spectrum(seq, 1).eigenvalues
-    for N in range(2, 51):
-        cur = spectrum.full_spectrum(seq, N).eigenvalues
-        interlace_ok = interlace_ok and bool(
-            np.all(cur[:-1] < prev) and np.all(prev < cur[1:])
-        )
-        prev = cur
+        worst = max(worst, float(np.max(np.abs(mine - theirs))))
+    spectra = [s.eigenvalues for s in spectrum.full_spectra(_seq("m1", 51), range(1, 51))]
+    interlace_ok = all(
+        np.all(cur[:-1] < prev) and np.all(prev < cur[1:])
+        for prev, cur in zip(spectra, spectra[1:])
+    )
     ok = worst <= 1e-9 and interlace_ok
     return (
         ok,

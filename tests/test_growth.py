@@ -145,6 +145,14 @@ class TestZeroScan:
         with pytest.raises(ValueError):
             scan_b_zeros(m1_sol_2000, m1_seq_2000, 2001, 100.0)
 
+    @pytest.mark.parametrize("r", [math.nan, math.inf])
+    def test_non_finite_radius_rejected(self, r):
+        # NaN returned no zeros; inf made tol infinite and raised "no sign
+        # change across 200 of 200" brackets
+        seq, sol = _seq("m1", 200), _sol("m1", 200)
+        with pytest.raises(ValueError, match="positive and finite"):
+            scan_b_zeros(sol, seq, 200, r)
+
     @pytest.mark.parametrize(
         "which, r, expected", [("m1", 1e4, 116), ("m3", 1e6, 134), ("m4", 1e6, 133)]
     )

@@ -71,6 +71,68 @@ class TestSolveAtZero:
         assert np.all(np.abs(u - combo) <= 1e-12 * scale + 1e-15)
 
 
+def exact_solutions_at_zero(desc, n):
+    """P_k(0) and Q_k(0), k <= n, in exact rational arithmetic, for a
+    descriptor with integer exponents, rational coefficients and no
+    remainder; also the exact rho_k, k < n."""
+    def coefficient(k, beta, c0, c1, c2):
+        m = Fraction(max(k, 1))
+        return m ** int(desc.frac(beta)) * (
+            desc.frac(c0) + desc.frac(c1) / m + desc.frac(c2) / m**2
+        )
+
+    rho = [coefficient(k, "beta1", "x0", "x1", "x2") for k in range(n)]
+    q = [coefficient(k, "beta2", "y0", "y1", "y2") for k in range(n)]
+
+    def solve(u0, u1):
+        u = [u0, u1]
+        for k in range(n - 1):
+            u.append(-(q[k + 1] * u[k + 1] + rho[k] * u[k]) / rho[k + 1])
+        return u
+
+    return solve(Fraction(1), -q[0] / rho[0]), solve(Fraction(0), 1 / rho[0]), rho
+
+
+class TestExactOracle:
+    """Golden m1 (rho_n = (n + 1)^2 from n = 1, rho_0 = 4, q = 1) has
+    integer exponents and rational coefficients, so its solutions at zero
+    are rational and computed exactly for n <= 200."""
+
+    N = 200
+
+    @pytest.fixture(scope="class")
+    def exact(self):
+        desc = _seq("m1", 2).descriptor
+        assert desc.remainder.amplitude == 0
+        return exact_solutions_at_zero(desc, self.N)
+
+    def test_solve_at_zero_matches_exact_values(self, exact, m1_sol):
+        P, Q, _ = exact
+        for got, want in ((m1_sol.P, P), (m1_sol.Q, Q)):
+            want = np.array([float(v) for v in want])
+            assert np.all(np.abs(got[: self.N + 1] - want) <= 1e-12 * np.abs(want))
+
+    def test_exact_wronskian_is_one(self, exact):
+        P, Q, rho = exact
+        assert all(
+            rho[k] * (Q[k + 1] * P[k] - P[k + 1] * Q[k]) == 1 for k in range(self.N)
+        )
+
+    def test_wronskian_residual_read_by_c02(self, exact, m1_sol, m1_seq):
+        # c02 reads wronskian_residual of this solution at N = 5000; on the
+        # first 200 steps it is rounding only: a few ulps, as for the exact
+        # values rounded to float
+        P, Q, _ = exact
+        head = PolySolution(P=m1_sol.P[: self.N + 1].copy(), Q=m1_sol.Q[: self.N + 1].copy())
+        seq = JacobiSequence(rho=m1_seq.rho[: self.N], q=m1_seq.q[: self.N])
+        rounded = PolySolution(
+            P=np.array([float(v) for v in P]), Q=np.array([float(v) for v in Q])
+        )
+        assert wronskian_residual(head, seq) <= 8 * np.finfo(float).eps
+        assert wronskian_residual(rounded, seq) <= 8 * np.finfo(float).eps
+        assert wronskian_residual(m1_sol, m1_seq) <= 1e-8
+
+
 class TestNormExponent:
     def test_m1_slope(self, m1_sol):
         fit = norm_exponent(m1_sol, (100, 5000))

@@ -3,14 +3,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from jacobispec import _kernels
+from jacobispec import _kernels, spectrum
 from jacobispec.params import JacobiSequence, descriptor_from_json, materialize
 from jacobispec.spectrum import (
     TruncatedSpectrum,
     _sturm_brackets,
     charpoly_eigenvalues,
-    charpoly_values,
+    charpoly_eigenvalues_each,
     eigenvalues_in,
+    eigenvalues_in_each,
+    full_spectra,
     full_spectrum,
     gershgorin_interval,
     stabilized_counting,
@@ -168,6 +170,72 @@ class TestBlockedSturmKernel:
         self.assert_parity(diag, offsq, np.concatenate([-rs, rs]))
 
 
+def _stack_columns(mats):
+    """(diag, offsq) pairs as the zero-padded columns of a stack."""
+    sizes = np.array([d.size for d, _ in mats])
+    diag = np.zeros((sizes.max(), sizes.size))
+    offsq = np.zeros((sizes.max() - 1, sizes.size))
+    for m, (d, w) in enumerate(mats):
+        diag[: d.size, m], offsq[: w.size, m] = d, w
+    return diag, offsq, sizes
+
+
+class TestStackedSturmKernel:
+    """A stack of tridiagonals, each shift on its own matrix, gives every
+    shift the counts and last pivot of a call on its matrix alone."""
+
+    @staticmethod
+    def assert_parity(mats, xs, mat):
+        diag, offsq, sizes = _stack_columns(mats)
+        count, last = _kernels.sturm_counts(diag, offsq, xs, mat, sizes)
+        for m, (diag, offsq) in enumerate(mats):
+            on = mat == m
+            if on.any():
+                ref_count, ref_last = _kernels.sturm_counts(diag, offsq, xs[on])
+                assert np.array_equal(count[on], ref_count)
+                assert np.array_equal(last[on], ref_last)
+
+    def test_random_stacks(self, rng):
+        for _ in range(30):
+            sizes = rng.integers(1, 9, rng.integers(1, 12))
+            mats = [(rng.uniform(-3.0, 3.0, n), rng.uniform(0.05, 4.0, n - 1)) for n in sizes]
+            xs = np.concatenate([rng.uniform(-8.0, 8.0, 300), _EDGE_SHIFTS])
+            self.assert_parity(mats, xs, rng.integers(0, sizes.size, xs.size))
+
+    def test_integer_stacks_with_zero_pivots(self, rng):
+        for _ in range(30):
+            sizes = rng.integers(1, 9, rng.integers(1, 12))
+            mats = [
+                (rng.integers(-2, 3, n).astype(float), rng.integers(0, 3, n - 1).astype(float))
+                for n in sizes
+            ]
+            xs = rng.integers(-4, 5, 300).astype(float)
+            self.assert_parity(mats, xs, rng.integers(0, sizes.size, xs.size))
+
+    @pytest.mark.parametrize("row", [15, 16, 17])
+    def test_stack_holding_a_replayed_block(self, rng, row, monkeypatch):
+        # the input of test_sub_floor_pivot_at_block_edges, stacked with
+        # smaller and larger random matrices: its block is replayed
+        calls = []
+        floor = _kernels._floor_pivots
+        monkeypatch.setattr(
+            _kernels, "_floor_pivots", lambda d: calls.append(1) or floor(d)
+        )
+        diag = rng.uniform(1.0, 3.0, 33)
+        offsq = rng.uniform(0.05, 1.0, 32)
+        offsq[row - 1] = 0.0
+        diag[row] = 0.0
+        mats = [(rng.uniform(-3.0, 3.0, n), rng.uniform(0.05, 4.0, n - 1)) for n in (5, 40, 17)]
+        mats.insert(1, (diag, offsq))
+        xs = np.concatenate([[0.0], rng.uniform(-1.0, 1.0, 2048), _EDGE_SHIFTS])
+        mat = np.concatenate([[1], rng.integers(0, 4, xs.size - 1)])
+        diag, offsq, sizes = _stack_columns(mats)
+        _kernels.sturm_counts(diag, offsq, xs, mat, sizes)
+        # one floored step for row 0, then one per row of the replayed block
+        assert len(calls) > 1
+        self.assert_parity(mats, xs, mat)
+
+
 class TestEigenvaluesIn:
     def test_two_by_two(self):
         seq = tiny([1.0, 1.0], [0.0, 0.0])
@@ -213,6 +281,126 @@ class TestEigenvaluesIn:
         seq = tiny([1.0, 1.0], [0.0, 0.0])
         with pytest.raises(ValueError):
             eigenvalues_in(seq, 2, (2.0, -2.0))
+
+    @pytest.mark.parametrize(
+        "interval, tol, message",
+        [
+            ((-np.inf, 1.0), None, "finite"),
+            ((-1e3, np.inf), None, "finite"),
+            ((np.nan, 1.0), None, "finite"),
+            ((-1e3, 1e3), np.nan, "tol must be positive"),
+            ((-1e3, 1e3), 0.0, "tol must be positive"),
+        ],
+    )
+    def test_non_finite_inputs_rejected(self, interval, tol, message):
+        # an infinite end made the default tol infinite, and the brackets
+        # came back as 100 "eigenvalues" at -3.5e305; a NaN tol passed the
+        # tol <= 0 test
+        seq = _seq("m1", 200)
+        with pytest.raises(ValueError, match=message):
+            eigenvalues_in(seq, 200, interval, tol)
+        with pytest.raises(ValueError, match=message):
+            eigenvalues_in_each([(seq, 100, (-1.0, 1.0), None), (seq, 200, interval, tol)])
+
+    def test_infinite_tol_accepts_any_width(self):
+        seq = _seq("m1", 200)
+        ev = eigenvalues_in(seq, 200, (-1e3, 1e3), tol=np.inf)
+        assert ev.size == eigenvalues_in(seq, 200, (-1e3, 1e3)).size > 0
+        assert np.all((-1e3 <= ev) & (ev <= 1e3))
+
+    def test_first_sweep_counts_the_ends_with_the_cuts(self, monkeypatch):
+        shifts = []
+        kernel = _kernels.sturm_counts
+
+        def counted(diag, offsq, xs):
+            shifts.append(np.size(xs))
+            return kernel(diag, offsq, xs)
+
+        monkeypatch.setattr(_kernels, "sturm_counts", counted)
+        eigenvalues_in(_seq("m1", 2000), 2000, (-1e4, 1e4), tol=1e-7)
+        assert shifts[0] == 257
+        shifts.clear()
+        assert eigenvalues_in(tiny([1.0, 1.0], [0.0, 0.0]), 2, (5.0, 6.0)).size == 0
+        assert shifts == [257]
+
+
+def _c14_problems():
+    """The random sample of acceptance check c14: (seq, n, window, tol)."""
+    rng = np.random.default_rng(987654321)
+    problems = []
+    for _ in range(100):
+        n = int(rng.integers(1, 9))
+        rho = rng.uniform(0.2, 3.0, max(n, 2))
+        seq = tiny(rho, rng.uniform(-5.0, 5.0, max(n, 2)))
+        a, b = gershgorin_interval(seq, n)
+        problems.append((seq, n, (a, b), 1e-12 * max(1, abs(a), abs(b))))
+    return problems
+
+
+class TestEigenvaluesInEach:
+    @staticmethod
+    def assert_each(problems, got):
+        """Every result holds the eigenvalues in its window, each within its
+        tol of the dense solver's and of its own eigenvalues_in."""
+        assert len(got) == len(problems)
+        for (seq, N, window, tol), ev in zip(problems, got):
+            a, b = window
+            tol = 1e-10 * max(1.0, abs(a), abs(b)) if tol is None else tol
+            off = np.diag(seq.rho[: N - 1], 1)
+            dense = np.linalg.eigvalsh(np.diag(seq.q[:N]) + off + off.T)
+            dense = dense[(dense >= a) & (dense <= b)]
+            single = eigenvalues_in(seq, N, window, tol)
+            assert ev.size == single.size == dense.size
+            assert np.all(np.abs(ev - single) <= tol)
+            assert np.all(np.abs(ev - dense) <= tol + 1e-12 * max(1.0, abs(a), abs(b)))
+
+    def test_c14_stack_matches_single_calls_and_oracle(self):
+        problems = _c14_problems()
+        got = eigenvalues_in_each(problems)
+        self.assert_each(problems, got)
+        for (seq, n, _, _), ev in zip(problems, got):
+            assert np.max(np.abs(ev - charpoly_eigenvalues(seq, n))) <= 1e-9
+
+    def test_windows_tols_and_sizes_of_their_own(self, rng):
+        m1 = _seq("m1", 2000)
+        problems = [
+            (m1, 2000, (-1e4, 1e4), 1e-7),
+            (m1, 300, (-200.0, 3000.0), None),
+            (tiny([1.0, 1.0], [0.0, 0.0]), 2, (5.0, 6.0), None),  # empty window
+            (tiny([1.0, 1.0], [0.0, 0.0]), 2, (-1.0, 1.0), None),  # ends on eigenvalues
+            (tiny(rng.uniform(0.2, 3.0, 40), rng.uniform(-5.0, 5.0, 40)), 40, (-1.0, 2.0), 1e-4),
+            (m1, 1, (-5.0, 5.0), None),
+        ]
+        got = eigenvalues_in_each(problems)
+        assert [ev.size for ev in got][2:4] == [0, 2]
+        self.assert_each(problems, got)
+
+    def test_stack_makes_one_kernel_call_per_sweep(self, monkeypatch):
+        calls = []
+        kernel = _kernels.sturm_counts
+
+        def counted(*args):
+            calls.append(len(args))
+            return kernel(*args)
+
+        monkeypatch.setattr(_kernels, "sturm_counts", counted)
+        eigenvalues_in_each(_c14_problems())
+        # 44 stacked sweeps, where the 100 matrices alone take 715 sweeps
+        assert set(calls) == {5} and len(calls) <= 50
+
+    def test_empty_stack(self):
+        assert eigenvalues_in_each([]) == []
+        assert charpoly_eigenvalues_each([]) == []
+
+    def test_full_spectra_match_single_calls(self):
+        seq = _seq("m1", 51)
+        spectra = full_spectra(seq, range(1, 51))
+        for N, spec in zip(range(1, 51), spectra):
+            a, b = gershgorin_interval(seq, N)
+            tol = 1e-10 * max(1.0, abs(a), abs(b))
+            single = full_spectrum(seq, N).eigenvalues
+            assert spec.eigenvalues.size == N
+            assert np.all(np.abs(spec.eigenvalues - single) <= tol)
 
 
 def _count(diag, offsq, xs):
@@ -383,6 +571,15 @@ class TestCountingFunction:
         with pytest.raises(ValueError):
             stabilized_counting(seq, np.array([-1.0]), (1, 2, 3))
 
+    def test_nan_radius_rejected(self):
+        # a NaN radius was counted as 0 and flagged stable
+        with pytest.raises(ValueError, match="NaN"):
+            stabilized_counting(_seq("m1", 200), [np.nan], (50, 100, 200))
+
+    def test_infinite_radius_counts_everything(self):
+        table, stable = stabilized_counting(_seq("m1", 200), [np.inf], (50, 100, 200))
+        assert table.tolist() == [[50, 100, 200]] and stable.tolist() == [False]
+
 
 class TestStabilizedCounting:
     def test_m1_stabilizes_at_moderate_radius(self):
@@ -438,8 +635,20 @@ class TestInterlacing:
             prev = cur
 
 
+def charpoly_values(seq, N, xs):
+    """det(J_N - x I) by the determinant recurrence, one matrix at a time."""
+    diag, offsq = seq.q[:N], seq.rho[: N - 1] ** 2
+    xs = np.asarray(xs, dtype=np.float64)
+    pm1 = np.ones_like(xs)
+    p = diag[0] - xs
+    for k in range(1, N):
+        p, pm1 = (diag[k] - xs) * p - offsq[k - 1] * pm1, p
+    return p
+
+
 def _charpoly_roots_per_bracket(seq, N, tol=1e-11):
-    """The bracket-by-bracket bisection that charpoly_eigenvalues batched."""
+    """The bracket-by-bracket bisection, one matrix at a time, that
+    charpoly_eigenvalues_each batches."""
     a, b = gershgorin_interval(seq, N)
     pts = 64 * N
     for _ in range(16):
@@ -476,6 +685,11 @@ class TestCharpolyOracle:
             got = charpoly_eigenvalues(seq, n)
             assert np.array_equal(got, _charpoly_roots_per_bracket(seq, n))
 
+    def test_stack_matches_per_bracket_loop(self):
+        problems = [(seq, n) for seq, n, _, _ in _c14_problems()]
+        for (seq, n), got in zip(problems, charpoly_eigenvalues_each(problems)):
+            assert np.array_equal(got, _charpoly_roots_per_bracket(seq, n))
+
     @pytest.mark.parametrize("n", [1, 2, 3, 7, 12])
     @pytest.mark.parametrize("tol", [1e-11, 1e-3, 10.0])
     def test_batched_bisection_matches_on_free_matrix(self, n, tol):
@@ -486,16 +700,20 @@ class TestCharpolyOracle:
         assert np.array_equal(got, _charpoly_roots_per_bracket(seq, n, tol))
 
     def test_values_match_numpy_det(self, rng):
-        rho = rng.uniform(0.3, 2.0, 6)
-        q = rng.uniform(-3.0, 3.0, 6)
-        seq = tiny(rho, q)
-        xs = rng.uniform(-5.0, 5.0, 7)
-        J = np.diag(q) + np.diag(rho[:5], 1) + np.diag(rho[:5], -1)
-        for x in xs:
-            direct = np.linalg.det(J - x * np.eye(6))
-            assert charpoly_values(seq, 6, np.array([x]))[0] == pytest.approx(
-                direct, rel=1e-9, abs=1e-9
-            )
+        # the oracle's stacked recurrence, each x on its own matrix
+        mats, dense = [], []
+        for n in (6, 2, 1, 4):
+            rho = rng.uniform(0.3, 2.0, n)
+            q = rng.uniform(-3.0, 3.0, n)
+            mats.append((q, rho[: n - 1] ** 2))
+            dense.append(np.diag(q) + np.diag(rho[: n - 1], 1) + np.diag(rho[: n - 1], -1))
+        xs = rng.uniform(-5.0, 5.0, 28)
+        mat = np.arange(28) % 4
+        got = spectrum._charpoly_values(*_stack_columns(mats), xs, mat)
+        for x, m, value in zip(xs, mat, got):
+            J = dense[m]
+            direct = np.linalg.det(J - x * np.eye(J.shape[0]))
+            assert value == pytest.approx(direct, rel=1e-9, abs=1e-9)
 
     def test_strict_spectrum_validation(self):
         with pytest.raises(ValueError):
