@@ -31,6 +31,7 @@ from .growth import (
     order_type_from_coefficients,
     order_type_from_max_modulus,
     scan_b_zeros,
+    scan_b_zeros_each,
     upper_density,
 )
 from .hamburger import (

@@ -8,10 +8,10 @@ The three inner loops that dominate runtime live here:
   product of rank-one-perturbed identity factors that builds the
   Nevanlinna matrix; both are dtype entry points to the same loop.
 
-``sturm_counts`` works on all S shifts at once and on blocks of
-``max(16, _BUDGET // S)`` rows, so that its ``(rows, S)`` work buffer
-never holds more than ``max(16 S, _BUDGET)`` pivots and a call with few
-shifts runs in few blocks.  It writes the block's pivots with no floor
+``sturm_counts`` works on all S shifts still advanced at once and on
+blocks of ``max(16, _BUDGET // S)`` rows, so that its ``(rows, S)`` work
+buffer never holds more than ``max(16 S, _BUDGET)`` pivots and a call with
+few shifts runs in few blocks.  It writes the block's pivots with no floor
 check, in the same operation order as the floored step, so every pivot
 at or above the floor ``_PIVMIN`` is bit-identical to it.  At the end of
 the block the smallest pivot magnitude decides: if it is at or above the
@@ -24,12 +24,15 @@ The last pivot d_N(x) comes back with the counts: it is negative exactly
 when x lies above one more eigenvalue of J_N than of J_{N-1}, and between
 two eigenvalues of J_{N-1} it is continuous and decreasing in x.
 
-Its stacked form counts a stack of independent tridiagonals, one per
-column, each shift on its own matrix.  The shifts are sorted by the size
-of their matrix, largest first, so that the shifts still advanced at row
-k are a prefix; row blocks end where that prefix shrinks, and each shift
-gets the count and last pivot of the per-row floored loop on its own
-matrix, bit for bit.
+Each shift has a stop row: it counts the leading block J_stop of the
+tridiagonal, so one call counts all truncations of one sequence, each as
+a prefix of its rows.  The shifts are sorted by stop, largest first, so
+that the shifts still advanced at row k are a prefix; a block ends where
+that prefix shrinks.  One tridiagonal is read a row at a time as scalars
+broadcast over the shifts; a stack of independent tridiagonals, one per
+column, is gathered per block, each shift reading its own column.  Either
+way each shift gets the count and last pivot of the per-row floored loop
+on its own matrix, bit for bit.
 """
 
 import numpy as np
@@ -45,16 +48,22 @@ _OVERFLOW = 1e300      # recurrence blowup guard
 # ---------------------------------------------------------------------------
 
 def solve_three_term(rho, q, u0, u1):
-    """Return (u, overflow_index); overflow_index is -1 when none occurred."""
+    """Return (u, overflow_index); overflow_index is -1 when none occurred.
+
+    The steps run on Python floats, whose operations are the IEEE binary64
+    ones of numpy scalars, at a fraction of their per-operation cost."""
     n = rho.shape[0]
     u = np.empty(n + 1, dtype=np.float64)
-    u[0] = float(u0)
-    u[1] = float(u1)
+    a, b = float(u0), float(u1)
+    out = [a, b]
+    rho, q = rho.tolist(), q.tolist()
     for k in range(n - 1):
-        v = -(q[k + 1] * u[k + 1] + rho[k] * u[k]) / rho[k + 1]
-        u[k + 2] = v
-        if abs(v) > _OVERFLOW:
+        a, b = b, -(q[k + 1] * b + rho[k] * a) / rho[k + 1]
+        out.append(b)
+        if abs(b) > _OVERFLOW:
+            u[: k + 3] = out
             return u, k + 2
+    u[:] = out
     return u, -1
 
 
@@ -72,63 +81,54 @@ def _floor_pivots(d):
     return np.where(np.abs(d) < _PIVMIN, np.where(d > 0, _PIVMIN, -_PIVMIN), d)
 
 
-def sturm_counts(diag, offsq, xs, mat=None, sizes=None):
+def sturm_counts(diag, offsq, xs, stop=None, mat=None):
     """Return (counts, last pivots) of the floored LD factorization of
-    diag - x at every shift x of xs.
+    J - x at every shift x of xs, J the leading ``stop[s]`` x ``stop[s]``
+    block (1 <= stop[s] <= n, all n rows by default) for shift s.
 
-    Stacked form: ``diag`` is (n_max, M) and ``offsq`` (n_max - 1, M), the
-    tridiagonal of column m padded below its dimension ``sizes[m]``; shift
-    s is counted on matrix ``mat[s]``."""
+    ``diag`` (n,) and ``offsq`` (n - 1,) hold one tridiagonal; with ``mat``
+    they are (n, M) and (n - 1, M), one tridiagonal per column, and shift s
+    is counted on column ``mat[s]``."""
     xs = np.asarray(xs, dtype=np.float64)
-    if mat is not None:
-        return _sturm_counts_stacked(diag, offsq, xs, np.asarray(mat), np.asarray(sizes))
-    n = diag.shape[0]
-    rows = min(max(16, _BUDGET // max(xs.size, 1)), max(n - 1, 1))
-    col = diag[:, None]
-    offsq = offsq.tolist()
-    d = _floor_pivots(diag[0] - xs)
+    order = None
+    if stop is not None:
+        stop = np.asarray(stop, dtype=np.int64)
+        order = np.argsort(-stop, kind="stable")
+        xs, stop = xs[order], stop[order]
+        if mat is not None:
+            mat = np.asarray(mat)[order]
+    if mat is None:
+        col, w = diag[:, None], offsq.tolist()
+        d = _floor_pivots(diag[0] - xs)
+    else:
+        d = _floor_pivots(diag[0, mat] - xs)
     count = (d < 0).astype(np.int64)
-    buf = np.empty((rows,) + xs.shape)
-    t = np.empty(xs.shape)
-    for k0 in range(1, n, rows):
-        block = buf[: n - k0]
-        prev = d
+    S = xs.size
+    # rows 1 .. top - 1 are advanced, the shifts whose stop lies beyond a
+    # row forming a prefix of the sorted shifts
+    top = 1 if not S else diag.shape[0] if stop is None else int(stop[0])
+    buf = np.empty(min(max(16 * S, _BUDGET), (top - 1) * S))
+    t = np.empty(S)
+    k0, act = 1, S
+    while k0 < top:
+        if stop is not None:
+            act = int(np.count_nonzero(stop > k0))
+        # the block ends where the smallest stop of its shifts does
+        k1 = min(top if stop is None else int(stop[act - 1]), k0 + max(16, _BUDGET // act))
+        x, ta, prev = xs[:act], t[:act], d[:act]
+        block = buf[: (k1 - k0) * act].reshape(k1 - k0, act)
         # unfloored pass; a block holding a pivot below the floor (or a NaN)
         # is replayed with floored pivots, so its warnings are not wanted
         with np.errstate(all="ignore"):
-            np.subtract(col[k0 : k0 + rows], xs, out=block)
-            for w, row in zip(offsq[k0 - 1 : k0 - 1 + rows], block):
-                np.divide(w, prev, out=t)
-                np.subtract(row, t, out=row)
-                prev = row
-        if np.abs(block).min() >= _PIVMIN:
-            count += np.count_nonzero(block < 0, axis=0)
-            d = prev.copy()
-        else:
-            for k in range(k0, k0 + block.shape[0]):
-                d = _floor_pivots((diag[k] - xs) - offsq[k - 1] / d)
-                count += d < 0
-    return count, d
-
-
-def _sturm_counts_stacked(diag, offsq, xs, mat, sizes):
-    n_of = sizes[mat]
-    order = np.argsort(-n_of, kind="stable")
-    xs, mat, n_of = xs[order], mat[order], n_of[order]
-    d = _floor_pivots(diag[0, mat] - xs)
-    count = (d < 0).astype(np.int64)
-    t = np.empty(xs.shape)
-    k0, n = 1, int(n_of.max(initial=1))
-    while k0 < n:
-        act = int(np.count_nonzero(n_of > k0))
-        # the block ends where its smallest matrix does
-        k1 = min(int(n_of[act - 1]), k0 + max(16, _BUDGET // act))
-        m, x, ta = mat[:act], xs[:act], t[:act]
-        block = diag[k0:k1, m] - x
-        prev = d[:act]
-        with np.errstate(all="ignore"):
-            for w, row in zip(offsq[k0 - 1 : k1 - 1, m], block):
-                np.divide(w, prev, out=ta)
+            if mat is None:
+                np.subtract(col[k0:k1], x, out=block)
+                ws = w[k0 - 1 : k1 - 1]
+            else:
+                m = mat[:act]
+                np.subtract(diag[k0:k1, m], x, out=block)
+                ws = offsq[k0 - 1 : k1 - 1, m]
+            for wk, row in zip(ws, block):
+                np.divide(wk, prev, out=ta)
                 np.subtract(row, ta, out=row)
                 prev = row
         if np.abs(block).min() >= _PIVMIN:
@@ -137,10 +137,15 @@ def _sturm_counts_stacked(diag, offsq, xs, mat, sizes):
         else:
             prev = d[:act]
             for k in range(k0, k1):
-                prev = _floor_pivots((diag[k, m] - x) - offsq[k - 1, m] / prev)
+                if mat is None:
+                    prev = _floor_pivots((diag[k] - x) - offsq[k - 1] / prev)
+                else:
+                    prev = _floor_pivots((diag[k, m] - x) - offsq[k - 1, m] / prev)
                 count[:act] += prev < 0
             d[:act] = prev
         k0 = k1
+    if order is None:
+        return count, d
     out_count, out_d = np.empty_like(count), np.empty_like(d)
     out_count[order], out_d[order] = count, d
     return out_count, out_d
@@ -171,7 +176,7 @@ def _transfer(P, Q, zs, N, u0, v0):
     (uf, vf), sf, tf = col.view(np.float64), s.view(np.float64), t.view(np.float64)
     logg = np.log1p(np.max(np.abs(zs), initial=0.0) * (P[:N] ** 2 + Q[:N] ** 2))
     grown = 0.0
-    for p, q, g in zip(P[:N], Q[:N], logg):
+    for p, q, g in zip(P[:N].tolist(), Q[:N].tolist(), logg.tolist()):
         if grown + g > _LOG_BUDGET:
             # the largest real or imaginary part to [1/2, 1)
             m = np.frexp(np.maximum(abs(col.real), abs(col.imag)).max(axis=0))[1]

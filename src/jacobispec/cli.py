@@ -235,11 +235,10 @@ def cmd_spectrum(cfg: ExperimentConfig, out: Path) -> int:
     seq = cfg.sequence(max(cfg.Ns))
     rs = cfg.r_grid()
     table, stable = spectrum.stabilized_counting(seq, rs, cfg.Ns)
+    window = (-cfg.r_max, cfg.r_max)
+    evs = spectrum.eigenvalues_in_each((seq, N, window, cfg.eig_tol) for N in cfg.Ns)
     per_n = {}
-    for j, N in enumerate(cfg.Ns):
-        ev = spectrum.eigenvalues_in(
-            seq, N, (-cfg.r_max, cfg.r_max), tol=cfg.eig_tol
-        )
+    for j, (N, ev) in enumerate(zip(cfg.Ns, evs)):
         spectrum.TruncatedSpectrum(eigenvalues=ev).to_csv(
             out / f"eigenvalues_N{N}.csv"
         )
@@ -250,7 +249,7 @@ def cmd_spectrum(cfg: ExperimentConfig, out: Path) -> int:
         {"r": float(r), "counts": counts, "stabilized": bool(s)}
         for r, counts, s in zip(rs, table.tolist(), stable)
     ]
-    report["window"] = [-cfg.r_max, cfg.r_max]
+    report["window"] = list(window)
     report["per_N"] = per_n
     report["stabilization"] = stabilization
     _write_json(report, out / "spectrum_report.json")

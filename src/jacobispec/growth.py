@@ -21,7 +21,7 @@ from . import _kernels
 from .classify import Classification, Regime, classify
 from .params import JacobiSequence
 from .recurrence import ExponentFit, PolySolution, power_law_fit
-from .spectrum import _sturm_brackets
+from .spectrum import _bracket_each
 
 __all__ = [
     "NevanlinnaPartial",
@@ -30,6 +30,7 @@ __all__ = [
     "evaluate_entries",
     "evaluate_entries_real",
     "scan_b_zeros",
+    "scan_b_zeros_each",
     "b_log_max_modulus",
     "log_majorant_product",
     "majorant_bound_gap",
@@ -154,6 +155,54 @@ def _partials(
 # zeros of B on the real axis
 # ---------------------------------------------------------------------------
 
+def _b_zero_problem(sol: PolySolution, seq: JacobiSequence, N: int, r: float):
+    """The bracket problem ``(seq, n, interval, tol, last)`` whose
+    eigenvalues are the zeros of B_N in [-r, r]; None when B_N is constant."""
+    if not 0 < r < math.inf:
+        raise ValueError("r must be positive and finite")
+    if not 1 <= N <= min(sol.N, len(seq)):
+        raise ValueError(f"need 1 <= N <= {min(sol.N, len(seq))}")
+    r = float(r)
+    tol = 1e-9 * max(1.0, r)
+    # B_N is proportional to P_{N-1} when Q_{N-1}(0) = 0
+    if sol.Q[N - 1] == 0.0:
+        return (seq, N - 1, (-r, r), tol, None) if N > 1 else None
+    return (seq, N, (-r, r), tol, seq.q[N - 1] + seq.rho[N - 1] * sol.Q[N] / sol.Q[N - 1])
+
+
+def _confirmed(sol: PolySolution, N: int, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """The midpoints of the brackets, once B_N is seen to change sign
+    across every one of them."""
+    if lo.size:
+        B, _, _ = evaluate_entries_real(sol, np.concatenate([lo, hi]), N)
+        flat = np.nonzero(np.sign(B[: lo.size]) * np.sign(B[lo.size :]) >= 0)[0]
+        if flat.size:
+            raise RuntimeError(
+                f"B_{N} has no sign change across {flat.size} of {lo.size} "
+                f"eigenvalue brackets of the modified truncation (first at "
+                f"[{float(lo[flat[0]])!r}, {float(hi[flat[0]])!r}])"
+            )
+    return 0.5 * (lo + hi)
+
+
+def scan_b_zeros_each(scans, spectra=()) -> tuple[list, list]:
+    """``scan_b_zeros`` for each ``(sol, seq, N, r)`` of *scans*, and the
+    truncation eigenvalues of each ``(seq, N, interval, tol | None)`` of
+    *spectra* as ``spectrum.eigenvalues_in_each`` gives them, all
+    bracketed in one Sturm call: (zeros, eigenvalues), one array each."""
+    scans, spectra = list(scans), list(spectra)
+    zero_problems = [_b_zero_problem(*scan) for scan in scans]
+    brackets = _bracket_each(
+        [p for p in zero_problems if p is not None] + [(*p, None) for p in spectra]
+    )
+    found = iter(brackets)
+    zeros = [
+        np.empty(0) if problem is None else _confirmed(sol, N, *next(found))
+        for (sol, _, N, _), problem in zip(scans, zero_problems)
+    ]
+    return zeros, [0.5 * (lo + hi) for lo, hi in found]
+
+
 def scan_b_zeros(
     sol: PolySolution, seq: JacobiSequence, N: int, r: float
 ) -> np.ndarray:
@@ -170,30 +219,7 @@ def scan_b_zeros(
     eigenvalues it is compared against, and a bracket without a sign change
     of B_N raises RuntimeError.
     """
-    if not 0 < r < math.inf:
-        raise ValueError("r must be positive and finite")
-    if not 1 <= N <= min(sol.N, len(seq)):
-        raise ValueError(f"need 1 <= N <= {min(sol.N, len(seq))}")
-    # B_N is proportional to P_{N-1} when Q_{N-1}(0) = 0
-    n = N - 1 if sol.Q[N - 1] == 0.0 else N
-    if n == 0:
-        return np.empty(0)
-    diag = np.array(seq.q[:n], dtype=np.float64)
-    if n == N:
-        diag[-1] += seq.rho[N - 1] * sol.Q[N] / sol.Q[N - 1]
-    offsq = seq.rho[: n - 1] ** 2
-    tol = 1e-9 * max(1.0, float(r))
-    lo, hi = _sturm_brackets(diag, offsq, -float(r), float(r), tol)
-    if lo.size:
-        B, _, _ = evaluate_entries_real(sol, np.concatenate([lo, hi]), N)
-        flat = np.nonzero(np.sign(B[: lo.size]) * np.sign(B[lo.size :]) >= 0)[0]
-        if flat.size:
-            raise RuntimeError(
-                f"B_{N} has no sign change across {flat.size} of {lo.size} "
-                f"eigenvalue brackets of the modified truncation (first at "
-                f"[{float(lo[flat[0]])!r}, {float(hi[flat[0]])!r}])"
-            )
-    return 0.5 * (lo + hi)
+    return scan_b_zeros_each([(sol, seq, N, r)])[0][0]
 
 
 def b_log_max_modulus(

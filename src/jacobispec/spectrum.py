@@ -98,7 +98,7 @@ _SECANT_SWEEPS = 100
 _SPLIT = 256
 
 # columns of the table of isolated eigenvalues in _stacked_brackets
-_LO, _HI, _FLO, _FHI, _K, _P, _LAST, _X, _MODE, _FAILS, _MAT = range(11)
+_LO, _HI, _FLO, _FHI, _K, _P, _LAST, _X, _MODE, _FAILS, _PROB = range(11)
 _SECANT, _CONFIRM, _BISECT = 0.0, 1.0, 2.0
 
 
@@ -132,7 +132,7 @@ def _secant_point(one: np.ndarray) -> np.ndarray:
 
 def _split(iso, cuts, c, p, f):
     """The parts of every interval between its cut points, each with the
-    counts and pivots at both of its ends and its matrix; empty parts are
+    counts and pivots at both of its ends and its problem; empty parts are
     dropped."""
     def with_ends(first, inner, last):
         return np.column_stack([iso[:, first], inner.reshape(cuts.shape), iso[:, last]])
@@ -140,10 +140,10 @@ def _split(iso, cuts, c, p, f):
     xs = np.column_stack([iso[:, 0], cuts, iso[:, 1]])
     # a count is kept monotone across the cuts of its interval
     cs = np.minimum(np.maximum.accumulate(with_ends(2, c, 3), axis=1), iso[:, 3:4])
-    mat = np.repeat(iso[:, 8:], cuts.shape[1] + 1, axis=1)
+    prob = np.repeat(iso[:, 8:], cuts.shape[1] + 1, axis=1)
     parts = np.stack(
         [e[:, s] for e in (xs, cs, with_ends(4, p, 5), with_ends(6, f, 7))
-         for s in (slice(None, -1), slice(1, None))] + [mat],
+         for s in (slice(None, -1), slice(1, None))] + [prob],
         axis=-1,
     ).reshape(-1, 9)
     return parts[parts[:, 3] > parts[:, 2]]
@@ -162,18 +162,32 @@ def _store(out_lo, out_hi, brackets, shift):
     out_hi[idx] = np.repeat(brackets[:, 1], n_each)
 
 
-def _stacked_brackets(mats, a, b, tol):
+def _last_row(d, xs, last, w):
+    """The floored last pivot of J~ - x, where J~ is J_N with its last
+    diagonal entry replaced by *last*, from the last pivot *d* of J_{N-1}
+    - x and the squared coupling *w* = rho_{N-2}^2: the kernel's step on
+    that row, so count and pivot are those of a call on J~ itself."""
+    return _kernels._floor_pivots((last - xs) - w / d)
+
+
+def _stacked_brackets(diag, offsq, n, last, a, b, tol, col=None):
     """Brackets (lo_k, hi_k) of width <= tol[m] with count(lo_k) < k <=
-    count(hi_k), one for each eigenvalue in [a[m], b[m]] of each matrix m
-    of a stack of tridiagonals J_N, given as (diagonal, squared
-    off-diagonal) pairs *mats*; those of matrix m are at offsets[m] ..
-    offsets[m + 1] - 1 of the returned (lo, hi, offsets).  A single matrix
-    is counted by the plain kernel call.
+    count(hi_k), one for each eigenvalue in [a[m], b[m]] of each problem m;
+    those of problem m are at offsets[m] .. offsets[m + 1] - 1 of the
+    returned (lo, hi, offsets).
+
+    Problem m is the tridiagonal J of the leading n[m] rows of ``diag`` and
+    the squared off-diagonal ``offsq``, or of their column col[m] where
+    they are 2-D, with its last diagonal entry replaced by last[m] unless
+    that is None (n[m] >= 2 then).  Problems on one column are prefixes of
+    it: the kernel stops each shift at its own row, and a replaced last row
+    is finished from the pivot before it.  A single plain column is
+    counted by the plain kernel call.
 
     Every sweep is one batched Sturm count, whose last pivot d_N(x) also
     gives the count of J_{N-1} at x.  The first counts the window ends
     together with the first cuts.  Each bracket passes through up to three
-    phases, and brackets in different phases, or of different matrices,
+    phases, and brackets in different phases, or of different problems,
     share sweeps:
 
     1. Isolation.  Distinct intervals, each with its counts at both ends,
@@ -192,45 +206,63 @@ def _stacked_brackets(mats, a, b, tol):
 
     A bracket that fails its confirmation resumes the secant from the end
     the confirmation moved; one that fails twice, or whose pivots disagree
-    with its counts, is bisected to width <= tol instead.  So is an interval
-    that cannot be isolated, such as a cluster narrower than tol; each of
-    its eigenvalues then gets the interval itself as its bracket.
+    with its counts, is bisected to width <= tol instead, by the isolation
+    rule: while there are few such brackets, each is cut into more parts.
+    So is an interval that cannot be isolated, such as a cluster narrower
+    than tol; each of its eigenvalues then gets the interval itself as its
+    bracket.
 
     Every decision is taken per bracket, except the number of parts an
-    interval is cut into: about ``_SPLIT`` cut points per sweep are shared
-    by all intervals of the stack.  So a matrix in a stack may get other
+    interval or a bisected bracket is cut into: about ``_SPLIT`` cut points
+    per sweep are shared by all intervals, and as many by all bisected
+    brackets, of all problems.  So a problem among others may get other
     brackets than alone, each still of width <= tol around its eigenvalue.
     """
 
-    if len(mats) == 1:
-        (diag, offsq), sizes = mats[0], None
-    else:
-        diag, offsq, sizes = _stack(mats)
+    mod = np.array([v is not None for v in last], dtype=bool)
+    last = np.array([0.0 if v is None else v for v in last], dtype=np.float64)
+    n_rows = np.asarray(n, dtype=np.int64) - mod  # the rows the kernel counts
+    w_last = np.zeros(mod.size)
+    w_last[mod] = offsq[n_rows[mod] - 1] if col is None else offsq[n_rows[mod] - 1, col[mod]]
+    one_prefix = col is None and np.all(n_rows == n_rows[0])
+    if one_prefix:
+        diag, offsq = diag[: n_rows[0]], offsq[: n_rows[0] - 1]
 
-    def counts(xs, mat):
-        if sizes is None:
+    def counts(xs, prob):
+        """The counts of J_N and of J_{N-1} and the last pivot d_N at each
+        shift xs[s] on problem prob[s]."""
+        if one_prefix:
             c, d = _kernels.sturm_counts(diag, offsq, xs)
+        elif col is None:
+            c, d = _kernels.sturm_counts(diag, offsq, xs, n_rows[prob])
         else:
-            c, d = _kernels.sturm_counts(diag, offsq, xs, mat, sizes)
-        return c, c - (d < 0), d
+            c, d = _kernels.sturm_counts(diag, offsq, xs, n_rows[prob], col[prob])
+        below = c - (d < 0)
+        i = np.flatnonzero(mod[prob])
+        if i.size:
+            j = prob[i]
+            d[i] = _last_row(d[i], xs[i], last[j], w_last[j])
+            below[i] = c[i]
+            c[i] += d[i] < 0
+        return c, below, d
 
     a, b, tol = (np.asarray(v, dtype=np.float64) for v in (a, b, tol))
-    n_mat = a.size
+    n_prob = a.size
     # the lower end is counted one ulp below a: an eigenvalue at exactly a
     # has a zero pivot there, which the floor counts as negative
     top = np.finfo(np.float64).max
     ends = np.clip([np.nextafter(a, -top), np.nextafter(b, top)], -top, top)
     # intervals being isolated: lo, hi, the J_N counts, the J_{N-1} counts
-    # and d_N, each at both ends, and the matrix; the counts at the window
+    # and d_N, each at both ends, and the problem; the counts at the window
     # ends come with the first sweep
-    iso = np.zeros((n_mat, 9))
-    iso[:, 0], iso[:, 1], iso[:, 8] = ends[0], ends[1], np.arange(n_mat)
+    iso = np.zeros((n_prob, 9))
+    iso[:, 0], iso[:, 1], iso[:, 8] = ends[0], ends[1], np.arange(n_prob)
     # isolated eigenvalues, in the columns named above: lo, hi, d_N at both
     # (weighted), the index k, the J_{N-1} count, the end replaced last (-1
     # lo, +1 hi, 0 none), the next point to count, the phase, the number
-    # of failed finishes and the matrix
+    # of failed finishes and the problem
     one = np.empty((0, 11))
-    shift = None  # output index minus count(lo), per matrix
+    shift = None  # output index minus count(lo), per problem
     sweeps = 0
     while shift is None or iso.size or one.size:
         sweeps += 1
@@ -239,23 +271,36 @@ def _stacked_brackets(mats, a, b, tol):
             one[:, _X] = _mid(one[:, _LO], one[:, _HI])
         parts = max(2, _SPLIT // max(len(iso), 1))
         cuts = _cut(iso[:, :1], iso[:, 1:2], np.arange(1, parts) / parts)
-        one_mat = one[:, _MAT].astype(np.int64)
-        mode, k, tk = one[:, _MODE], one[:, _K], tol[one_mat]
+        one_prob = one[:, _PROB].astype(np.int64)
+        mode, k, tk = one[:, _MODE], one[:, _K], tol[one_prob]
         conf = mode == _CONFIRM
+        # a bisected bracket is cut like an interval being isolated; its
+        # first cut is its next point
+        bis0 = mode == _BISECT
+        n_bis = np.count_nonzero(bis0)
+        bparts = max(2, _SPLIT // n_bis) if n_bis else 2
+        bcuts = _cut(
+            one[bis0, _LO:_LO + 1], one[bis0, _HI:_HI + 1], np.arange(1, bparts) / bparts
+        )
+        one[bis0, _X] = bcuts[:, 0]
         # a bracket in its centred finish is counted at both of its ends
         x1 = one[:, _X] - np.where(conf, _HALF * tk, 0.0)
         x2 = one[conf, _X] + _HALF * tk[conf]
-        xs = [cuts.ravel(), x1, x2]
-        mat = [np.repeat(iso[:, 8].astype(np.int64), parts - 1), one_mat, one_mat[conf]]
+        xs = [cuts.ravel(), x1, x2, bcuts[:, 1:].ravel()]
+        prob = [
+            np.repeat(iso[:, 8].astype(np.int64), parts - 1), one_prob, one_prob[conf],
+            np.repeat(one_prob[bis0], bparts - 2),
+        ]
         if shift is None:
             xs += [ends.ravel()]
-            mat += [np.tile(np.arange(n_mat), 2)]
-        c, p, f = counts(np.concatenate(xs), np.concatenate(mat))
+            prob += [np.tile(np.arange(n_prob), 2)]
+        c, p, f = counts(np.concatenate(xs), np.concatenate(prob))
         m0 = cuts.size
         m1 = m0 + x1.size
         m2 = m1 + x2.size
+        m3 = m2 + bcuts[:, 1:].size
         if shift is None:
-            iso[:, 2:8] = np.column_stack([e[m2:].reshape(2, n_mat).T for e in (c, p, f)])
+            iso[:, 2:8] = np.column_stack([e[m3:].reshape(2, n_prob).T for e in (c, p, f)])
             offsets = np.concatenate([[0], np.cumsum(iso[:, 3] - iso[:, 2])]).astype(np.int64)
             shift = offsets[:-1] - iso[:, 2].astype(np.int64)
             out_lo = np.empty(offsets[-1])
@@ -284,6 +329,15 @@ def _stacked_brackets(mats, a, b, tol):
                 one[failed & ~bis, _MODE] = _SECANT
                 i = np.flatnonzero(conf)[~up2]  # x2 moved lo
                 xc[i], fc[i], pc[i] = x2[~up2], f[m1:m2][~up2], p[m1:m2][~up2]
+            if bparts > 2:
+                # each bisected bracket keeps the part between its cuts
+                # that holds eigenvalue k
+                ends_b = np.column_stack([one[bis0, _LO], bcuts, one[bis0, _HI]])
+                above = np.column_stack([c[m0:m1][bis0], c[m2:m3].reshape(-1, bparts - 2)])
+                above = above >= k[bis0, None]
+                j = np.where(above.any(axis=1), above.argmax(axis=1), bparts - 1)
+                r = np.arange(j.size)
+                lo[bis0], hi[bis0] = ends_b[r, j], ends_b[r, j + 1]
             one[:, _LO], one[:, _HI] = lo, hi
             sec = mode == _SECANT
             if sec.any():
@@ -314,22 +368,22 @@ def _stacked_brackets(mats, a, b, tol):
             one[bis, _X] = _mid(lo[bis], hi[bis])
             if done.any() or stop.any():
                 brackets = np.column_stack([lo, hi, k - 1, k])
-                _store(out_lo, out_hi, brackets[stop], shift[one_mat[stop]])
+                _store(out_lo, out_hi, brackets[stop], shift[one_prob[stop]])
                 finish = np.column_stack([x1[conf], x2, k[conf] - 1, k[conf]])
-                _store(out_lo, out_hi, finish[done[conf]], shift[one_mat[conf][done[conf]]])
+                _store(out_lo, out_hi, finish[done[conf]], shift[one_prob[conf][done[conf]]])
                 one = one[~(done | stop)]
 
         if m0:
             iso = _split(iso, cuts, c[:m0], p[:m0], f[:m0])
-            iso_mat = iso[:, 8].astype(np.int64)
-            stop = _unsplittable(iso[:, 0], iso[:, 1], tol[iso_mat])
+            iso_prob = iso[:, 8].astype(np.int64)
+            stop = _unsplittable(iso[:, 0], iso[:, 1], tol[iso_prob])
             if stop.any():
-                _store(out_lo, out_hi, iso[stop], shift[iso_mat[stop]])
+                _store(out_lo, out_hi, iso[stop], shift[iso_prob[stop]])
                 iso = iso[~stop]
             ready = (iso[:, 3] - iso[:, 2] == 1.0) & (iso[:, 4] == iso[:, 5])
             if ready.any():
                 add = np.zeros((np.count_nonzero(ready), 11))
-                add[:, [_LO, _HI, _FLO, _FHI, _K, _P, _MAT]] = (
+                add[:, [_LO, _HI, _FLO, _FHI, _K, _P, _PROB]] = (
                     iso[ready][:, [0, 1, 6, 7, 3, 4, 8]]
                 )
                 add[:, _X] = _secant_point(add)
@@ -339,8 +393,8 @@ def _stacked_brackets(mats, a, b, tol):
 
 
 def _stack(mats):
-    """The (diag, offsq) pairs *mats* as the columns of zero-padded arrays,
-    with their dimensions."""
+    """The (diag, offsq) pairs *mats* of independent matrices as the columns
+    of zero-padded arrays, with their dimensions."""
     sizes = np.array([diag.size for diag, _ in mats], dtype=np.int64)
     n = int(sizes.max())
     diag = np.zeros((n, sizes.size))
@@ -348,17 +402,6 @@ def _stack(mats):
     for m, (d, w) in enumerate(mats):
         diag[: d.size, m], offsq[: w.size, m] = d, w
     return diag, offsq, sizes
-
-
-def _sturm_brackets(
-    diag: np.ndarray, offsq: np.ndarray, a: float, b: float, tol: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Brackets (lo_k, hi_k) of width <= tol with count(lo_k) < k <=
-    count(hi_k), one for each eigenvalue in [a, b] of the tridiagonal J_N
-    with diagonal ``diag`` and squared off-diagonal ``offsq``; see
-    ``_stacked_brackets``."""
-    lo, hi, _ = _stacked_brackets([(diag, offsq)], [a], [b], [tol])
-    return lo, hi
 
 
 def _window(interval, tol) -> tuple[float, float, float]:
@@ -374,17 +417,44 @@ def _window(interval, tol) -> tuple[float, float, float]:
     return a, b, float(tol)
 
 
-def eigenvalues_in_each(problems) -> list:
-    """``eigenvalues_in`` for each ``(seq, N, interval, tol | None)`` of
-    *problems*, all bracketed in one stack: one array per problem, each
-    within its tol of its own ``eigenvalues_in``."""
+def _bracket_each(problems) -> list:
+    """Brackets (lo, hi) of width <= tol, one for each eigenvalue in the
+    window, for each ``(seq, N, interval, tol | None, last | None)`` of
+    *problems*: J_N of seq, with its last diagonal entry replaced by *last*
+    unless that is None, all from one ``_stacked_brackets`` call.  The
+    problems on one sequence are prefixes of its rows; distinct sequences
+    are the columns of a stack."""
     problems = list(problems)
     if not problems:
         return []
-    windows = np.array([_window(interval, tol) for _, _, interval, tol in problems])
-    mats = [_submatrix(seq, N) for seq, N, _, _ in problems]
-    lo, hi, offsets = _stacked_brackets(mats, *windows.T)
-    return np.split(0.5 * (lo + hi), offsets[1:-1])
+    windows = np.array([_window(interval, tol) for _, _, interval, tol, _ in problems])
+    seqs, size = {}, {}
+    for seq, N, _, _, last in problems:
+        if not 1 <= N <= len(seq):
+            raise ValueError(f"need 1 <= N <= {len(seq)}")
+        if last is not None and N < 2:
+            raise ValueError("a replaced last row needs N >= 2")
+        seqs[id(seq)] = seq
+        size[id(seq)] = max(size.get(id(seq), 0), N)
+    mats = [_submatrix(seq, size[key]) for key, seq in seqs.items()]
+    if len(mats) == 1:
+        (diag, offsq), col = mats[0], None
+    else:
+        diag, offsq, _ = _stack(mats)
+        column = {key: m for m, key in enumerate(seqs)}
+        col = np.array([column[id(seq)] for seq, *_ in problems])
+    n = [N for _, N, *_ in problems]
+    last = [problem[4] for problem in problems]
+    lo, hi, offsets = _stacked_brackets(diag, offsq, n, last, *windows.T, col)
+    return list(zip(np.split(lo, offsets[1:-1]), np.split(hi, offsets[1:-1])))
+
+
+def eigenvalues_in_each(problems) -> list:
+    """``eigenvalues_in`` for each ``(seq, N, interval, tol | None)`` of
+    *problems*, all bracketed in one Sturm call: one array per problem,
+    each within its tol of its own ``eigenvalues_in``."""
+    brackets = _bracket_each((*problem, None) for problem in problems)
+    return [0.5 * (lo + hi) for lo, hi in brackets]
 
 
 def eigenvalues_in(
@@ -400,7 +470,7 @@ def eigenvalues_in(
 def full_spectra(
     seq: JacobiSequence, Ns: Sequence[int], tol: float | None = None
 ) -> list:
-    """The whole spectrum of each truncation J_N, N in *Ns*, in one stack."""
+    """The whole spectrum of each truncation J_N, N in *Ns*, in one call."""
     Ns = list(Ns)
     evs = eigenvalues_in_each((seq, N, gershgorin_interval(seq, N), tol) for N in Ns)
     for N, ev in zip(Ns, evs):
@@ -431,7 +501,7 @@ def stabilized_counting(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Counting functions n_N(r) = #{|lambda| <= r} of growing truncations.
 
-    Every radius is counted exactly, in one Sturm call per N, and the
+    Every radius is counted exactly, in one Sturm call for all N, and the
     result is a ``(len(rs), len(Ns))`` count table.  In the limit circle
     case the low-lying truncation eigenvalues settle as N grows, so the
     counts stabilize; the flag array reports, per radius, whether the last
@@ -447,11 +517,15 @@ def stabilized_counting(
     # a shift may count as below it; shifting one ulp outward on both sides
     # keeps eigenvalues at exactly +-r inside the count
     shifts = np.concatenate([np.nextafter(rs, np.inf), np.nextafter(-rs, -np.inf)])
-    table = np.empty((rs.size, len(Ns)), dtype=np.int64)
-    for j, N in enumerate(Ns):
-        diag, offsq = _submatrix(seq, N)
-        c, _ = _kernels.sturm_counts(diag, offsq, shifts)
-        table[:, j] = c[: rs.size] - c[rs.size :]
+    if Ns[0] < 1:
+        raise ValueError(f"need 1 <= N <= {len(seq)}")
+    diag, offsq = _submatrix(seq, Ns[-1])
+    # every J_N is a prefix of J_{N_max}: one call, each shift stopping at its N
+    c, _ = _kernels.sturm_counts(
+        diag, offsq, np.tile(shifts, len(Ns)), np.repeat(Ns, shifts.size)
+    )
+    c = c.reshape(len(Ns), 2, rs.size)
+    table = (c[:, 0] - c[:, 1]).T
     return table, table[:, -1] == table[:, -2]
 
 

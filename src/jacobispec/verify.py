@@ -105,14 +105,24 @@ def _sol(which: str, N: int):
 
 
 @lru_cache(maxsize=None)
-def _b_zeros(which: str, N: int, r: float) -> np.ndarray:
-    return growth.scan_b_zeros(_sol(which, N), _seq(which, N), N, r)
+def _m1_routes() -> tuple[np.ndarray, np.ndarray]:
+    """The zeros of B_2000 and the eigenvalues of J_2000 of m1 in [-1e4, 1e4]
+    (c06, whose zeros c07 and c09 read too), bracketed in one Sturm call."""
+    seq = _seq("m1", 2000)
+    (zeros,), (eigs,) = growth.scan_b_zeros_each(
+        [(_sol("m1", 2000), seq, 2000, 1e4)], [(seq, 2000, (-1e4, 1e4), 1e-7)]
+    )
+    return zeros, eigs
 
 
 @lru_cache(maxsize=None)
-def _trunc_eigs(which: str, N: int, r: float) -> np.ndarray:
-    seq = _seq(which, N)
-    return spectrum.eigenvalues_in(seq, N, (-r, r), tol=1e-7)
+def _exceptional_zeros() -> tuple[np.ndarray, np.ndarray]:
+    """The zeros of B_2000 of m3 and of m4 in [-1e6, 1e6] (c12), bracketed
+    in one Sturm call."""
+    zeros, _ = growth.scan_b_zeros_each(
+        [(_sol(which, 2000), _seq(which, 2000), 2000, 1e6) for which in ("m3", "m4")]
+    )
+    return tuple(zeros)
 
 
 def golden_table() -> list:
@@ -258,9 +268,8 @@ def _check_determinant_identity():
 
 
 def _check_convergence_exponent():
-    zeros = np.sort(np.abs(_b_zeros("m1", 2000, 1e4)))
+    zeros, eigs = (np.sort(np.abs(x)) for x in _m1_routes())
     fit = growth.convergence_exponent_from_zeros(zeros)
-    eigs = np.sort(np.abs(_trunc_eigs("m1", 2000, 1e4)))
     fit2 = growth.convergence_exponent_from_zeros(eigs)
     ok = _close(fit.slope, 0.5, 0.1) and _close(fit2.slope, 0.5, 0.1)
     return (
@@ -271,7 +280,7 @@ def _check_convergence_exponent():
 
 
 def _check_upper_density():
-    zeros = np.sort(np.abs(_b_zeros("m1", 2000, 1e4)))
+    zeros = np.sort(np.abs(_m1_routes()[0]))
     dens = growth.upper_density(zeros, 2.0)
     return (
         _within(dens, 0.45, 5.98),
@@ -292,7 +301,7 @@ def _check_coefficient_series():
 
 
 def _check_counting_agreement():
-    zeros = np.sort(np.abs(_b_zeros("m1", 2000, 1e4)))
+    zeros = np.sort(np.abs(_m1_routes()[0]))
     seq = _seq("m1", 2000)
     rgrid = np.geomspace(10.0, 1e4, 20)
     table, _ = spectrum.stabilized_counting(seq, rgrid, (500, 1000, 2000))
@@ -330,10 +339,9 @@ def _check_delta_exponents():
 
 
 def _check_exceptional_exponent():
-    z3 = np.sort(np.abs(_b_zeros("m3", 2000, 1e6)))
+    z3, z4 = (np.sort(np.abs(x)) for x in _exceptional_zeros())
     fit3 = growth.convergence_exponent_from_zeros(z3)
     cls4 = classify(golden_m4())
-    z4 = np.sort(np.abs(_b_zeros("m4", 2000, 1e6)))
     fit4 = growth.convergence_exponent_from_zeros(z4)
     third = 1.0 / 3.0
     ok = (

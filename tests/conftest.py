@@ -61,7 +61,7 @@ def free_sol():
 
 @pytest.fixture(scope="session")
 def m1_b_zeros():
-    return verify._b_zeros("m1", 2000, 1e4)
+    return verify._m1_routes()[0]
 
 
 @pytest.fixture()

@@ -20,8 +20,22 @@ from jacobispec.growth import (
 )
 from jacobispec.params import JacobiSequence, descriptor_from_json, materialize
 from jacobispec.recurrence import solve_at_zero
-from jacobispec.spectrum import _sturm_brackets, eigenvalues_in
-from jacobispec.verify import _b_zeros, _seq, _sol
+from jacobispec.spectrum import _stacked_brackets, eigenvalues_in
+from jacobispec.verify import _exceptional_zeros, _m1_routes, _seq, _sol
+
+
+def _check_zeros(which):
+    """The zeros of B_2000 that the acceptance checks read: c06's on m1 in
+    [-1e4, 1e4], c12's on m3 and m4 in [-1e6, 1e6]."""
+    if which == "m1":
+        return _m1_routes()[0]
+    return _exceptional_zeros()[["m3", "m4"].index(which)]
+
+
+def _sturm_brackets(diag, offsq, a, b, tol):
+    """The brackets of the eigenvalues in [a, b] of one tridiagonal."""
+    lo, hi, _ = _stacked_brackets(diag, offsq, [diag.size], [None], [a], [b], [tol])
+    return lo, hi
 
 
 def classical_partial_sums(seq, sol, z, N):
@@ -163,7 +177,7 @@ class TestZeroScan:
         c, _ = _kernels.sturm_counts(
             diag, seq.rho[:1999] ** 2, np.array([np.nextafter(r, np.inf), -r])
         )
-        zeros = _b_zeros(which, 2000, r)
+        zeros = _check_zeros(which)
         assert len(zeros) == int(c[0] - c[1]) == expected
         assert np.all(np.diff(zeros) > 0) and np.all(np.abs(zeros) <= r)
 
@@ -421,12 +435,12 @@ class TestCrossMethodConsistency:
 
 class TestExceptionalModels:
     def test_m3_exponent_third(self):
-        zeros = np.sort(np.abs(_b_zeros("m3", 2000, 1e6)))
+        zeros = np.sort(np.abs(_check_zeros("m3")))
         fit = convergence_exponent_from_zeros(zeros)
         assert fit.slope == pytest.approx(1 / 3, abs=0.1)
 
     def test_m4_exponent_third(self):
-        zeros = np.sort(np.abs(_b_zeros("m4", 2000, 1e6)))
+        zeros = np.sort(np.abs(_check_zeros("m4")))
         fit = convergence_exponent_from_zeros(zeros)
         assert fit.slope == pytest.approx(1 / 3, abs=0.1)
 
@@ -435,7 +449,7 @@ class TestExceptionalModels:
         from jacobispec import spectrum
         from jacobispec.verify import _seq
 
-        zeros = np.sort(np.abs(_b_zeros(which, 2000, 1e6)))
+        zeros = np.sort(np.abs(_check_zeros(which)))
         seq = _seq(which, 2000)
         rs = np.geomspace(1e2, 1e6, 20)
         table, _ = spectrum.stabilized_counting(seq, rs, (500, 1000, 2000))

@@ -1,5 +1,6 @@
-"""The numpy kernels: recurrence overflow index and the transfer loop's
-accuracy, renormalization and dtype entry points."""
+"""The numpy kernels: recurrence overflow index, the float loops against
+their numpy-scalar form, and the transfer loop's accuracy, renormalization
+and dtype entry points."""
 
 import mpmath
 import numpy as np
@@ -71,6 +72,53 @@ def test_solve_overflow_index():
     assert 2 <= k < 300
     assert abs(u[k]) > K._OVERFLOW
     assert np.all(np.abs(u[:k]) <= K._OVERFLOW)
+
+
+def _solve_three_term_numpy(rho, q, u0, u1):
+    """The recurrence stepped over numpy scalars read back from the output
+    array: the loop the kernel ran before it stepped over Python floats."""
+    n = rho.shape[0]
+    u = np.empty(n + 1, dtype=np.float64)
+    u[0] = float(u0)
+    u[1] = float(u1)
+    for k in range(n - 1):
+        v = -(q[k + 1] * u[k + 1] + rho[k] * u[k]) / rho[k + 1]
+        u[k + 2] = v
+        if abs(v) > K._OVERFLOW:
+            return u, k + 2
+    return u, -1
+
+
+class _NumpyScalars(np.ndarray):
+    """An array whose ``tolist()`` holds numpy scalars, not Python floats:
+    a kernel that steps over ``tolist()`` then runs its loop over numpy
+    scalars."""
+
+    def tolist(self):
+        return list(np.asarray(self))
+
+
+def test_float_loops_match_numpy_scalar_loops(model):
+    # the recurrence and the transfer loop step over Python floats, whose
+    # operations are those of numpy scalars: the results are bit-identical
+    P, Q = model
+    rho = np.maximum(np.arange(400.0), 1.0) ** 2
+    n = np.arange(300, dtype=float)
+    for r, q, u0, u1 in ((rho, Q, 1.0, -0.5), (np.ones(300), (n + 1.0) ** 2, 1.0, 1.0)):
+        u, k = K.solve_three_term(r, q, u0, u1)
+        ref, ref_k = _solve_three_term_numpy(r, q, u0, u1)
+        m = k + 1 if k >= 0 else u.size  # entries past an overflow are unset
+        assert k == ref_k and np.array_equal(u[:m], ref[:m])
+    assert k > 0  # the second recurrence overflows, at the same index
+    xs = np.concatenate([np.linspace(-1e8, 1e8, 9), [0.0, 3.5]])
+    zs = 1e6 * np.exp(1j * np.linspace(0.1, 3.0, 5))
+    Pn, Qn = P.view(_NumpyScalars), Q.view(_NumpyScalars)
+    for kernel, points in ((K.transfer_real, xs), (K.transfer_complex, zs)):
+        for u0, v0 in ((0.0, 1.0), (-1.0, 0.0)):
+            got = kernel(P, Q, points, 400, u0, v0)
+            ref = kernel(Pn, Qn, points, 400, u0, v0)
+            for a, b in zip(got, ref):
+                assert np.array_equal(np.asarray(a), np.asarray(b))
 
 
 def test_transfer_matches_mpmath_product(model):

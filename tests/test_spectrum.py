@@ -3,11 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from jacobispec import _kernels, spectrum
+from jacobispec import _kernels, growth, spectrum, verify
 from jacobispec.params import JacobiSequence, descriptor_from_json, materialize
 from jacobispec.spectrum import (
     TruncatedSpectrum,
-    _sturm_brackets,
     charpoly_eigenvalues,
     charpoly_eigenvalues_each,
     eigenvalues_in,
@@ -23,6 +22,12 @@ from jacobispec.verify import _seq, golden_m5_sequence
 
 def tiny(rho, q):
     return JacobiSequence(rho=np.asarray(rho, float), q=np.asarray(q, float))
+
+
+def _sturm_brackets(diag, offsq, a, b, tol):
+    """The brackets of the eigenvalues in [a, b] of one tridiagonal."""
+    lo, hi, _ = spectrum._stacked_brackets(diag, offsq, [diag.size], [None], [a], [b], [tol])
+    return lo, hi
 
 
 class TestSturmCount:
@@ -187,7 +192,7 @@ class TestStackedSturmKernel:
     @staticmethod
     def assert_parity(mats, xs, mat):
         diag, offsq, sizes = _stack_columns(mats)
-        count, last = _kernels.sturm_counts(diag, offsq, xs, mat, sizes)
+        count, last = _kernels.sturm_counts(diag, offsq, xs, sizes[mat], mat)
         for m, (diag, offsq) in enumerate(mats):
             on = mat == m
             if on.any():
@@ -230,10 +235,201 @@ class TestStackedSturmKernel:
         xs = np.concatenate([[0.0], rng.uniform(-1.0, 1.0, 2048), _EDGE_SHIFTS])
         mat = np.concatenate([[1], rng.integers(0, 4, xs.size - 1)])
         diag, offsq, sizes = _stack_columns(mats)
-        _kernels.sturm_counts(diag, offsq, xs, mat, sizes)
+        _kernels.sturm_counts(diag, offsq, xs, sizes[mat], mat)
         # one floored step for row 0, then one per row of the replayed block
         assert len(calls) > 1
         self.assert_parity(mats, xs, mat)
+
+
+class TestStopRowSturmKernel:
+    """Shifts that stop at rows of their own on one tridiagonal get the
+    counts and last pivot of the per-row loop, and of the plain kernel
+    call, on their own prefix alone."""
+
+    @staticmethod
+    def assert_parity(diag, offsq, xs, stop):
+        count, last = _kernels.sturm_counts(diag, offsq, xs, stop)
+        for s in np.unique(stop):
+            on = stop == s
+            for ref_count, ref_last in (
+                _sturm_counts_per_row(diag[:s], offsq[: s - 1], xs[on]),
+                _kernels.sturm_counts(diag[:s], offsq[: s - 1], xs[on]),
+            ):
+                assert np.array_equal(count[on], ref_count)
+                assert np.array_equal(last[on], ref_last)
+
+    def test_random_prefixes(self, rng):
+        for _ in range(30):
+            n = int(rng.integers(1, 40))
+            diag = rng.uniform(-3.0, 3.0, n)
+            offsq = rng.uniform(0.05, 4.0, n - 1)
+            xs = np.concatenate([rng.uniform(-8.0, 8.0, 300), _EDGE_SHIFTS])
+            self.assert_parity(diag, offsq, xs, rng.integers(1, n + 1, xs.size))
+
+    def test_integer_prefixes_with_zero_pivots(self, rng, monkeypatch):
+        calls = []
+        floor = _kernels._floor_pivots
+        monkeypatch.setattr(
+            _kernels, "_floor_pivots", lambda d: calls.append(1) or floor(d)
+        )
+        replayed = 0
+        for _ in range(30):
+            n = int(rng.integers(2, 40))
+            diag = rng.integers(-2, 3, n).astype(float)
+            offsq = rng.integers(0, 3, n - 1).astype(float)
+            xs = np.concatenate([rng.integers(-4, 5, 300).astype(float), _EDGE_SHIFTS])
+            stop = rng.integers(1, n + 1, xs.size)
+            calls.clear()
+            _kernels.sturm_counts(diag, offsq, xs, stop)
+            # a floored step beyond row 0: exact zero pivots replayed a block
+            replayed += len(calls) > 1
+            self.assert_parity(diag, offsq, xs, stop)
+        assert replayed > 20
+
+    @pytest.mark.parametrize("row", [15, 16, 17])
+    def test_prefixes_around_a_replayed_block(self, rng, row, monkeypatch):
+        # the input of test_sub_floor_pivot_at_block_edges, with shifts that
+        # stop just before, at and after the sub-floor pivot's row
+        calls = []
+        floor = _kernels._floor_pivots
+        monkeypatch.setattr(
+            _kernels, "_floor_pivots", lambda d: calls.append(1) or floor(d)
+        )
+        diag = rng.uniform(1.0, 3.0, 33)
+        offsq = rng.uniform(0.05, 1.0, 32)
+        offsq[row - 1] = 0.0
+        diag[row] = 0.0
+        xs = np.concatenate([[0.0, 0.0], rng.uniform(-1.0, 1.0, 2048), _EDGE_SHIFTS])
+        stop = rng.choice([row, row + 1, row + 2, 33], xs.size)
+        stop[:2] = 33, row + 1
+        _kernels.sturm_counts(diag, offsq, xs, stop)
+        assert len(calls) > 1  # the block holding `row` was replayed
+        self.assert_parity(diag, offsq, xs, stop)
+
+    def test_golden_ladder(self):
+        # the shifts of stabilized_counting on m1: three prefixes of J_2000
+        seq = _seq("m1", 2000)
+        rs = np.geomspace(1.0, 1e4, 40)
+        xs = np.tile(np.concatenate([-rs, rs]), 3)
+        stop = np.repeat([500, 1000, 2000], 80)
+        self.assert_parity(seq.q[:2000], seq.rho[:1999] ** 2, xs, stop)
+
+    def test_empty_shifts(self):
+        # a 1-D call on two rows or more used to raise in its first block
+        diag, offsq = np.array([1.0, 2.0, 3.0]), np.array([1.0, 1.0])
+        empty = np.empty(0)
+        for args in (
+            (diag, offsq, empty),
+            (diag, offsq, empty, np.empty(0, dtype=np.int64)),
+            (diag[:, None], offsq[:, None], empty, np.empty(0, dtype=np.int64),
+             np.empty(0, dtype=np.int64)),
+        ):
+            count, last = _kernels.sturm_counts(*args)
+            assert count.shape == last.shape == (0,)
+            assert count.dtype == np.int64 and last.dtype == np.float64
+
+
+class TestModifiedLastRow:
+    """J~ is J_N with its last diagonal entry replaced; the zero route counts
+    it on the prefix J_{N-1} and finishes the last row outside the kernel."""
+
+    @pytest.mark.parametrize("kind", ["random", "integer"])
+    def test_finish_matches_the_modified_diagonal_call(self, rng, kind):
+        for _ in range(40):
+            n = int(rng.integers(2, 40))
+            if kind == "random":
+                diag = rng.uniform(-3.0, 3.0, n)
+                offsq = rng.uniform(0.05, 4.0, n - 1)
+                xs = np.concatenate([rng.uniform(-8.0, 8.0, 200), _EDGE_SHIFTS])
+                last = rng.uniform(-3.0, 3.0)
+            else:
+                diag = rng.integers(-2, 3, n).astype(float)
+                offsq = rng.integers(0, 3, n - 1).astype(float)
+                xs = np.concatenate([rng.integers(-4, 5, 200).astype(float), _EDGE_SHIFTS])
+                last = float(rng.integers(-2, 3))
+            modified = diag.copy()
+            modified[-1] = last
+            ref_count, ref_last = _kernels.sturm_counts(modified, offsq, xs)
+            c, d = _kernels.sturm_counts(diag, offsq, xs, np.full(xs.size, n - 1))
+            d = spectrum._last_row(d, xs, last, offsq[-1])
+            assert np.array_equal(c + (d < 0), ref_count)
+            assert np.array_equal(d, ref_last)
+
+    @pytest.mark.parametrize("which, r", [("m1", 1e4), ("m3", 1e6)])
+    def test_zero_brackets_match_the_modified_truncation(self, which, r):
+        # the zero route's brackets, alone and sharing a call with the
+        # eigenvalues of J_N, against the modified diagonal's own call
+        seq, sol = _seq(which, 2000), verify._sol(which, 2000)
+        problem = growth._b_zero_problem(sol, seq, 2000, r)
+        diag = seq.q[:2000].copy()
+        diag[-1] += seq.rho[1999] * sol.Q[2000] / sol.Q[1999]
+        lo, hi = _sturm_brackets(diag, seq.rho[:1999] ** 2, -r, r, 1e-9 * r)
+        (alone_lo, alone_hi), = spectrum._bracket_each([problem])
+        assert np.array_equal(alone_lo, lo) and np.array_equal(alone_hi, hi)
+        (shared_lo, shared_hi), _ = spectrum._bracket_each(
+            [problem, (seq, 2000, (-r, r), 1e-7 * r, None)]
+        )
+        assert shared_lo.size == lo.size
+        assert np.all(shared_hi - shared_lo <= 1e-9 * r)
+        assert np.all(np.abs(0.5 * (shared_lo + shared_hi) - 0.5 * (lo + hi)) <= 1e-9 * r)
+
+
+class TestSharedBracketCalls:
+    @pytest.fixture
+    def bracket_calls(self, monkeypatch):
+        calls = []
+        brackets = spectrum._stacked_brackets
+        monkeypatch.setattr(
+            spectrum, "_stacked_brackets",
+            lambda *args: calls.append(len(args[2])) or brackets(*args),
+        )
+        return calls
+
+    def test_c06_brackets_both_routes_in_one_call(self, bracket_calls):
+        verify._m1_routes.cache_clear()
+        assert verify.run_check("c06_convergence_exponent").passed
+        assert bracket_calls == [2]
+
+    def test_c12_brackets_both_models_in_one_call(self, bracket_calls):
+        verify._exceptional_zeros.cache_clear()
+        assert verify.run_check("c12_exceptional_exponent").passed
+        assert bracket_calls == [2]
+
+    def test_stabilized_counting_makes_one_kernel_call(self, monkeypatch):
+        calls = []
+        kernel = _kernels.sturm_counts
+        monkeypatch.setattr(
+            _kernels, "sturm_counts", lambda *args: calls.append(args) or kernel(*args)
+        )
+        rs = np.geomspace(10.0, 1e4, 20)
+        table, _ = stabilized_counting(_seq("m1", 2000), rs, (500, 1000, 2000))
+        assert len(calls) == 1
+        for j, N in enumerate((500, 1000, 2000)):
+            seq = _seq("m1", 2000)
+            c, _ = kernel(seq.q[:N], seq.rho[: N - 1] ** 2, np.concatenate([
+                np.nextafter(rs, np.inf), np.nextafter(-rs, -np.inf)
+            ]))
+            assert table[:, j].tolist() == (c[:20] - c[20:]).tolist()
+
+    def test_bisected_brackets_are_cut_into_parts(self, monkeypatch):
+        # J_1 .. J_50 of m1 in one call: 7 brackets that fail their centred
+        # finish took the last 19 of 36 sweeps to bisect from 0.3 - 1.0 wide
+        # down to ~1e-7, one midpoint a sweep
+        calls = []
+        kernel = _kernels.sturm_counts
+        monkeypatch.setattr(
+            _kernels, "sturm_counts", lambda *args: calls.append(1) or kernel(*args)
+        )
+        seq = _seq("m1", 51)
+        problems = [(seq, N, gershgorin_interval(seq, N), None, None) for N in range(1, 51)]
+        brackets = spectrum._bracket_each(problems)
+        assert len(calls) <= 22
+        for (_, N, (a, b), _, _), (lo, hi) in zip(problems, brackets):
+            scale = max(1.0, abs(a), abs(b))
+            off = np.diag(seq.rho[: N - 1], 1)
+            dense = np.linalg.eigvalsh(np.diag(seq.q[:N]) + off + off.T)
+            assert lo.size == N and np.all(hi - lo <= 1e-10 * scale)
+            assert np.all(np.abs(0.5 * (lo + hi) - dense) <= 1.01e-10 * scale)
 
 
 class TestEigenvaluesIn:
@@ -385,7 +581,8 @@ class TestEigenvaluesInEach:
 
         monkeypatch.setattr(_kernels, "sturm_counts", counted)
         eigenvalues_in_each(_c14_problems())
-        # 44 stacked sweeps, where the 100 matrices alone take 715 sweeps
+        # 22 sweeps on a stack of columns (diag, offsq, xs, stop, mat), where
+        # the 100 matrices alone take 715 sweeps
         assert set(calls) == {5} and len(calls) <= 50
 
     def test_empty_stack(self):
