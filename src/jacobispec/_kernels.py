@@ -9,17 +9,19 @@ The three inner loops that dominate runtime live here:
   Nevanlinna matrix; both are dtype entry points to the same loop.
 
 ``sturm_counts`` works on all S shifts still advanced at once and on
-blocks of ``max(16, _BUDGET // S)`` rows, so that its ``(rows, S)`` work
-buffer never holds more than ``max(16 S, _BUDGET)`` pivots and a call with
-few shifts runs in few blocks.  It writes the block's pivots with no floor
+blocks of ``min(255, max(16, _BUDGET // S))`` rows, so that its ``(rows,
+S)`` work buffer never holds more than ``max(16 S, _BUDGET)`` pivots, a
+call with few shifts runs in few blocks, and a block's negative pivots
+per shift fit a uint8 sum.  It writes the block's pivots with no floor
 check, in the same operation order as the floored step, so every pivot
 at or above the floor ``_PIVMIN`` is bit-identical to it.  At the end of
-the block the smallest pivot magnitude decides: if it is at or above the
-floor (a NaN fails this test) the block's negative pivots are counted,
-otherwise the block is replayed row by row with floored pivots from the
-pivot that entered it.  The counts and the last pivot therefore equal
-those of the per-row floored loop exactly, whatever the block height; the
-blocking only removes per-row call overhead (cf. LAPACK's ``dlaneg``).
+the block its negative pivots are summed per shift, its last row is
+saved, and the smallest pivot magnitude decides: if it is at or above
+the floor (a NaN fails this test) the sums are kept, otherwise the block
+is replayed row by row with floored pivots from the pivot that entered
+it.  The counts and the last pivot therefore equal those of the per-row
+floored loop exactly, whatever the block height; the blocking only
+removes per-row call overhead (cf. LAPACK's ``dlaneg``).
 The last pivot d_N(x) comes back with the counts: it is negative exactly
 when x lies above one more eigenvalue of J_N than of J_{N-1}, and between
 two eigenvalues of J_{N-1} it is continuous and decreasing in x.
@@ -75,6 +77,8 @@ def solve_three_term(rho, q, u0, u1):
 
 _BUDGET = 32768  # float64 pivots per work buffer (256 KiB): the block height
                  # times the shift count, for at least 16 rows
+_ROWS = np.iinfo(np.uint8).max  # rows per block at most, so that a block's
+                                # negative pivots per shift fit a uint8
 
 
 def _floor_pivots(d):
@@ -107,33 +111,41 @@ def sturm_counts(diag, offsq, xs, stop=None, mat=None):
     # rows 1 .. top - 1 are advanced, the shifts whose stop lies beyond a
     # row forming a prefix of the sorted shifts
     top = 1 if not S else diag.shape[0] if stop is None else int(stop[0])
-    buf = np.empty(min(max(16 * S, _BUDGET), (top - 1) * S))
+    size = min(max(16 * S, _BUDGET), _ROWS * S, (top - 1) * S)
+    buf, neg = np.empty(size), np.empty(size, dtype=bool)
     t = np.empty(S)
+    div, sub = np.divide, np.subtract
     k0, act = 1, S
     while k0 < top:
         if stop is not None:
             act = int(np.count_nonzero(stop > k0))
         # the block ends where the smallest stop of its shifts does
-        k1 = min(top if stop is None else int(stop[act - 1]), k0 + max(16, _BUDGET // act))
+        rows = min(_ROWS, max(16, _BUDGET // act))
+        k1 = min(top if stop is None else int(stop[act - 1]), k0 + rows)
         x, ta, prev = xs[:act], t[:act], d[:act]
         block = buf[: (k1 - k0) * act].reshape(k1 - k0, act)
         # unfloored pass; a block holding a pivot below the floor (or a NaN)
         # is replayed with floored pivots, so its warnings are not wanted
         with np.errstate(all="ignore"):
             if mat is None:
-                np.subtract(col[k0:k1], x, out=block)
+                sub(col[k0:k1], x, block)
                 ws = w[k0 - 1 : k1 - 1]
             else:
                 m = mat[:act]
-                np.subtract(diag[k0:k1, m], x, out=block)
+                sub(diag[k0:k1, m], x, block)
                 ws = offsq[k0 - 1 : k1 - 1, m]
             for wk, row in zip(ws, block):
-                np.divide(wk, prev, out=ta)
-                np.subtract(row, ta, out=row)
+                div(wk, prev, ta)
+                sub(row, ta, row)
                 prev = row
-        if np.abs(block).min() >= _PIVMIN:
-            count[:act] += np.count_nonzero(block < 0, axis=0)
-            d[:act] = prev
+        # at most _ROWS negative pivots per column: a uint8 sum
+        sign = neg[: block.size].reshape(block.shape)
+        np.less(block, 0.0, sign)
+        below = np.add.reduce(sign.view(np.uint8), axis=0, dtype=np.uint8)
+        ta[:] = prev
+        if np.abs(block, out=block).min() >= _PIVMIN:
+            count[:act] += below
+            d[:act] = ta
         else:
             prev = d[:act]
             for k in range(k0, k1):
@@ -171,26 +183,30 @@ def _transfer(P, Q, zs, N, u0, v0):
     shape, zs = zs.shape, zs.reshape(-1)
     col = np.array([np.broadcast_to(c, shape).reshape(-1) for c in (u0, v0)], zs.dtype)
     e = np.zeros(zs.size, dtype=np.int64)
-    s, t = np.empty_like(zs), np.empty_like(zs)
-    # the real factors act on the float views, z on the values themselves
-    (uf, vf), sf, tf = col.view(np.float64), s.view(np.float64), t.view(np.float64)
+    s = np.empty_like(zs)
+    # the real factors act on the float views, z on the values themselves;
+    # (-p, q) and (q, p) are columns that multiply the rows u and v
+    colf, sf = col.view(np.float64), s.view(np.float64)
+    tmp = np.empty_like(colf)
+    tu, tv = tmp
+    npq = np.stack([-P[:N], Q[:N]], axis=1)[:, :, None]
+    qp = np.stack([Q[:N], P[:N]], axis=1)[:, :, None]
     logg = np.log1p(np.max(np.abs(zs), initial=0.0) * (P[:N] ** 2 + Q[:N] ** 2))
     grown = 0.0
-    for p, q, g in zip(P[:N].tolist(), Q[:N].tolist(), logg.tolist()):
+    mul, add = np.multiply, np.add
+    for a, b, g in zip(npq, qp, logg.tolist()):
         if grown + g > _LOG_BUDGET:
             # the largest real or imaginary part to [1/2, 1)
             m = np.frexp(np.maximum(abs(col.real), abs(col.imag)).max(axis=0))[1]
             col *= np.ldexp(1.0, -m)
             e, grown = e + m, 0.0
         grown += g
-        np.multiply(vf, q, out=sf)
-        np.multiply(uf, p, out=tf)
-        np.subtract(sf, tf, out=sf)
-        np.multiply(s, zs, out=s)
-        np.multiply(sf, q, out=tf)
-        np.add(uf, tf, out=uf)
-        np.multiply(sf, p, out=tf)
-        np.add(vf, tf, out=vf)
+        # s = z (q v - p u), as q v + (-p u); u += q s, v += p s
+        mul(colf, a, tmp)
+        add(tv, tu, sf)
+        mul(s, zs, s)
+        mul(b, sf, tmp)
+        add(colf, tmp, colf)
     m = np.frexp(np.maximum(abs(col.real), abs(col.imag)).max(axis=0))[1]
     m = np.maximum(m - 1, -e)  # to the canonical form
     col *= np.ldexp(1.0, -m)

@@ -88,6 +88,8 @@ def _is_json_number(x, types=(int, float)) -> bool:
 
 
 def load_config(path: str, seed: Optional[int] = None) -> ExperimentConfig:
+    if seed is not None and seed < 0:
+        raise ValueError("--seed must be an integer >= 0")
     raw = Path(path).read_bytes()
     obj = json.loads(raw)
     if not isinstance(obj, dict):
@@ -414,7 +416,11 @@ def main(argv: Optional[list] = None) -> int:
             print(f"error: {exc}", file=sys.stderr)
             return 2
     out = Path(args.out or (cfg.out if cfg and cfg.out else "."))
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except (OSError, ValueError) as exc:  # a file on the path, a NUL byte
+        print(f"error: cannot make output directory {str(out)!r}: {exc}", file=sys.stderr)
+        return 2
 
     commands = {
         "classify": cmd_classify,

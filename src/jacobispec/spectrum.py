@@ -8,8 +8,9 @@ each eigenvalue by bisection of distinct intervals (Barth, Martin and
 Wilkinson, Numer. Math. 9, 1967), a safeguarded regula falsi on the last
 LD pivot, whose sign changes are decided by the count (after Li and Zeng,
 SIAM J. Matrix Anal. Appl. 15, 1994), and a finish that centres each
-bracket on the converged point and confirms it by the counts at both
-ends.  A brute-force characteristic-polynomial root isolator serves as
+bracket on the converged point and confirms it by the counts at those
+of its ends that the bracket before it does not already settle.  A
+brute-force characteristic-polynomial root isolator serves as
 the independent cross-check for tiny matrices.
 """
 
@@ -93,8 +94,9 @@ _STEP = 0.1
 _SECANT_SWEEPS = 100
 #: shifts per isolation sweep: while fewer than _SPLIT // 2 intervals are
 #: being isolated, each is cut into _SPLIT // count parts instead of two;
-#: the per-row overhead of a sweep makes one over a few shifts cost nearly
-#: as much as one over _SPLIT (7.4 against 5.0 ms at N = 2000, 2-core Xeon)
+#: the per-row overhead of a sweep makes one over a few shifts cost about
+#: half as much as one over _SPLIT (2.2 against 4.1 ms for 4 and 256
+#: shifts at N = 2000, fastest of 30 runs, 2-core Xeon)
 _SPLIT = 256
 
 # columns of the table of isolated eigenvalues in _stacked_brackets
@@ -199,10 +201,16 @@ def _stacked_brackets(diag, offsq, n, last, a, b, tol, col=None):
        end and negative at the upper one.  A regula falsi on d_N with the
        Anderson-Bjorck weight (a refinement of the Illinois and Pegasus
        rules) proposes each next point; the Sturm count there, never the
-       sign of d_N, decides which end the point replaces.
+       sign of d_N, decides which end the point replaces.  The weight
+       applies from the first step on: the isolation end that the first
+       step keeps counts as kept once already.
     3. Centred finish.  Once the next step is below ``_STEP * tol``, the
        bracket becomes [x - _HALF * tol, x + _HALF * tol] around the
-       proposed point x, confirmed by the counts at both ends.
+       proposed point x.  Each of its ends that lies strictly inside the
+       current bracket is confirmed by its count; one at or beyond the
+       current bracket's end on its side is on that side of eigenvalue k
+       already, as the count is monotone in the shift.  A finish with
+       both ends so placed is stored at once, with no count.
 
     A bracket that fails its confirmation resumes the secant from the end
     the confirmation moved; one that fails twice, or whose pivots disagree
@@ -283,21 +291,25 @@ def _stacked_brackets(diag, offsq, n, last, a, b, tol, col=None):
             one[bis0, _LO:_LO + 1], one[bis0, _HI:_HI + 1], np.arange(1, bparts) / bparts
         )
         one[bis0, _X] = bcuts[:, 0]
-        # a bracket in its centred finish is counted at both of its ends
+        # a bracket in its centred finish is counted at those of its two
+        # ends that lie strictly inside the bracket: one at or beyond an end
+        # of the bracket is on the right side of eigenvalue k already
         x1 = one[:, _X] - np.where(conf, _HALF * tk, 0.0)
         x2 = one[conf, _X] + _HALF * tk[conf]
-        xs = [cuts.ravel(), x1, x2, bcuts[:, 1:].ravel()]
+        at1 = ~conf | (x1 > one[:, _LO])
+        at2 = x2 < one[conf, _HI]
+        xs = [cuts.ravel(), x1[at1], x2[at2], bcuts[:, 1:].ravel()]
         prob = [
-            np.repeat(iso[:, 8].astype(np.int64), parts - 1), one_prob, one_prob[conf],
-            np.repeat(one_prob[bis0], bparts - 2),
+            np.repeat(iso[:, 8].astype(np.int64), parts - 1), one_prob[at1],
+            one_prob[conf][at2], np.repeat(one_prob[bis0], bparts - 2),
         ]
         if shift is None:
             xs += [ends.ravel()]
             prob += [np.tile(np.arange(n_prob), 2)]
         c, p, f = counts(np.concatenate(xs), np.concatenate(prob))
         m0 = cuts.size
-        m1 = m0 + x1.size
-        m2 = m1 + x2.size
+        m1 = m0 + xs[1].size
+        m2 = m1 + xs[2].size
         m3 = m2 + bcuts[:, 1:].size
         if shift is None:
             iso[:, 2:8] = np.column_stack([e[m3:].reshape(2, n_prob).T for e in (c, p, f)])
@@ -307,16 +319,22 @@ def _stacked_brackets(diag, offsq, n, last, a, b, tol, col=None):
             out_hi = np.empty(offsets[-1])
 
         if one.size:
+            # whether each point lies above eigenvalue k, with its pivots;
+            # an end of a finish that was not counted lies below the bracket
+            up, pc, fc = np.zeros(k.size, bool), np.zeros(k.size), np.full(k.size, np.nan)
+            up[at1], pc[at1], fc[at1] = c[m0:m1] >= k[at1], p[m0:m1], f[m0:m1]
             # every counted point narrows its bracket, as the count says
-            up = c[m0:m1] >= k
             lo = np.where(up, one[:, _LO], np.maximum(one[:, _LO], x1))
             hi = np.where(up, np.minimum(one[:, _HI], x1), one[:, _HI])
             bis = mode == _BISECT
             done = np.zeros(k.size, dtype=bool)
-            # the point that moved each bracket, with its pivots
-            xc, fc, pc = x1.copy(), f[m0:m1].copy(), p[m0:m1].copy()
+            # the point that moved each bracket, whose pivots are pc, fc
+            xc = x1.copy()
             if x2.size:
-                up2 = c[m1:m2] >= k[conf]
+                # the upper ends of the finishes; one not counted lies above
+                # the bracket
+                up2, p2, f2 = np.ones(x2.size, bool), np.zeros(x2.size), np.full(x2.size, np.nan)
+                up2[at2], p2[at2], f2[at2] = c[m1:m2] >= k[conf][at2], p[m1:m2], f[m1:m2]
                 lo[conf] = np.where(up2, lo[conf], np.maximum(lo[conf], x2))
                 hi[conf] = np.where(up2, np.minimum(hi[conf], x2), hi[conf])
                 # the centred finish: confirmed, else back to the secant once
@@ -328,26 +346,28 @@ def _stacked_brackets(diag, offsq, n, last, a, b, tol, col=None):
                 one[failed, _FAILS] += 1
                 one[failed & ~bis, _MODE] = _SECANT
                 i = np.flatnonzero(conf)[~up2]  # x2 moved lo
-                xc[i], fc[i], pc[i] = x2[~up2], f[m1:m2][~up2], p[m1:m2][~up2]
+                xc[i], fc[i], pc[i] = x2[~up2], f2[~up2], p2[~up2]
             if bparts > 2:
                 # each bisected bracket keeps the part between its cuts
                 # that holds eigenvalue k
                 ends_b = np.column_stack([one[bis0, _LO], bcuts, one[bis0, _HI]])
-                above = np.column_stack([c[m0:m1][bis0], c[m2:m3].reshape(-1, bparts - 2)])
-                above = above >= k[bis0, None]
+                above = np.column_stack(
+                    [up[bis0], c[m2:m3].reshape(-1, bparts - 2) >= k[bis0, None]]
+                )
                 j = np.where(above.any(axis=1), above.argmax(axis=1), bparts - 1)
                 r = np.arange(j.size)
                 lo[bis0], hi[bis0] = ends_b[r, j], ends_b[r, j + 1]
             one[:, _LO], one[:, _HI] = lo, hi
             sec = mode == _SECANT
             if sec.any():
-                # where the same end is replaced twice running, the pivot
-                # kept at the other end is weighted by 1 - f_new / f_old, or
-                # by 1/2 where that is not positive
+                # where the same end is replaced twice running, or at the
+                # first step (the other end counts as kept once already), the
+                # pivot kept at the other end is weighted by 1 - f_new / f_old,
+                # or by 1/2 where that is not positive
                 rows = np.arange(k.size)
                 side = np.where(up, 1.0, -1.0)
                 new_end = np.where(up, _FHI, _FLO)
-                again = sec & (one[:, _LAST] == side)
+                again = sec & (one[:, _LAST] != -side)
                 with np.errstate(all="ignore"):
                     w = 1.0 - fc / one[rows, new_end]
                 w = np.where(w > 0, w, 0.5)
@@ -360,6 +380,10 @@ def _stacked_brackets(diag, offsq, n, last, a, b, tol, col=None):
                 step = np.abs(nxt - xc)
                 near = sec & ~bad & ((step <= _STEP * tk) | (hi - lo <= tk))
                 one[near, _MODE] = _CONFIRM
+                # a finish whose ends both lie at or beyond the bracket's
+                # holds eigenvalue k without a count
+                x = one[:, _X]
+                done |= near & (x - _HALF * tk <= lo) & (x + _HALF * tk >= hi)
                 bis |= bad
             # bisection, finished at width <= tol or when no float is left
             # strictly between the ends
@@ -367,11 +391,15 @@ def _stacked_brackets(diag, offsq, n, last, a, b, tol, col=None):
             one[bis, _MODE] = _BISECT
             one[bis, _X] = _mid(lo[bis], hi[bis])
             if done.any() or stop.any():
+                # a finished bracket is centred on its point, a bisected one
+                # is what is left of it
+                x = one[:, _X]
                 brackets = np.column_stack([lo, hi, k - 1, k])
-                _store(out_lo, out_hi, brackets[stop], shift[one_prob[stop]])
-                finish = np.column_stack([x1[conf], x2, k[conf] - 1, k[conf]])
-                _store(out_lo, out_hi, finish[done[conf]], shift[one_prob[conf][done[conf]]])
-                one = one[~(done | stop)]
+                brackets[done, 0] = x[done] - _HALF * tk[done]
+                brackets[done, 1] = x[done] + _HALF * tk[done]
+                end = done | stop
+                _store(out_lo, out_hi, brackets[end], shift[one_prob[end]])
+                one = one[~end]
 
         if m0:
             iso = _split(iso, cuts, c[:m0], p[:m0], f[:m0])

@@ -2,7 +2,10 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from jacobispec import cli
 from jacobispec.cli import _MAX_SIZE, load_config, main
 from jacobispec.params import JacobiSequence, sequence_to_csv
 
@@ -132,15 +135,26 @@ class TestClassifyCommand:
         ({"descriptor": {**M1, "x1": "1e-3000000"}}, "x1"),
         ({"descriptor": None, "sequence_file": 5}, "sequence_file"),
         ({"out": 5}, "out"),
+        ({"out": "cfg.json"}, "output directory"),
     ],
 )
-def test_malformed_config_key_exits_2(tmp_path, capsys, overrides, message):
+def test_malformed_config_key_exits_2(tmp_path, capsys, monkeypatch, overrides, message):
+    monkeypatch.chdir(tmp_path)
     cfg = write_config(tmp_path, **overrides)
+    # the config's own out is used where --out is not given
+    out = [] if "out" in overrides else ["--out", str(tmp_path)]
     for command in ("spectrum", "growth"):
-        assert main([command, "--config", str(cfg), "--out", str(tmp_path)]) == 2
+        assert main([command, "--config", str(cfg), *out]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err
         assert err.count("\n") == 1 and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["classify", "spectrum", "growth"])
+def test_negative_seed_override_exits_2(tmp_path, capsys, command):
+    cfg = write_config(tmp_path, descriptor={**M1, "remainder": NOISE})
+    assert main([command, "--config", str(cfg), "--out", str(tmp_path), "--seed", "-1"]) == 2
+    assert capsys.readouterr().err == "error: --seed must be an integer >= 0\n"
 
 
 @pytest.mark.parametrize("rays", [15, _MAX_SIZE + 1, 10**9])
@@ -317,3 +331,113 @@ def test_usage_error_exit_code(tmp_path):
     with pytest.raises(SystemExit) as err:
         main(["growth", "--config", str(cfg), "--out", str(tmp_path), "--jobs", "2"])
     assert err.value.code == 2
+
+
+# ---------------------------------------------------------------------------
+# config fuzzing: any JSON document gets exit code 0, 1 or 2, never a
+# traceback
+# ---------------------------------------------------------------------------
+
+_JSON_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(-(10**3), 10**3), st.sampled_from([10**400, -1]),
+    st.floats(allow_nan=True, allow_infinity=True), st.text(max_size=6),
+    st.sampled_from(["1e400", "-1e400", "nan", "inf", "1/2", "0.5", "2", "", "first", "second"]),
+)
+_JSON = st.recursive(
+    _JSON_SCALARS,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=3), st.dictionaries(st.text(max_size=4), inner, max_size=3)
+    ),
+    max_leaves=6,
+)
+
+
+def _field(likely):
+    """A config value: one a user might write, or any JSON one time in ten."""
+    return st.integers(0, 9).flatmap(lambda i: _JSON if i == 0 else likely)
+
+
+_NUMBER = st.one_of(
+    st.integers(-1, 4), st.floats(-1.0, 4.0), st.sampled_from(["1.5", "0.5", "-2", "1e-3"]),
+)
+_REMAINDER = st.fixed_dictionaries(
+    {},
+    optional={
+        "kind": _field(st.sampled_from(["none", "seeded_noise", "noise", "power"])),
+        "amplitude": _field(st.floats(-1.0, 1.0)),
+        "seed": _field(st.integers(0, 5)),
+    },
+)
+_DESCRIPTOR = st.fixed_dictionaries(
+    {key: _field(_NUMBER) for key in ("beta1", "beta2", "x0", "y0")},
+    optional={
+        **{key: _field(_NUMBER) for key in ("x1", "y1", "x2", "y2")},
+        "order": _field(st.sampled_from(["first", "second", "1", "2"])),
+        "remainder": _field(_REMAINDER),
+    },
+)
+#: output directories, of which a file, a path under a file and a path
+#: holding a NUL byte cannot be made
+_OUT_PATHS = ["o", "p/q", "fuzz.json", "fuzz.json/o", "a\x00b"]
+_OPTIONAL = {
+    "N": _field(st.lists(st.integers(-2, 60), min_size=1, max_size=4)),
+    "r_grid": _field(st.fixed_dictionaries({}, optional={
+        "r_min": _field(st.floats(-1.0, 50.0)),
+        "r_max": _field(st.floats(-1.0, 1e4)),
+        "points": _field(st.integers(0, 40)),
+    })),
+    "window": _field(st.lists(st.integers(-1, 60), max_size=3)),
+    "tolerances": _field(st.fixed_dictionaries({}, optional={
+        "eig_tol": _field(st.floats(-1.0, 1.0)),
+    })),
+    "rays": _field(st.integers(0, 40)),
+    "out": _field(st.sampled_from(_OUT_PATHS)),
+}
+#: a config with a descriptor, or one time in ten any object over the
+#: config's keys
+_CONFIG = st.integers(0, 9).flatmap(
+    lambda i: st.fixed_dictionaries(
+        {}, optional={**_OPTIONAL, "descriptor": _JSON, "sequence_file": _JSON}
+    ) if i == 0 else st.fixed_dictionaries({"descriptor": _DESCRIPTOR}, optional=_OPTIONAL)
+)
+
+
+class TestConfigFuzzing:
+    """Generated config documents, valid and not, with or without ``--out``
+    and ``--seed``: ``classify`` runs them, ``spectrum`` and ``growth`` load
+    them (their computation is stubbed), and every outcome is an exit code
+    in {0, 1, 2} with at most a one-line message."""
+
+    _ARGS = st.fixed_dictionaries({}, optional={
+        "--out": st.sampled_from(_OUT_PATHS), "--seed": st.integers(-2, 2),
+    })
+
+    @staticmethod
+    def run(tmp_path, capsys, doc, argv, args):
+        (tmp_path / "fuzz.json").write_text(json.dumps(doc))
+        argv = [*argv, "--config", "fuzz.json"]
+        for key, value in args.items():
+            argv += [key, str(value)]
+        rc = main(argv)
+        err = capsys.readouterr().err
+        assert rc in (0, 1, 2)
+        assert "Traceback" not in err and err.count("\n") <= 1
+        assert (rc == 2) == err.startswith("error: ")
+
+    @given(doc=st.one_of(_CONFIG, _JSON), args=_ARGS)
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_classify(self, tmp_path, capsys, monkeypatch, doc, args):
+        monkeypatch.chdir(tmp_path)
+        self.run(tmp_path, capsys, doc, ["classify"], args)
+
+    @given(doc=st.one_of(_CONFIG, _JSON), args=_ARGS,
+           command=st.sampled_from(["spectrum", "growth"]))
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_spectrum_and_growth_load(self, tmp_path, capsys, monkeypatch, doc, args, command):
+        monkeypatch.chdir(tmp_path)
+        loaded = []
+        monkeypatch.setattr(cli, f"cmd_{command}", lambda cfg, out: loaded.append(cfg) or 0)
+        self.run(tmp_path, capsys, doc, [command], args)
+        assert all(isinstance(cfg, cli.ExperimentConfig) for cfg in loaded)

@@ -177,6 +177,58 @@ def test_transfer_with_heavy_rescaling(model, monkeypatch):
         assert np.array_equal(a, np.conj(b))
 
 
+def _transfer_eight_ops(P, Q, zs, N, u0, v0):
+    """The transfer loop as eight array operations a factor on separate u
+    and v rows, with the kernel's scaling: the reference of the kernel's
+    five-operation step."""
+    shape, zs = zs.shape, zs.reshape(-1)
+    col = np.array([np.broadcast_to(c, shape).reshape(-1) for c in (u0, v0)], zs.dtype)
+    e = np.zeros(zs.size, dtype=np.int64)
+    s, t = np.empty_like(zs), np.empty_like(zs)
+    (uf, vf), sf, tf = col.view(np.float64), s.view(np.float64), t.view(np.float64)
+    logg = np.log1p(np.max(np.abs(zs), initial=0.0) * (P[:N] ** 2 + Q[:N] ** 2))
+    grown = 0.0
+    for p, q, g in zip(P[:N].tolist(), Q[:N].tolist(), logg.tolist()):
+        if grown + g > K._LOG_BUDGET:
+            m = np.frexp(np.maximum(abs(col.real), abs(col.imag)).max(axis=0))[1]
+            col *= np.ldexp(1.0, -m)
+            e, grown = e + m, 0.0
+        grown += g
+        np.multiply(vf, q, out=sf)
+        np.multiply(uf, p, out=tf)
+        np.subtract(sf, tf, out=sf)
+        np.multiply(s, zs, out=s)
+        np.multiply(sf, q, out=tf)
+        np.add(uf, tf, out=uf)
+        np.multiply(sf, p, out=tf)
+        np.add(vf, tf, out=vf)
+    m = np.frexp(np.maximum(abs(col.real), abs(col.imag)).max(axis=0))[1]
+    m = np.maximum(m - 1, -e)
+    col *= np.ldexp(1.0, -m)
+    return col[0].reshape(shape), col[1].reshape(shape), (e + m).reshape(shape)
+
+
+@pytest.mark.parametrize("budget", [K._LOG_BUDGET, 5.0])
+def test_transfer_matches_eight_operation_loop(model, monkeypatch, budget):
+    # q v + (-p u) is q v - p u bit for bit, and the products commute, so the
+    # five-operation step equals the eight-operation one; a small budget
+    # makes both rescale many times
+    P, Q = model
+    monkeypatch.setattr(K, "_LOG_BUDGET", budget)
+    xs = np.concatenate([np.linspace(-1e8, 1e8, 9), [0.0, 3.5, -4e9]])
+    zs = np.concatenate([1e6 * np.exp(1j * np.linspace(0.1, 3.0, 5)), [4e9 + 0j, 2j]])
+    scaled = 0
+    for kernel, points in ((K.transfer_real, xs), (K.transfer_complex, zs)):
+        for N in (1, 37, 400):
+            for u0, v0 in ((0.0, 1.0), (-1.0, 0.0)):
+                got = kernel(P, Q, points, N, u0, v0)
+                ref = _transfer_eight_ops(P, Q, points.astype(got[0].dtype), N, u0, v0)
+                for a, b in zip(got, ref):
+                    assert a.dtype == b.dtype and np.array_equal(a, b)
+                scaled += np.count_nonzero(got[2] > 0)
+    assert scaled > 0
+
+
 def test_transfer_real_agrees_with_complex(model):
     # on the real axis the complex loop does the real loop's arithmetic
     P, Q = model

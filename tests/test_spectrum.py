@@ -149,7 +149,7 @@ class TestBlockedSturmKernel:
         # the blocks hold rows 1 .. rows, rows + 1 .. 2 rows, ..., so rows - 1
         # and rows are the last two rows of the first block and rows + 1 is
         # the first of the second
-        rows = max(16, _kernels._BUDGET // S)
+        rows = min(_kernels._ROWS, max(16, _kernels._BUDGET // S))
         row = rows + offset
         N = rows + 8
         diag = rng.uniform(1.0, 3.0, N)
@@ -327,6 +327,67 @@ class TestStopRowSturmKernel:
             count, last = _kernels.sturm_counts(*args)
             assert count.shape == last.shape == (0,)
             assert count.dtype == np.int64 and last.dtype == np.float64
+
+
+class TestUint8BlockCount:
+    """A block sums its negative pivots per shift in a uint8, so it holds at
+    most 255 rows: with every shift above the spectrum every pivot is
+    negative, and each count is exactly its row count."""
+
+    @staticmethod
+    def matrix(rng, N):
+        # Gershgorin: the spectrum lies in [-3 - 4, 3 + 4]
+        return rng.uniform(-3.0, 3.0, N), rng.uniform(0.05, 4.0, N - 1)
+
+    @pytest.mark.parametrize("N", [255, 256, 257, 511, 2000])
+    @pytest.mark.parametrize("S", [1, 2, 300])
+    def test_every_pivot_negative(self, rng, N, S):
+        diag, offsq = self.matrix(rng, N)
+        xs = rng.uniform(10.0, 20.0, S)
+        ref_count, ref_last = _sturm_counts_per_row(diag, offsq, xs)
+        assert np.all(ref_count == N)
+        # one tridiagonal
+        count, last = _kernels.sturm_counts(diag, offsq, xs)
+        assert np.array_equal(count, ref_count) and np.array_equal(last, ref_last)
+        # stop rows around the block height; the first shift runs all N rows
+        stop = rng.choice([v for v in (1, 255, 256, 257, N - 1, N) if v <= N], S)
+        stop[0] = N
+        count, last = _kernels.sturm_counts(diag, offsq, xs, stop)
+        assert np.array_equal(count, stop)
+        TestStopRowSturmKernel.assert_parity(diag, offsq, xs, stop)
+        # a stack of two columns, each shift on either
+        other = self.matrix(rng, N)
+        mat = rng.integers(0, 2, S)
+        mat[0] = 0
+        stacked = np.column_stack([diag, other[0]]), np.column_stack([offsq, other[1]])
+        count, last = _kernels.sturm_counts(*stacked, xs, np.full(S, N), mat)
+        assert np.all(count == N)
+        on = mat == 0
+        assert np.array_equal(count[on], ref_count[on])
+        assert np.array_equal(last[on], ref_last[on])
+
+    @pytest.mark.parametrize("S", [1, 2])
+    def test_replayed_full_height_block(self, rng, S, monkeypatch):
+        # a pivot of exactly zero at row 100 of a 255-row block: x = 15 is
+        # an eigenvalue of the decoupled 1 x 1 block there, and its zero
+        # pivot is floored to a negative one, so every count is still N
+        calls = []
+        floor = _kernels._floor_pivots
+        monkeypatch.setattr(
+            _kernels, "_floor_pivots", lambda d: calls.append(1) or floor(d)
+        )
+        N = 600
+        diag, offsq = self.matrix(rng, N)
+        offsq[99] = offsq[100] = 0.0
+        diag[100] = 15.0
+        xs = np.array([15.0, 17.0][:S])
+        for args in ((), (np.full(S, N),)):
+            calls.clear()
+            count, last = _kernels.sturm_counts(diag, offsq, xs, *args)
+            assert len(calls) > 1  # the block holding row 100 was replayed
+            ref_count, ref_last = _sturm_counts_per_row(diag, offsq, xs)
+            assert np.all(count == N) and np.array_equal(count, ref_count)
+            assert np.array_equal(last, ref_last)
 
 
 class TestModifiedLastRow:
@@ -745,6 +806,62 @@ class TestSecantFinish:
         assert hi[i] - lo[i] == pytest.approx(0.9 * tol, rel=1e-6)
         # bisecting this bracket alone took 12 more sweeps of one shift (28)
         assert n_sweeps <= 20
+
+
+def _golden_m2_2000():
+    """J_2000 of golden m2, seed 1, as (diag, offsq), with its sequence."""
+    desc = descriptor_from_json({
+        "beta1": 0.5, "beta2": 0, "x0": 1, "y0": 1,
+        "remainder": {"kind": "seeded_noise", "amplitude": 0.5, "seed": 1},
+    })
+    seq = materialize(desc, 2000)
+    return seq, seq.q[:2000], seq.rho[:1999] ** 2
+
+
+class TestSturmWork:
+    """The shifts the solver counts per eigenvalue."""
+
+    def test_shifts_per_eigenvalue_on_golden_m2(self, monkeypatch):
+        # every eigenvalue of J_2000 lies in +-1e3; 9.57 shifts per
+        # eigenvalue before the one-count finish and the first-step weight
+        seq, _, _ = _golden_m2_2000()
+        shifts = []
+        kernel = _kernels.sturm_counts
+
+        def counted(diag, offsq, xs, *args):
+            shifts.append(np.size(xs))
+            return kernel(diag, offsq, xs, *args)
+
+        monkeypatch.setattr(_kernels, "sturm_counts", counted)
+        ev = eigenvalues_in(seq, 2000, (-1e3, 1e3), tol=1e-7)
+        assert ev.size == 2000
+        assert sum(shifts) / ev.size <= 8.5
+
+    def test_finish_counts_only_the_end_inside_the_bracket(self, monkeypatch):
+        # the lowest eigenvalue of J_2000, near -87.7723, alone in its
+        # window: one isolation sweep, secant steps of one shift, then the
+        # finish, whose point lies within 0.45 tol of an end a secant step
+        # certified, so the finish counts its other end only, one shift
+        # instead of two
+        _, diag, offsq = _golden_m2_2000()
+        sweeps = []
+        kernel = _kernels.sturm_counts
+
+        def counted(diag, offsq, xs, *args):
+            sweeps.append(np.array(xs, dtype=np.float64))
+            return kernel(diag, offsq, xs, *args)
+
+        monkeypatch.setattr(_kernels, "sturm_counts", counted)
+        tol = 1e-7
+        lo, hi = _sturm_brackets(diag, offsq, -88.0, -87.5, tol)
+        assert lo.size == 1
+        assert sweeps[0].size == 257 and {s.size for s in sweeps[1:]} == {1}
+        # the last sweep counted one end of the centred bracket
+        assert sweeps[-1][0] in (lo[0], hi[0])
+        assert hi[0] - lo[0] == pytest.approx(0.9 * tol, rel=1e-6)
+        # both stored ends hold the eigenvalue by a direct count
+        monkeypatch.setattr(_kernels, "sturm_counts", kernel)
+        assert list(_count(diag, offsq, [lo[0], hi[0]])) == [0, 1]
 
 
 class TestCountingFunction:
