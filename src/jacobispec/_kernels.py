@@ -29,8 +29,13 @@ two eigenvalues of J_{N-1} it is continuous and decreasing in x.
 Each shift has a stop row: it counts the leading block J_stop of the
 tridiagonal, so one call counts all truncations of one sequence, each as
 a prefix of its rows.  The shifts are sorted by stop, largest first, so
-that the shifts still advanced at row k are a prefix; a block ends where
-that prefix shrinks.  One tridiagonal is read a row at a time as scalars
+that the shifts still advanced at row k are a prefix.  A block ends at
+its height or at the largest stop of its shifts, whichever comes first;
+a shift that stops inside it takes its count from the rows before its
+stop and its last pivot from its stop row, and the rows past its stop
+(zero padding, in a column of a stack) stay out of its count and of the
+floor test, so they trigger no replay; a replay counts each shift up to
+its stop.  One tridiagonal is read a row at a time as scalars
 broadcast over the shifts; a stack of independent tridiagonals, one per
 column, is gathered per block, each shift reading its own column.  Either
 way each shift gets the count and last pivot of the per-row floored loop
@@ -113,15 +118,24 @@ def sturm_counts(diag, offsq, xs, stop=None, mat=None):
     top = 1 if not S else diag.shape[0] if stop is None else int(stop[0])
     size = min(max(16 * S, _BUDGET), _ROWS * S, (top - 1) * S)
     buf, neg = np.empty(size), np.empty(size, dtype=bool)
+    # a stack's couplings are gathered into a buffer of their own: a fresh
+    # array of a block's size would be mapped and unmapped at every block
+    wbuf = None if mat is None else np.empty(size)
     t = np.empty(S)
     div, sub = np.divide, np.subtract
-    k0, act = 1, S
+    k0, act, full = 1, S, S
     while k0 < top:
         if stop is not None:
             act = int(np.count_nonzero(stop > k0))
-        # the block ends where the smallest stop of its shifts does
+        # the block ends at its height or at the largest stop of its shifts
         rows = min(_ROWS, max(16, _BUDGET // act))
-        k1 = min(top if stop is None else int(stop[act - 1]), k0 + rows)
+        k1 = min(top, k0 + rows)
+        if stop is not None:
+            # the shifts up to full run the whole block, the others stop in
+            # it, after the block rows `ends`
+            full = int(np.count_nonzero(stop[:act] >= k1))
+            ends = stop[full:act] - k0
+            past = np.arange(k1 - k0)[:, None] >= ends
         x, ta, prev = xs[:act], t[:act], d[:act]
         block = buf[: (k1 - k0) * act].reshape(k1 - k0, act)
         # unfloored pass; a block holding a pivot below the floor (or a NaN)
@@ -132,29 +146,43 @@ def sturm_counts(diag, offsq, xs, stop=None, mat=None):
                 ws = w[k0 - 1 : k1 - 1]
             else:
                 m = mat[:act]
-                sub(diag[k0:k1, m], x, block)
-                ws = offsq[k0 - 1 : k1 - 1, m]
+                np.take(diag[k0:k1], m, axis=1, out=block, mode="clip")
+                sub(block, x, block)
+                ws = wbuf[: block.size].reshape(block.shape)
+                np.take(offsq[k0 - 1 : k1 - 1], m, axis=1, out=ws, mode="clip")
             for wk, row in zip(ws, block):
                 div(wk, prev, ta)
                 sub(row, ta, row)
                 prev = row
-        # at most _ROWS negative pivots per column: a uint8 sum
+        # at most _ROWS negative pivots per column: a uint8 sum; rows past a
+        # shift's stop are left out of its count and of the floor test
         sign = neg[: block.size].reshape(block.shape)
         np.less(block, 0.0, sign)
-        below = np.add.reduce(sign.view(np.uint8), axis=0, dtype=np.uint8)
         ta[:] = prev
-        if np.abs(block, out=block).min() >= _PIVMIN:
+        if full < act:
+            np.copyto(sign[:, full:], False, where=past)
+            ta[full:] = block[ends - 1, np.arange(full, act)]
+        below = np.add.reduce(sign.view(np.uint8), axis=0, dtype=np.uint8)
+        np.abs(block, out=block)
+        if full < act:
+            np.copyto(block[:, full:], np.inf, where=past)
+        if block.min() >= _PIVMIN:
             count[:act] += below
             d[:act] = ta
         else:
-            prev = d[:act]
+            prev, live = d[:act], act
             for k in range(k0, k1):
+                if full < act:
+                    # the shifts whose stop is k drop out with their pivot
+                    live = full + int(np.count_nonzero(ends > k - k0))
+                    prev, x = prev[:live], x[:live]
                 if mat is None:
                     prev = _floor_pivots((diag[k] - x) - offsq[k - 1] / prev)
                 else:
+                    m = m[:live]
                     prev = _floor_pivots((diag[k, m] - x) - offsq[k - 1, m] / prev)
-                count[:act] += prev < 0
-            d[:act] = prev
+                count[:live] += prev < 0
+                d[:live] = prev
         k0 = k1
     if order is None:
         return count, d

@@ -42,6 +42,10 @@ _BOUNDARY_NOTE = (
     "case boundaries use exact rational comparisons; equality of derived "
     "quantities is granted within 1e-12 relative and flagged as near-boundary"
 )
+_LPC_ZERO_NOTE = (
+    "classified lpc: the Nevanlinna matrix does not converge, so B_N has no "
+    "limit whose zeros the route could estimate; the zero route is not run"
+)
 #: largest accepted truncation dimension and r-grid size; the arrays are
 #: allocated as asked, so a larger value would only exhaust memory
 _MAX_SIZE = 10**7
@@ -292,27 +296,33 @@ def cmd_growth(cfg: ExperimentConfig, out: Path) -> int:
     order_m, type_m = growth.order_type_from_max_modulus(rs, logM)
     report["max_modulus_route"] = {"order": order_m, "type_at_order": type_m}
 
-    # route 3: zeros of B
-    zeros = growth.scan_b_zeros(sol, seq, N, cfg.r_max)
-    np.savetxt(out / "b_zeros.csv", zeros, header="zero", comments="", fmt="%.17g")
-    mods = np.sort(np.abs(zeros))
-    zero_route = {"count": int(zeros.size)}
-    exponent_fit = None
-    if mods.size >= 32:
-        exponent_fit = growth.convergence_exponent_from_zeros(mods)
-        zero_route["convergence_exponent"] = exponent_fit.slope
-        zero_route["stderr"] = exponent_fit.stderr
-    report["zero_route"] = zero_route
-
+    # route 3: zeros of B, not sought where the classification says lpc
     predicted = None
     if cfg.descriptor is not None:
-        cls = classify(cfg.descriptor)
-        report["classification"] = cls.to_json()
-        predicted = cls
+        predicted = classify(cfg.descriptor)
+        report["classification"] = predicted.to_json()
+    exponent_fit = None
+    if predicted is not None and predicted.regime is Regime.LPC:
+        mods = np.empty(0)
+        zero_route = {"skipped": _LPC_ZERO_NOTE}
+        found = "zero route skipped (lpc)"
+    else:
+        zeros = growth.scan_b_zeros(sol, seq, N, cfg.r_max)
+        np.savetxt(out / "b_zeros.csv", zeros, header="zero", comments="", fmt="%.17g")
+        mods = np.sort(np.abs(zeros))
+        zero_route = {"count": int(zeros.size)}
+        found = f"{zeros.size} zeros found"
+        if mods.size >= 32:
+            exponent_fit = growth.convergence_exponent_from_zeros(mods)
+            zero_route["convergence_exponent"] = exponent_fit.slope
+            zero_route["stderr"] = exponent_fit.stderr
+    report["zero_route"] = zero_route
+
+    if predicted is not None:
         beta1 = cfg.descriptor.beta1
         if beta1 > 1 and mods.size >= 32:
             zero_route["upper_density"] = growth.upper_density(mods, beta1)
-        if cls.case_label == "T1(ii)" and cls.regime is Regime.LCC:
+        if predicted.case_label == "T1(ii)" and predicted.regime is Regime.LCC:
             gaps = growth.majorant_bound_gap(
                 sol, seq, 1j * np.geomspace(cfg.r_min, cfg.r_max, 8), N
             )
@@ -344,10 +354,7 @@ def cmd_growth(cfg: ExperimentConfig, out: Path) -> int:
     report["growth_estimate"] = estimate.to_json()
     _write_json(report, out / "growth_report.json")
     print(f"growth: coefficient route {coeff_route}")
-    print(
-        f"        max-modulus route order {order_m:.4f}, type {type_m:.4f}; "
-        f"{zeros.size} zeros found"
-    )
+    print(f"        max-modulus route order {order_m:.4f}, type {type_m:.4f}; {found}")
     if predicted is not None and predicted.predicted_exponent is not None:
         print(
             f"        predicted exponent {_exponent_str(predicted.predicted_exponent)}"

@@ -4,14 +4,15 @@ Only counts and brackets are ever needed downstream, so everything is
 built on the Sturm count (LD-factorization sign count with floored
 pivots) rather than on a factorization eigensolver.  Eigenvalues are
 bracketed in three phases that share batched Sturm sweeps: isolation of
-each eigenvalue by bisection of distinct intervals (Barth, Martin and
-Wilkinson, Numer. Math. 9, 1967), a safeguarded regula falsi on the last
-LD pivot, whose sign changes are decided by the count (after Li and Zeng,
-SIAM J. Matrix Anal. Appl. 15, 1994), and a finish that centres each
-bracket on the converged point and confirms it by the counts at those
-of its ends that the bracket before it does not already settle.  A
-brute-force characteristic-polynomial root isolator serves as
-the independent cross-check for tiny matrices.
+each eigenvalue by cutting distinct intervals, each into at least as
+many equal parts as it holds eigenvalues of J_N and J_{N-1} (after the
+bisection of Barth, Martin and Wilkinson, Numer. Math. 9, 1967), a
+safeguarded regula falsi on the last LD pivot, whose sign changes are
+decided by the count (after Li and Zeng, SIAM J. Matrix Anal. Appl. 15,
+1994), and a finish that centres each bracket on the converged point and
+confirms it by the counts at those of its ends that the bracket before
+it does not already settle.  A brute-force characteristic-polynomial
+root isolator serves as the independent cross-check for tiny matrices.
 """
 
 from __future__ import annotations
@@ -93,10 +94,11 @@ _STEP = 0.1
 #: sweeps after which every unfinished secant iteration turns to bisection
 _SECANT_SWEEPS = 100
 #: shifts per isolation sweep: while fewer than _SPLIT // 2 intervals are
-#: being isolated, each is cut into _SPLIT // count parts instead of two;
-#: the per-row overhead of a sweep makes one over a few shifts cost about
-#: half as much as one over _SPLIT (2.2 against 4.1 ms for 4 and 256
-#: shifts at N = 2000, fastest of 30 runs, 2-core Xeon)
+#: being isolated, each is cut into at least _SPLIT // count parts instead
+#: of two, and into more where it holds more eigenvalues; the per-row
+#: overhead of a sweep makes one over a few shifts cost about half as much
+#: as one over _SPLIT (2.2 against 4.1 ms for 4 and 256 shifts at
+#: N = 2000, fastest of 30 runs, 2-core Xeon)
 _SPLIT = 256
 
 # columns of the table of isolated eigenvalues in _stacked_brackets
@@ -132,22 +134,42 @@ def _secant_point(one: np.ndarray) -> np.ndarray:
     return np.where(np.isnan(x), _mid(lo, hi), x)
 
 
-def _split(iso, cuts, c, p, f):
-    """The parts of every interval between its cut points, each with the
-    counts and pivots at both of its ends and its problem; empty parts are
-    dropped."""
-    def with_ends(first, inner, last):
-        return np.column_stack([iso[:, first], inner.reshape(cuts.shape), iso[:, last]])
+def _isolation_cuts(iso):
+    """The cut points of every interval being isolated, as (cuts, ncut):
+    interval i is cut into ncut[i] + 1 equal parts, with ncut[i] =
+    max(e, max(2, _SPLIT // len(iso)) - 1) for the number e of eigenvalues
+    of J_N and of J_{N-1} in it, which is 0 before the first sweep has
+    counted the window ends."""
+    e = (iso[:, 3] - iso[:, 2] + iso[:, 5] - iso[:, 4]).astype(np.int64)
+    ncut = np.maximum(e, max(2, _SPLIT // max(len(iso), 1)) - 1)
+    first = np.repeat(np.cumsum(ncut) - ncut, ncut)
+    i = np.repeat(np.arange(len(iso)), ncut)
+    t = (np.arange(first.size) - first + 1) / (ncut[i] + 1)
+    return _cut(iso[i, 0], iso[i, 1], t), ncut
 
-    xs = np.column_stack([iso[:, 0], cuts, iso[:, 1]])
-    # a count is kept monotone across the cuts of its interval
-    cs = np.minimum(np.maximum.accumulate(with_ends(2, c, 3), axis=1), iso[:, 3:4])
-    prob = np.repeat(iso[:, 8:], cuts.shape[1] + 1, axis=1)
-    parts = np.stack(
-        [e[:, s] for e in (xs, cs, with_ends(4, p, 5), with_ends(6, f, 7))
-         for s in (slice(None, -1), slice(1, None))] + [prob],
-        axis=-1,
-    ).reshape(-1, 9)
+
+def _split(iso, ncut, cuts, c, p, f):
+    """The parts of every interval between its cut points, ncut[i] of them
+    in interval i, each with the counts and pivots at both of its ends and
+    its problem; empty parts are dropped."""
+    i = np.repeat(np.arange(len(iso)), ncut)
+    # a count is kept monotone across the cuts of its interval; offset by
+    # interval, a running maximum never reaches into the next one
+    offset = i * (iso[:, 3].max(initial=0.0) + 1.0)
+    c = np.maximum.accumulate(np.clip(c, iso[i, 2], iso[i, 3]) + offset) - offset
+    # each interval's points, its ends included, in rows: x, the counts of
+    # J_N and of J_{N-1}, and d_N
+    lo = np.cumsum(ncut + 2) - ncut - 2
+    hi = lo + ncut + 1
+    points = np.empty((4, cuts.size + 2 * len(iso)))
+    inner = np.ones(points.shape[1], dtype=bool)
+    inner[lo] = inner[hi] = False
+    points[:, lo], points[:, hi] = iso[:, 0:8:2].T, iso[:, 1:8:2].T
+    points[:, inner] = cuts, c, p, f
+    inner[lo] = True  # the lower end of every part
+    parts = np.empty((cuts.size + len(iso), 9))
+    parts[:, 0:8:2], parts[:, 1:8:2] = points[:, inner].T, points[:, np.roll(inner, 1)].T
+    parts[:, 8] = np.repeat(iso[:, 8], ncut + 1)
     return parts[parts[:, 3] > parts[:, 2]]
 
 
@@ -193,9 +215,12 @@ def _stacked_brackets(diag, offsq, n, last, a, b, tol, col=None):
     share sweeps:
 
     1. Isolation.  Distinct intervals, each with its counts at both ends,
-       are bisected while they hold more than one eigenvalue of J_N or an
-       eigenvalue of J_{N-1} (LAPACK's ``dstebz`` keeps its intervals so);
-       while there are few of them, they are cut into more parts.
+       are cut while they hold more than one eigenvalue of J_N or an
+       eigenvalue of J_{N-1} (LAPACK's ``dstebz`` keeps its intervals so):
+       into equal parts, as many as the eigenvalues of J_N and of J_{N-1}
+       the interval holds plus one, and, while there are few intervals,
+       at least _SPLIT // count of them; the first sweep, before the
+       window ends are counted, uses the second rule alone.
     2. Secant.  On an interval with one eigenvalue of J_N and none of
        J_{N-1}, d_N is continuous and decreasing, positive at the lower
        end and negative at the upper one.  A regula falsi on d_N with the
@@ -222,8 +247,9 @@ def _stacked_brackets(diag, offsq, n, last, a, b, tol, col=None):
 
     Every decision is taken per bracket, except the number of parts an
     interval or a bisected bracket is cut into: about ``_SPLIT`` cut points
-    per sweep are shared by all intervals, and as many by all bisected
-    brackets, of all problems.  So a problem among others may get other
+    per sweep are shared by all intervals (more where they hold many
+    eigenvalues), and about as many by all bisected brackets, of all
+    problems.  So a problem among others may get other
     brackets than alone, each still of width <= tol around its eigenvalue.
     """
 
@@ -277,8 +303,7 @@ def _stacked_brackets(diag, offsq, n, last, a, b, tol, col=None):
         if sweeps >= _SECANT_SWEEPS:
             one[:, _MODE] = _BISECT
             one[:, _X] = _mid(one[:, _LO], one[:, _HI])
-        parts = max(2, _SPLIT // max(len(iso), 1))
-        cuts = _cut(iso[:, :1], iso[:, 1:2], np.arange(1, parts) / parts)
+        cuts, ncut = _isolation_cuts(iso)
         one_prob = one[:, _PROB].astype(np.int64)
         mode, k, tk = one[:, _MODE], one[:, _K], tol[one_prob]
         conf = mode == _CONFIRM
@@ -298,9 +323,9 @@ def _stacked_brackets(diag, offsq, n, last, a, b, tol, col=None):
         x2 = one[conf, _X] + _HALF * tk[conf]
         at1 = ~conf | (x1 > one[:, _LO])
         at2 = x2 < one[conf, _HI]
-        xs = [cuts.ravel(), x1[at1], x2[at2], bcuts[:, 1:].ravel()]
+        xs = [cuts, x1[at1], x2[at2], bcuts[:, 1:].ravel()]
         prob = [
-            np.repeat(iso[:, 8].astype(np.int64), parts - 1), one_prob[at1],
+            np.repeat(iso[:, 8].astype(np.int64), ncut), one_prob[at1],
             one_prob[conf][at2], np.repeat(one_prob[bis0], bparts - 2),
         ]
         if shift is None:
@@ -402,7 +427,7 @@ def _stacked_brackets(diag, offsq, n, last, a, b, tol, col=None):
                 one = one[~end]
 
         if m0:
-            iso = _split(iso, cuts, c[:m0], p[:m0], f[:m0])
+            iso = _split(iso, ncut, cuts, c[:m0], p[:m0], f[:m0])
             iso_prob = iso[:, 8].astype(np.int64)
             stop = _unsplittable(iso[:, 0], iso[:, 1], tol[iso_prob])
             if stop.any():
@@ -563,39 +588,62 @@ def stabilized_counting(
 
 def _charpoly_values(diag, offsq, sizes, xs, mat):
     """det(J - x I) of matrix ``mat[i]`` of a padded stack at each x = xs[i]
-    by the determinant recurrence."""
+    by the determinant recurrence.  The points are taken largest matrix
+    first, so that those still advanced at row k are a prefix."""
+    order = np.argsort(-sizes[mat], kind="stable")
+    xs, mat = xs[order], mat[order]
     n_of = sizes[mat]
-    diag, offsq = diag[:, mat], offsq[:, mat]
     pm1 = np.ones_like(xs)
-    p = diag[0] - xs
+    p = diag[0, mat] - xs
     for k in range(1, int(n_of.max(initial=1))):
-        i = np.flatnonzero(n_of > k) if n_of.min() <= k else slice(None)
-        p_k = (diag[k, i] - xs[i]) * p[i] - offsq[k - 1, i] * pm1[i]
-        pm1[i] = p[i]
-        p[i] = p_k
-    return p
+        a = int(np.count_nonzero(n_of > k))
+        m = mat[:a]
+        p_k = (diag[k, m] - xs[:a]) * p[:a] - offsq[k - 1, m] * pm1[:a]
+        pm1[:a] = p[:a]
+        p[:a] = p_k
+    out = np.empty_like(p)
+    out[order] = p
+    return out
 
 
-def _charpoly_grid_brackets(diag, offsq, sizes, m, a, b):
-    """Grid cells holding the sign changes of matrix m's characteristic
-    polynomial on [a, b], refined until there are as many as its dimension."""
-    pts = 64 * int(sizes[m])
+def _charpoly_grid_brackets(diag, offsq, sizes, windows):
+    """Grid cells holding the sign changes of each matrix m's characteristic
+    polynomial on windows[m], its grid refined until there are as many as
+    its dimension.  Each round evaluates the grids of the matrices still
+    short of sign changes together, each point on its own matrix, in calls
+    of about ``_kernels._BUDGET // 8`` points, so that the recurrence's
+    arrays stay as small as the Sturm kernel's work buffer."""
+    cells = [None] * sizes.size
+    pts = 64 * sizes
+    todo = np.arange(sizes.size)
     for _ in range(16):
-        xs = np.linspace(a, b, pts)
-        sign = np.sign(_charpoly_values(diag, offsq, sizes, xs, np.full(pts, m)))
-        # treat exact zeros as negative so each root yields one sign change
-        sign[sign == 0] = -1.0
-        idx = np.nonzero(sign[:-1] * sign[1:] < 0)[0]
-        if idx.size == sizes[m]:
-            return xs[idx], xs[idx + 1]
-        pts *= 4
+        short = []
+        first = (np.cumsum(pts[todo]) - pts[todo]) // (_kernels._BUDGET // 8)
+        for group in np.split(todo, np.flatnonzero(np.diff(first)) + 1):
+            grids = [np.linspace(*windows[m], pts[m]) for m in group]
+            xs, mat = np.concatenate(grids), np.repeat(group, pts[group])
+            sign = np.sign(_charpoly_values(diag, offsq, sizes, xs, mat))
+            # treat exact zeros as negative so each root yields one sign change
+            sign[sign == 0] = -1.0
+            flips = np.split(sign[:-1] * sign[1:] < 0, np.cumsum(pts[group])[:-1])
+            for m, xs, flip in zip(group, grids, flips):
+                idx = np.nonzero(flip[: xs.size - 1])[0]
+                if idx.size == sizes[m]:
+                    cells[m] = xs[idx], xs[idx + 1]
+                else:
+                    short.append(m)
+        if not short:
+            return cells
+        todo = np.array(short)
+        pts[todo] *= 4
     raise RuntimeError("failed to isolate all characteristic-polynomial roots")
 
 
 def charpoly_eigenvalues_each(problems, tol: float = 1e-11) -> list:
     """``charpoly_eigenvalues`` for each ``(seq, N)`` of *problems*: each
-    matrix's roots are isolated on its own grid, then every bisection step
-    evaluates the determinants of the whole stack at once.
+    matrix's roots are isolated on its own grid, every refinement round and
+    every bisection step evaluating the determinants of the whole stack at
+    once.
 
     Each root takes the steps it would take alone, and the recurrence keeps
     its per-element operation order, so every root is bit-identical to its
@@ -605,10 +653,9 @@ def charpoly_eigenvalues_each(problems, tol: float = 1e-11) -> list:
     if not problems:
         return []
     diag, offsq, sizes = _stack([_submatrix(seq, N) for seq, N in problems])
-    cells = [
-        _charpoly_grid_brackets(diag, offsq, sizes, m, *gershgorin_interval(seq, N))
-        for m, (seq, N) in enumerate(problems)
-    ]
+    cells = _charpoly_grid_brackets(
+        diag, offsq, sizes, [gershgorin_interval(seq, N) for seq, N in problems]
+    )
     lo = np.concatenate([c[0] for c in cells])
     hi = np.concatenate([c[1] for c in cells])
     mat = np.repeat(np.arange(sizes.size), sizes)

@@ -105,24 +105,32 @@ def _sol(which: str, N: int):
 
 
 @lru_cache(maxsize=None)
-def _m1_routes() -> tuple[np.ndarray, np.ndarray]:
-    """The zeros of B_2000 and the eigenvalues of J_2000 of m1 in [-1e4, 1e4]
-    (c06, whose zeros c07 and c09 read too), bracketed in one Sturm call."""
+def _golden_routes() -> tuple[list, np.ndarray]:
+    """The zeros of B_2000 of m1 in [-1e4, 1e4] and of m3 and m4 in
+    [-1e6, 1e6], with the eigenvalues of J_2000 of m1 in [-1e4, 1e4], all
+    bracketed in one Sturm call; each model's sign check stays its own
+    transfer-product call."""
     seq = _seq("m1", 2000)
-    (zeros,), (eigs,) = growth.scan_b_zeros_each(
-        [(_sol("m1", 2000), seq, 2000, 1e4)], [(seq, 2000, (-1e4, 1e4), 1e-7)]
+    zeros, (eigs,) = growth.scan_b_zeros_each(
+        [(_sol("m1", 2000), seq, 2000, 1e4)]
+        + [(_sol(which, 2000), _seq(which, 2000), 2000, 1e6) for which in ("m3", "m4")],
+        [(seq, 2000, (-1e4, 1e4), 1e-7)],
     )
     return zeros, eigs
 
 
-@lru_cache(maxsize=None)
+def _m1_routes() -> tuple[np.ndarray, np.ndarray]:
+    """The zeros of B_2000 and the eigenvalues of J_2000 of m1 in [-1e4, 1e4]
+    (c06, whose zeros c07 and c09 read too), from ``_golden_routes``."""
+    zeros, eigs = _golden_routes()
+    return zeros[0], eigs
+
+
 def _exceptional_zeros() -> tuple[np.ndarray, np.ndarray]:
-    """The zeros of B_2000 of m3 and of m4 in [-1e6, 1e6] (c12), bracketed
-    in one Sturm call."""
-    zeros, _ = growth.scan_b_zeros_each(
-        [(_sol(which, 2000), _seq(which, 2000), 2000, 1e6) for which in ("m3", "m4")]
-    )
-    return tuple(zeros)
+    """The zeros of B_2000 of m3 and of m4 in [-1e6, 1e6] (c12), from
+    ``_golden_routes``."""
+    zeros, _ = _golden_routes()
+    return zeros[1], zeros[2]
 
 
 def golden_table() -> list:

@@ -67,3 +67,22 @@ def m1_b_zeros():
 @pytest.fixture()
 def rng():
     return np.random.default_rng(1234)
+
+
+def pytest_addoption(parser):
+    parser.addoption(
+        "--runslow", action="store_true", help="also run the tests marked slow"
+    )
+
+
+def pytest_configure(config):
+    config.addinivalue_line("markers", "slow: long-running; run with --runslow")
+
+
+def pytest_collection_modifyitems(config, items):
+    if config.getoption("--runslow"):
+        return
+    skip = pytest.mark.skip(reason="slow; run with --runslow")
+    for item in items:
+        if "slow" in item.keywords:
+            item.add_marker(skip)

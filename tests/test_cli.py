@@ -7,7 +7,12 @@ from hypothesis import strategies as st
 
 from jacobispec import cli
 from jacobispec.cli import _MAX_SIZE, load_config, main
-from jacobispec.params import JacobiSequence, sequence_to_csv
+from jacobispec.params import (
+    JacobiSequence,
+    descriptor_from_json,
+    materialize,
+    sequence_to_csv,
+)
 
 
 M1 = {"beta1": 2, "beta2": 0, "x0": 1, "y0": 1, "x1": 2, "x2": 1, "order": "second"}
@@ -291,6 +296,34 @@ class TestReportCommand:
         assert main(["report", "--config", str(cfg), "--out", str(out)]) == 2
         assert "three strictly increasing" in capsys.readouterr().err
         assert list(out.iterdir()) == []
+
+    # T1(ii) lpc: the zero route's sign check used to fail on 1942 of 2000
+    # brackets (exit 2), losing the classification and spectrum results
+    LPC = {"beta1": "0.5", "beta2": "0.5", "x0": 2, "y0": 3.9058547781816184,
+           "x1": -1, "order": "first"}
+
+    def test_lpc_descriptor_skips_the_zero_route(self, tmp_path, capsys):
+        cfg = tmp_path / "lpc.json"
+        cfg.write_text(json.dumps({"descriptor": self.LPC}))
+        out = tmp_path / "rep"
+        assert main(["report", "--config", str(cfg), "--out", str(out)]) == 0
+        assert "zero route skipped (lpc)" in capsys.readouterr().out
+        growth = json.loads((out / "report.json").read_text())["growth_report"]
+        assert growth["classification"]["regime"] == "lpc"
+        assert set(growth["zero_route"]) == {"skipped"}
+        assert growth["growth_estimate"]["convergence_exponent"] is None
+        assert not (out / "b_zeros.csv").exists()
+        assert (out / "spectrum_report.json").exists()
+
+    def test_lpc_sequence_file_keeps_the_sign_check(self, tmp_path, capsys):
+        # the same numbers with no descriptor carry no classification
+        seq_path = tmp_path / "seq.csv"
+        sequence_to_csv(materialize(descriptor_from_json(self.LPC), 2000), seq_path)
+        cfg = tmp_path / "seq.json"
+        cfg.write_text(json.dumps({"sequence_file": str(seq_path)}))
+        out = tmp_path / "g"
+        assert main(["growth", "--config", str(cfg), "--out", str(out)]) == 2
+        assert "no sign change" in capsys.readouterr().err
 
 
 class TestSeedOverride:

@@ -1,9 +1,10 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
-from jacobispec import _kernels
+from jacobispec import _kernels, growth, spectrum, verify
 from jacobispec.growth import (
     GrowthEstimate,
     b_log_max_modulus,
@@ -263,6 +264,81 @@ class TestZeroScan:
         evaluator = b_log_max_modulus(m1_sol_2000, 2000, rays=24)
         evaluator(np.geomspace(10.0, 1e4, 7))
         assert calls == [("transfer_complex", 24 * 7, (-1.0, 0.0))]
+
+
+@pytest.fixture(scope="module")
+def golden_zero_brackets():
+    """The brackets whose signs the golden zero routes check, m1's (r = 1e4)
+    then m3's and m4's (r = 1e6), as (sol, lo, hi, tol), from a fresh
+    ``verify._golden_routes`` call."""
+    seen = []
+    confirmed = growth._confirmed
+
+    def record(sol, N, lo, hi):
+        seen.append((sol, lo.copy(), hi.copy()))
+        return confirmed(sol, N, lo, hi)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(growth, "_confirmed", record)
+        verify._golden_routes.cache_clear()
+        verify._golden_routes()
+    return {
+        which: (sol, lo, hi, 1e-9 * r)
+        for which, r, (sol, lo, hi) in zip(("m1", "m3", "m4"), (1e4, 1e6, 1e6), seen)
+    }
+
+
+def _mp_b(sol, N, x):
+    """B_N(x) from the product of the float factors in 50-digit arithmetic:
+    the (B, D) column starts at (-1, 0) and each factor moves it by
+    s = x (Q_n v - P_n u), u += Q_n s, v += P_n s."""
+    with mpmath.workdps(50):
+        x, u, v = mpmath.mpf(float(x)), mpmath.mpf(-1), mpmath.mpf(0)
+        for p, q in zip(sol.P[:N].tolist(), sol.Q[:N].tolist()):
+            s = x * (q * v - p * u)
+            u += q * s
+            v += p * s
+        return u
+
+
+def _assert_signs_witnessed(sol, lo, hi):
+    """B_2000 changes sign across every bracket, and its kernel sign at each
+    end is the 50-digit product's."""
+    B, _, _ = evaluate_entries_real(sol, np.concatenate([lo, hi]), 2000)
+    exact = [mpmath.sign(_mp_b(sol, 2000, x)) for x in np.concatenate([lo, hi])]
+    assert np.array_equal(np.sign(B), np.array(exact, dtype=float))
+    assert np.all(np.sign(B[: lo.size]) * np.sign(B[lo.size :]) < 0)
+
+
+class TestGoldenZeroBrackets:
+    """The brackets of the shared golden call keep their zeros well inside,
+    so that the transfer-product sign check at their ends is decisive."""
+
+    @pytest.mark.parametrize("which", ["m1", "m3", "m4"])
+    def test_zero_at_least_0_4_tol_from_both_ends(self, golden_zero_brackets, which):
+        sol, lo, hi, tol = golden_zero_brackets[which]
+        r = 1e4 if which == "m1" else 1e6
+        problem = growth._b_zero_problem(sol, _seq(which, 2000), 2000, r)
+        # the zeros bracketed alone to a ten-thousandth of tol
+        (fine_lo, fine_hi), = spectrum._bracket_each([(*problem[:3], 1e-4 * tol, problem[4])])
+        zero = 0.5 * (fine_lo + fine_hi)
+        assert zero.size == lo.size > 32
+        assert np.all(hi - lo <= tol)
+        assert np.min(zero - lo) >= 0.4 * tol and np.min(hi - zero) >= 0.4 * tol
+
+    def test_smallest_b_signs_match_mpmath(self, golden_zero_brackets):
+        # the 8 brackets of m3 whose ends hold the smallest |B_2000|
+        sol, lo, hi, _ = golden_zero_brackets["m3"]
+        B, _, log_scale = evaluate_entries_real(sol, np.concatenate([lo, hi]), 2000)
+        size = np.log(np.abs(B)) + log_scale
+        i = np.argsort(np.minimum(size[: lo.size], size[lo.size :]))[:8]
+        _assert_signs_witnessed(sol, lo[i], hi[i])
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize("which", ["m1", "m3", "m4"])
+    def test_every_b_sign_matches_mpmath(self, golden_zero_brackets, which):
+        sol, lo, hi, _ = golden_zero_brackets[which]
+        _assert_signs_witnessed(sol, lo, hi)
 
 
 class TestMajorant:

@@ -329,6 +329,87 @@ class TestStopRowSturmKernel:
             assert count.dtype == np.int64 and last.dtype == np.float64
 
 
+class TestSpanningBlocks:
+    """A block ends at the largest stop of its shifts: a shift that stops
+    inside it is counted on the rows before its stop, with the pivot at its
+    stop row, and the rows past its stop are kept out of the floor test."""
+
+    @pytest.fixture
+    def floored_rows(self, monkeypatch):
+        calls = []
+        floor = _kernels._floor_pivots
+        monkeypatch.setattr(
+            _kernels, "_floor_pivots", lambda d: calls.append(1) or floor(d)
+        )
+        return calls
+
+    @staticmethod
+    def assert_stack_parity(mats, xs, stop, mat):
+        """Each shift against a plain call on its column's own prefix."""
+        diag, offsq, _ = _stack_columns(mats)
+        count, last = _kernels.sturm_counts(diag, offsq, xs, stop, mat)
+        for m, (d, w) in enumerate(mats):
+            for s in np.unique(stop[mat == m]):
+                on = (mat == m) & (stop == s)
+                ref_count, ref_last = _kernels.sturm_counts(d[:s], w[: s - 1], xs[on])
+                assert np.array_equal(count[on], ref_count)
+                assert np.array_equal(last[on], ref_last)
+
+    def test_many_stops_inside_one_block(self, rng):
+        # 306 shifts take blocks of 107 rows: every stop 1 .. 60 ends inside
+        # the first block
+        n = 60
+        diag, offsq = rng.uniform(-3.0, 3.0, n), rng.uniform(0.05, 4.0, n - 1)
+        xs = np.concatenate([rng.uniform(-8.0, 8.0, 300), _EDGE_SHIFTS])
+        assert _kernels._BUDGET // xs.size > n
+        stop = 1 + np.arange(xs.size) % n
+        TestStopRowSturmKernel.assert_parity(diag, offsq, xs, stop)
+        mats = [(rng.uniform(-3.0, 3.0, k), rng.uniform(0.05, 4.0, k - 1)) for k in (60, 45, 20)]
+        mat = rng.integers(0, 3, xs.size)
+        sizes = np.array([60, 45, 20])
+        self.assert_stack_parity(mats, xs, 1 + np.arange(xs.size) % sizes[mat], mat)
+
+    def test_stops_on_block_edges(self, rng):
+        # 2048 shifts or more take 16-row blocks: rows 1 - 16, 17 - 32, ...
+        n = 70
+        diag, offsq = rng.uniform(-3.0, 3.0, n), rng.uniform(0.05, 4.0, n - 1)
+        xs = rng.uniform(-8.0, 8.0, 2100)
+        edges = [1, 2, 15, 16, 17, 18, 32, 33, 34, 48, 49, 50, n]
+        stop = rng.choice(edges, xs.size)
+        TestStopRowSturmKernel.assert_parity(diag, offsq, xs, stop)
+        mats = [(rng.uniform(-3.0, 3.0, n), rng.uniform(0.05, 4.0, n - 1)) for _ in range(2)]
+        self.assert_stack_parity(mats, xs, stop, rng.integers(0, 2, xs.size))
+
+    @pytest.mark.parametrize("stops, replayed", [((30,), False), ((50,), True), ((30, 50), True)])
+    def test_sub_floor_pivot_before_and_after_a_stop(self, rng, floored_rows, stops, replayed):
+        # a zero coupling makes the pivot at x = 0 exactly zero at row 40, in
+        # the middle of the one block that 300 shifts take; a shift at x = 0
+        # that stops at row 30 is past it there, one that stops at 50 is not
+        n, row = 60, 40
+        diag, offsq = rng.uniform(1.0, 3.0, n), rng.uniform(0.05, 1.0, n - 1)
+        offsq[row - 1], diag[row] = 0.0, 0.0
+        xs = np.concatenate([np.zeros(len(stops)), rng.uniform(-1.0, 1.0, 300)])
+        stop = np.concatenate([stops, rng.integers(2, n + 1, 300)])
+        _kernels.sturm_counts(diag, offsq, xs, stop)
+        assert (len(floored_rows) > 1) == replayed
+        TestStopRowSturmKernel.assert_parity(diag, offsq, xs, stop)
+
+    def test_padding_rows_trigger_no_replay(self, rng, floored_rows):
+        # x = 0 on a 3-row column stacked with a 40-row one: its padding rows
+        # give a zero pivot, then 0/0, but they lie past its stop
+        mats = [
+            (rng.uniform(1.0, 3.0, 3), rng.uniform(0.05, 1.0, 2)),
+            (rng.uniform(-3.0, 3.0, 40), rng.uniform(0.05, 4.0, 39)),
+        ]
+        xs = np.concatenate([[0.0], rng.uniform(-8.0, 8.0, 200)])
+        mat = np.concatenate([[0], rng.integers(0, 2, 200)])
+        stop = np.array([3, 40])[mat]
+        diag, offsq, _ = _stack_columns(mats)
+        _kernels.sturm_counts(diag, offsq, xs, stop, mat)
+        assert len(floored_rows) == 1  # row 0 only: no block was replayed
+        self.assert_stack_parity(mats, xs, stop, mat)
+
+
 class TestUint8BlockCount:
     """A block sums its negative pivots per shift in a uint8, so it holds at
     most 255 rows: with every shift above the spectrum every pivot is
@@ -446,15 +527,13 @@ class TestSharedBracketCalls:
         )
         return calls
 
-    def test_c06_brackets_both_routes_in_one_call(self, bracket_calls):
-        verify._m1_routes.cache_clear()
-        assert verify.run_check("c06_convergence_exponent").passed
-        assert bracket_calls == [2]
-
-    def test_c12_brackets_both_models_in_one_call(self, bracket_calls):
-        verify._exceptional_zeros.cache_clear()
-        assert verify.run_check("c12_exceptional_exponent").passed
-        assert bracket_calls == [2]
+    def test_golden_routes_share_one_bracket_call(self, bracket_calls):
+        # m1's zeros and eigenvalues and m3's and m4's zeros: 4 problems
+        verify._golden_routes.cache_clear()
+        for name in ("c06_convergence_exponent", "c07_upper_density",
+                     "c09_counting_agreement", "c12_exceptional_exponent"):
+            assert verify.run_check(name).passed
+        assert bracket_calls == [4]
 
     def test_stabilized_counting_makes_one_kernel_call(self, monkeypatch):
         calls = []
@@ -491,6 +570,52 @@ class TestSharedBracketCalls:
             dense = np.linalg.eigvalsh(np.diag(seq.q[:N]) + off + off.T)
             assert lo.size == N and np.all(hi - lo <= 1e-10 * scale)
             assert np.all(np.abs(0.5 * (lo + hi) - dense) <= 1.01e-10 * scale)
+
+
+class TestIsolationSweeps:
+    """After the first sweep, each interval being isolated is cut into at
+    least as many parts as it holds eigenvalues of J_N and J_{N-1}."""
+
+    @staticmethod
+    def sweeps(monkeypatch, problems):
+        calls = []
+        kernel = _kernels.sturm_counts
+        monkeypatch.setattr(
+            _kernels, "sturm_counts", lambda *args: calls.append(1) or kernel(*args)
+        )
+        spectrum._bracket_each(problems)
+        return len(calls)
+
+    def test_cuts_at_least_the_eigenvalues_of_each_interval(self, monkeypatch):
+        seen = []
+        cuts = spectrum._isolation_cuts
+        monkeypatch.setattr(
+            spectrum, "_isolation_cuts", lambda iso: seen.append(iso.copy()) or cuts(iso)
+        )
+        seq, _, _ = _golden_m2_2000()
+        eigenvalues_in_each([(seq, N, (-1e4, 1e4), None) for N in (500, 1000, 2000)])
+        assert len(seen) > 2
+        crowded = 0
+        for iso in seen:
+            points, ncut = cuts(iso)
+            e = iso[:, 3] - iso[:, 2] + iso[:, 5] - iso[:, 4]
+            assert np.all(ncut >= e) and points.size == ncut.sum()
+            crowded += np.count_nonzero(e > max(2, spectrum._SPLIT // max(len(iso), 1)) - 1)
+        assert crowded > 0  # some interval got more cuts than the shared rule's
+
+    def test_prefix_stack_sweeps(self, monkeypatch):
+        # J_1 .. J_50 of m1 in one call: 17 sweeps with one number of parts
+        # shared by all intervals
+        seq = _seq("m1", 51)
+        problems = [(seq, N, gershgorin_interval(seq, N), None, None) for N in range(1, 51)]
+        assert self.sweeps(monkeypatch, problems) <= 14
+
+    def test_nested_m2_sweeps(self, monkeypatch):
+        # the three truncations of the m2_spectrum bench config: 17 sweeps
+        # with one number of parts shared by all intervals
+        seq, _, _ = _golden_m2_2000()
+        problems = [(seq, N, (-1e4, 1e4), None, None) for N in (500, 1000, 2000)]
+        assert self.sweeps(monkeypatch, problems) <= 12
 
 
 class TestEigenvaluesIn:
@@ -1003,6 +1128,38 @@ class TestCharpolyOracle:
         problems = [(seq, n) for seq, n, _, _ in _c14_problems()]
         for (seq, n), got in zip(problems, charpoly_eigenvalues_each(problems)):
             assert np.array_equal(got, _charpoly_roots_per_bracket(seq, n))
+
+    def test_grids_of_the_stack_in_few_calls_per_round(self, monkeypatch):
+        # c14's family isolates on its first grids, evaluated together in
+        # calls of about _BUDGET // 8 points, not one call per matrix; two
+        # decoupled diagonal entries 1e-4 apart need the grid refined, for
+        # that matrix only
+        close = tiny([1e-9, 1e-9, 1e-9], [0.0, 1e-4, 2.0])
+        problems = [(seq, n) for seq, n, _, _ in _c14_problems()] + [(close, 3)]
+        rounds = []
+        grid = spectrum._charpoly_grid_brackets
+        values = spectrum._charpoly_values
+
+        def counted(diag, offsq, sizes, xs, mat):
+            rounds.append((np.unique(mat).size, xs.size))
+            return values(diag, offsq, sizes, xs, mat)
+
+        def grid_only(*args):
+            monkeypatch.setattr(spectrum, "_charpoly_values", counted)
+            try:
+                return grid(*args)
+            finally:
+                monkeypatch.setattr(spectrum, "_charpoly_values", values)
+
+        monkeypatch.setattr(spectrum, "_charpoly_grid_brackets", grid_only)
+        got = charpoly_eigenvalues_each(problems)
+        first = 64 * sum(n for _, n in problems)
+        calls = np.cumsum([points for _, points in rounds]).searchsorted(first) + 1
+        assert sum(m for m, _ in rounds[:calls]) == len(problems)
+        assert calls <= first // (_kernels._BUDGET // 8) + 1
+        assert [m for m, _ in rounds[calls:]] == [1] * (len(rounds) - calls) != []
+        for (seq, n), roots in zip(problems, got):
+            assert np.array_equal(roots, _charpoly_roots_per_bracket(seq, n))
 
     @pytest.mark.parametrize("n", [1, 2, 3, 7, 12])
     @pytest.mark.parametrize("tol", [1e-11, 1e-3, 10.0])
