@@ -527,6 +527,19 @@ class TestSharedBracketCalls:
         )
         return calls
 
+    def test_c06_brackets_both_routes_in_one_call(self, bracket_calls):
+        # m1's zeros and eigenvalues go into the one call with m3's and m4's
+        # zeros
+        verify._golden_routes.cache_clear()
+        assert verify.run_check("c06_convergence_exponent").passed
+        assert bracket_calls == [4]
+
+    def test_c12_brackets_both_models_in_one_call(self, bracket_calls):
+        # m3's and m4's zeros go into the one call with m1's two routes
+        verify._golden_routes.cache_clear()
+        assert verify.run_check("c12_exceptional_exponent").passed
+        assert bracket_calls == [4]
+
     def test_golden_routes_share_one_bracket_call(self, bracket_calls):
         # m1's zeros and eigenvalues and m3's and m4's zeros: 4 problems
         verify._golden_routes.cache_clear()
