@@ -22,7 +22,6 @@ from .classify import (
     wouk_test,
 )
 from .growth import (
-    GrowthEstimate,
     NevanlinnaPartial,
     convergence_exponent_from_zeros,
     leading_coefficient_logs,

@@ -18,24 +18,25 @@ at or above the floor ``_PIVMIN`` is bit-identical to it.  At the end of
 the block its negative pivots are summed per shift, its last row is
 saved, and the smallest pivot magnitude decides: if it is at or above
 the floor (a NaN fails this test) the sums are kept, otherwise the block
-is replayed row by row with floored pivots from the pivot that entered
-it.  The counts and the last pivot therefore equal those of the per-row
-floored loop exactly, whatever the block height; the blocking only
-removes per-row call overhead (cf. LAPACK's ``dlaneg``).
+is run again with floored pivots from the pivot that entered it, by the
+same loop with the floor applied to each row.  The counts and the last
+pivot therefore equal those of the per-row floored loop exactly,
+whatever the block height; the blocking only removes per-row call
+overhead (cf. LAPACK's ``dlaneg``).
 The last pivot d_N(x) comes back with the counts: it is negative exactly
 when x lies above one more eigenvalue of J_N than of J_{N-1}, and between
 two eigenvalues of J_{N-1} it is continuous and decreasing in x.
 
-Each shift has a stop row: it counts the leading block J_stop of the
-tridiagonal, so one call counts all truncations of one sequence, each as
-a prefix of its rows.  The shifts are sorted by stop, largest first, so
+Each shift has a stop row, the last row by default: it counts the
+leading block J_stop of the tridiagonal, so one call counts all
+truncations of one sequence, each as a prefix of its rows.  The shifts are sorted by stop, largest first, so
 that the shifts still advanced at row k are a prefix.  A block ends at
 its height or at the largest stop of its shifts, whichever comes first;
 a shift that stops inside it takes its count from the rows before its
 stop and its last pivot from its stop row, and the rows past its stop
 (zero padding, in a column of a stack) stay out of its count and of the
-floor test, so they trigger no replay; a replay counts each shift up to
-its stop.  One tridiagonal is read a row at a time as scalars
+floor test, so they trigger no second run, which also counts each shift
+up to its stop.  One tridiagonal is read a row at a time as scalars
 broadcast over the shifts; a stack of independent tridiagonals, one per
 column, is gathered per block, each shift reading its own column.  Either
 way each shift gets the count and last pivot of the per-row floored loop
@@ -99,23 +100,20 @@ def sturm_counts(diag, offsq, xs, stop=None, mat=None):
     they are (n, M) and (n - 1, M), one tridiagonal per column, and shift s
     is counted on column ``mat[s]``."""
     xs = np.asarray(xs, dtype=np.float64)
-    order = None
-    if stop is not None:
-        stop = np.asarray(stop, dtype=np.int64)
-        order = np.argsort(-stop, kind="stable")
-        xs, stop = xs[order], stop[order]
-        if mat is not None:
-            mat = np.asarray(mat)[order]
+    stop = np.full(xs.size, diag.shape[0]) if stop is None else np.asarray(stop, dtype=np.int64)
+    order = np.argsort(-stop, kind="stable")
+    xs, stop = xs[order], stop[order]
     if mat is None:
         col, w = diag[:, None], offsq.tolist()
         d = _floor_pivots(diag[0] - xs)
     else:
+        mat = np.asarray(mat)[order]
         d = _floor_pivots(diag[0, mat] - xs)
     count = (d < 0).astype(np.int64)
     S = xs.size
     # rows 1 .. top - 1 are advanced, the shifts whose stop lies beyond a
     # row forming a prefix of the sorted shifts
-    top = 1 if not S else diag.shape[0] if stop is None else int(stop[0])
+    top = int(stop[0]) if S else 1
     size = min(max(16 * S, _BUDGET), _ROWS * S, (top - 1) * S)
     buf, neg = np.empty(size), np.empty(size, dtype=bool)
     # a stack's couplings are gathered into a buffer of their own: a fresh
@@ -123,69 +121,60 @@ def sturm_counts(diag, offsq, xs, stop=None, mat=None):
     wbuf = None if mat is None else np.empty(size)
     t = np.empty(S)
     div, sub = np.divide, np.subtract
-    k0, act, full = 1, S, S
+    k0 = 1
     while k0 < top:
-        if stop is not None:
-            act = int(np.count_nonzero(stop > k0))
-        # the block ends at its height or at the largest stop of its shifts
-        rows = min(_ROWS, max(16, _BUDGET // act))
-        k1 = min(top, k0 + rows)
-        if stop is not None:
-            # the shifts up to full run the whole block, the others stop in
-            # it, after the block rows `ends`
-            full = int(np.count_nonzero(stop[:act] >= k1))
-            ends = stop[full:act] - k0
-            past = np.arange(k1 - k0)[:, None] >= ends
-        x, ta, prev = xs[:act], t[:act], d[:act]
+        act = int(np.count_nonzero(stop > k0))
+        # the block ends at its height or at the largest stop of its shifts;
+        # the shifts up to full run the whole block, the others stop in it,
+        # after the block rows `ends`
+        k1 = min(top, k0 + min(_ROWS, max(16, _BUDGET // act)))
+        full = int(np.count_nonzero(stop[:act] >= k1))
+        ends = stop[full:act] - k0
+        past = np.arange(k1 - k0)[:, None] >= ends
+        x, ta = xs[:act], t[:act]
         block = buf[: (k1 - k0) * act].reshape(k1 - k0, act)
-        # unfloored pass; a block holding a pivot below the floor (or a NaN)
-        # is replayed with floored pivots, so its warnings are not wanted
-        with np.errstate(all="ignore"):
-            if mat is None:
-                sub(col[k0:k1], x, block)
-                ws = w[k0 - 1 : k1 - 1]
-            else:
-                m = mat[:act]
-                np.take(diag[k0:k1], m, axis=1, out=block, mode="clip")
-                sub(block, x, block)
-                ws = wbuf[: block.size].reshape(block.shape)
-                np.take(offsq[k0 - 1 : k1 - 1], m, axis=1, out=ws, mode="clip")
-            for wk, row in zip(ws, block):
-                div(wk, prev, ta)
-                sub(row, ta, row)
-                prev = row
-        # at most _ROWS negative pivots per column: a uint8 sum; rows past a
-        # shift's stop are left out of its count and of the floor test
         sign = neg[: block.size].reshape(block.shape)
-        np.less(block, 0.0, sign)
-        ta[:] = prev
-        if full < act:
-            np.copyto(sign[:, full:], False, where=past)
-            ta[full:] = block[ends - 1, np.arange(full, act)]
-        below = np.add.reduce(sign.view(np.uint8), axis=0, dtype=np.uint8)
-        np.abs(block, out=block)
-        if full < act:
-            np.copyto(block[:, full:], np.inf, where=past)
-        if block.min() >= _PIVMIN:
-            count[:act] += below
-            d[:act] = ta
+        if mat is None:
+            ws = w[k0 - 1 : k1 - 1]
         else:
-            prev, live = d[:act], act
-            for k in range(k0, k1):
-                if full < act:
-                    # the shifts whose stop is k drop out with their pivot
-                    live = full + int(np.count_nonzero(ends > k - k0))
-                    prev, x = prev[:live], x[:live]
+            m = mat[:act]
+            ws = wbuf[: block.size].reshape(block.shape)
+            np.take(offsq[k0 - 1 : k1 - 1], m, axis=1, out=ws, mode="clip")
+        # unfloored first; a block holding a pivot below the floor (or a
+        # NaN) runs again with floored pivots, so its warnings are not wanted
+        for floored in (False, True):
+            prev = d[:act]
+            with np.errstate(all="ignore"):
                 if mat is None:
-                    prev = _floor_pivots((diag[k] - x) - offsq[k - 1] / prev)
+                    sub(col[k0:k1], x, block)
                 else:
-                    m = m[:live]
-                    prev = _floor_pivots((diag[k, m] - x) - offsq[k - 1, m] / prev)
-                count[:live] += prev < 0
-                d[:live] = prev
+                    np.take(diag[k0:k1], m, axis=1, out=block, mode="clip")
+                    sub(block, x, block)
+                for wk, row in zip(ws, block):
+                    div(wk, prev, ta)
+                    sub(row, ta, row)
+                    if floored:
+                        row[:] = _floor_pivots(row)
+                    prev = row
+            # at most _ROWS negative pivots per column: a uint8 sum; rows
+            # past a shift's stop are left out of its count and of the floor
+            # test
+            np.less(block, 0.0, sign)
+            ta[:] = prev
+            if full < act:
+                np.copyto(sign[:, full:], False, where=past)
+                ta[full:] = block[ends - 1, np.arange(full, act)]
+            below = np.add.reduce(sign.view(np.uint8), axis=0, dtype=np.uint8)
+            if floored:
+                break
+            np.abs(block, out=block)
+            if full < act:
+                np.copyto(block[:, full:], np.inf, where=past)
+            if block.min() >= _PIVMIN:
+                break
+        count[:act] += below
+        d[:act] = ta
         k0 = k1
-    if order is None:
-        return count, d
     out_count, out_d = np.empty_like(count), np.empty_like(d)
     out_count[order], out_d[order] = count, d
     return out_count, out_d

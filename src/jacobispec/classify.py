@@ -134,6 +134,15 @@ def _compare(a: Fraction, b: Fraction, what: str, notes: list) -> int:
     return 1 if a > b else -1
 
 
+def _float(value: Fraction, what: str) -> float:
+    """The binary64 float of the exact *value*; a ValueError naming *what*
+    where it lies beyond the binary64 range."""
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError(f"{what} lies beyond the binary64 range") from None
+
+
 def classify_distinct_roots(params: PowerAsymptotics) -> Classification:
     """Classification for generic parameters (limiting roots distinct)."""
     exceptional, _ = exceptional_parameters(params)
@@ -154,12 +163,13 @@ def classify_distinct_roots(params: PowerAsymptotics) -> Classification:
         return Classification(
             regime=Regime.LPC, case_label="T1(ii)", notes=tuple(notes)
         )
-    beta1 = float(b1)
+    beta1 = _float(b1, "beta1")
     if cmp_beta > 0:
         a = 1.0
     else:
-        a = float(1.0 / math.sqrt(1.0 - float(y0 * y0 / (4 * x0 * x0))))
-    x0f = float(x0)
+        ratio = _float(y0 * y0 / (4 * x0 * x0), "y0^2 / (4 x0^2)")
+        a = float(1.0 / math.sqrt(1.0 - ratio))
+    x0f = _float(x0, "x0")
     lower = (beta1 - 1.0) / beta1 * (1.0 / x0f) ** (1.0 / beta1)
     upper = math.e * beta1 / (beta1 - 1.0) * (a / x0f) ** (1.0 / beta1)
     return Classification(
@@ -196,9 +206,9 @@ def classify_double_root(params: PowerAsymptotics) -> Classification:
     z1 = _z1_fraction(params)
     z2 = _z2_fraction(params)
     d = -z2 / x0 + beta * (beta - 2) / 4
-    scalars = dict(z1=float(z1), z2=float(z2), d=float(d))
-    betaf = float(beta)
-    x0f = float(x0)
+    scalars = dict(z1=_float(z1, "z1"), z2=_float(z2, "z2"), d=_float(d, "d"))
+    betaf = _float(beta, "beta")
+    x0f = _float(x0, "x0")
 
     cmp_bstar = _compare(beta, bstar, "beta = 2 x1/x0 - 2 y1/y0", notes)
     cmp_three_half = _compare(beta, Fraction(3, 2), "beta = 3/2", notes)
@@ -288,23 +298,24 @@ def _wouk_descriptor(params: PowerAsymptotics) -> CriterionVerdict:
         if cmp_beta < 0:
             return verdict(True, "lim |q_n|/rho_n = infinity > 2")
         if cmp_beta == 0 and 2 * x0 < abs(y0):
-            return verdict(True, f"lim |q_n|/rho_n = {float(abs(y0)/x0)} > 2")
+            ratio = _float(abs(y0) / x0, "|y0|/x0")
+            return verdict(True, f"lim |q_n|/rho_n = {ratio} > 2")
         # positive leading coefficient, exponent beta1
         bounded = b1 <= 0
         return verdict(
             bounded,
             "margin ~ c n^beta1 with c > 0; bounded iff beta1 <= 0 "
-            f"(beta1 = {float(b1)})",
+            f"(beta1 = {_float(b1, 'beta1')})",
         )
     z1 = _z1_fraction(params)
     beta = b1
     if z1 < 0:
-        return verdict(True, f"exceptional family with z1 = {float(z1)} < 0")
+        return verdict(True, f"exceptional family with z1 = {_float(z1, 'z1')} < 0")
     if z1 > 0:
         return verdict(
             beta <= 1,
-            f"margin ~ z1 n^(beta-1), z1 = {float(z1)} > 0; bounded iff "
-            f"beta <= 1 (beta = {float(beta)})",
+            f"margin ~ z1 n^(beta-1), z1 = {_float(z1, 'z1')} > 0; bounded iff "
+            f"beta <= 1 (beta = {_float(beta, 'beta')})",
         )
     if params.order is not ExpansionOrder.SECOND:
         return verdict(
@@ -314,17 +325,18 @@ def _wouk_descriptor(params: PowerAsymptotics) -> CriterionVerdict:
         )
     z2 = _z2_fraction(params)
     if z2 < 0:
-        return verdict(True, f"z1 = 0 and z2 = {float(z2)} < 0")
+        return verdict(True, f"z1 = 0 and z2 = {_float(z2, 'z2')} < 0")
     if beta <= 2:
         return verdict(
-            True, f"z1 = 0 and margin ~ z2 n^(beta-2) with beta = {float(beta)} <= 2"
+            True,
+            f"z1 = 0 and margin ~ z2 n^(beta-2) with beta = {_float(beta, 'beta')} <= 2",
         )
     if z2 == 0:
         return verdict(False, "z1 = z2 = 0 and beta > 2: remainder-dominated margin")
     return verdict(
         False,
-        f"margin ~ z2 n^(beta-2) unbounded (z2 = {float(z2)} > 0, "
-        f"beta = {float(beta)} > 2)",
+        f"margin ~ z2 n^(beta-2) unbounded (z2 = {_float(z2, 'z2')} > 0, "
+        f"beta = {_float(beta, 'beta')} > 2)",
     )
 
 
@@ -424,9 +436,8 @@ def berezanskii_test(seq: JacobiSequence) -> CriterionVerdict:
     if carleman is not CarlemanVerdict.CONVERGENT:
         reasons.append("sum 1/rho_n not convergent")
     if not ratio_ok:
-        reasons.append(
-            f"beta2 - beta1 = {float(desc.frac('beta2') - desc.frac('beta1'))} >= -1"
-        )
+        gap = _float(desc.frac("beta2") - desc.frac("beta1"), "beta2 - beta1")
+        reasons.append(f"beta2 - beta1 = {gap} >= -1")
     return CriterionVerdict(
         name="berezanskii",
         applies=True,

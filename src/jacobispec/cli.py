@@ -42,9 +42,9 @@ _BOUNDARY_NOTE = (
     "case boundaries use exact rational comparisons; equality of derived "
     "quantities is granted within 1e-12 relative and flagged as near-boundary"
 )
-_LPC_ZERO_NOTE = (
+_LPC_NOTE = (
     "classified lpc: the Nevanlinna matrix does not converge, so B_N has no "
-    "limit whose zeros the route could estimate; the zero route is not run"
+    "limit whose growth or zeros the route could estimate; the route is not run"
 )
 #: largest accepted truncation dimension and r-grid size; the arrays are
 #: allocated as asked, so a larger value would only exhaust memory
@@ -287,35 +287,39 @@ def cmd_growth(cfg: ExperimentConfig, out: Path) -> int:
         coeff_route = {"error": str(exc)}
     report["coefficient_route"] = coeff_route
 
-    # route 2: max modulus on rays
-    rs = cfg.r_grid()
-    logM = growth.b_log_max_modulus(sol, N, rays=cfg.rays)(rs)
-    _write_curve_csv(
-        out / "log_max_modulus.csv", "log_max_modulus", rs, logM.tolist()
-    )
-    order_m, type_m = growth.order_type_from_max_modulus(rs, logM)
-    report["max_modulus_route"] = {"order": order_m, "type_at_order": type_m}
-
-    # route 3: zeros of B, not sought where the classification says lpc
+    # routes 2 and 3 read B_N, not evaluated where the classification says lpc
     predicted = None
     if cfg.descriptor is not None:
         predicted = classify(cfg.descriptor)
         report["classification"] = predicted.to_json()
-    exponent_fit = None
     if predicted is not None and predicted.regime is Regime.LPC:
         mods = np.empty(0)
-        zero_route = {"skipped": _LPC_ZERO_NOTE}
-        found = "zero route skipped (lpc)"
+        report["max_modulus_route"] = {"skipped": _LPC_NOTE}
+        zero_route = {"skipped": _LPC_NOTE}
+        found = "max-modulus route and zero route skipped (lpc)"
     else:
+        # route 2: max modulus on rays
+        rs = cfg.r_grid()
+        logM = growth.b_log_max_modulus(sol, N, rays=cfg.rays)(rs)
+        _write_curve_csv(
+            out / "log_max_modulus.csv", "log_max_modulus", rs, logM.tolist()
+        )
+        order_m, type_m = growth.order_type_from_max_modulus(rs, logM)
+        report["max_modulus_route"] = {"order": order_m, "type_at_order": type_m}
+        # route 3: zeros of B
         zeros = growth.scan_b_zeros(sol, seq, N, cfg.r_max)
         np.savetxt(out / "b_zeros.csv", zeros, header="zero", comments="", fmt="%.17g")
         mods = np.sort(np.abs(zeros))
         zero_route = {"count": int(zeros.size)}
-        found = f"{zeros.size} zeros found"
+        found = (
+            f"max-modulus route order {order_m:.4f}, type {type_m:.4f}; "
+            f"{zeros.size} zeros found"
+        )
         if mods.size >= 32:
-            exponent_fit = growth.convergence_exponent_from_zeros(mods)
-            zero_route["convergence_exponent"] = exponent_fit.slope
-            zero_route["stderr"] = exponent_fit.stderr
+            fit = growth.convergence_exponent_from_zeros(mods).to_json()
+            zero_route["convergence_exponent"] = fit.pop("slope")
+            zero_route["stderr"] = fit.pop("stderr")
+            zero_route["fit"] = fit
     report["zero_route"] = zero_route
 
     if predicted is not None:
@@ -338,23 +342,9 @@ def cmd_growth(cfg: ExperimentConfig, out: Path) -> int:
         )
         report["delta_exponents"] = deltas.to_json()
 
-    estimate = growth.GrowthEstimate(
-        order=order_m,
-        type_at_order=type_m,
-        convergence_exponent=(
-            exponent_fit.slope if exponent_fit is not None else float("nan")
-        ),
-        upper_density=zero_route.get("upper_density", float("nan")),
-        diagnostics={
-            "coefficient_route": coeff_route,
-            "decay_fit": decay.to_json(),
-            "zero_fit": exponent_fit.to_json() if exponent_fit else None,
-        },
-    )
-    report["growth_estimate"] = estimate.to_json()
     _write_json(report, out / "growth_report.json")
     print(f"growth: coefficient route {coeff_route}")
-    print(f"        max-modulus route order {order_m:.4f}, type {type_m:.4f}; {found}")
+    print(f"        {found}")
     if predicted is not None and predicted.predicted_exponent is not None:
         print(
             f"        predicted exponent {_exponent_str(predicted.predicted_exponent)}"

@@ -12,7 +12,7 @@ of a modified truncation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -25,7 +25,6 @@ from .spectrum import _bracket_each
 
 __all__ = [
     "NevanlinnaPartial",
-    "GrowthEstimate",
     "nevanlinna_evaluate",
     "evaluate_entries",
     "evaluate_entries_real",
@@ -70,31 +69,6 @@ class NevanlinnaPartial:
         s = abs(a) ** 2 + abs(b) ** 2 + abs(c) ** 2 + abs(d) ** 2
         disc = max(s * s - 4.0 * abs(a * d - b * c) ** 2, 0.0)
         return 0.5 * math.log(0.5 * (s + math.sqrt(disc))) + self.log_scale
-
-
-@dataclass(frozen=True)
-class GrowthEstimate:
-    order: float
-    type_at_order: float
-    convergence_exponent: float
-    upper_density: float
-    diagnostics: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        if not (self.order >= 0 and self.type_at_order >= 0):
-            raise ValueError("order and type must be nonnegative")
-
-    def to_json(self) -> dict:
-        def _finite(x):
-            return x if math.isfinite(x) else None
-
-        return {
-            "order": self.order,
-            "type_at_order": self.type_at_order,
-            "convergence_exponent": _finite(self.convergence_exponent),
-            "upper_density": _finite(self.upper_density),
-            "diagnostics": self.diagnostics,
-        }
 
 
 def _check_N(sol: PolySolution, N: Optional[int]) -> int:

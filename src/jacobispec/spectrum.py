@@ -205,8 +205,7 @@ def _stacked_brackets(diag, offsq, n, last, a, b, tol, col=None):
     they are 2-D, with its last diagonal entry replaced by last[m] unless
     that is None (n[m] >= 2 then).  Problems on one column are prefixes of
     it: the kernel stops each shift at its own row, and a replaced last row
-    is finished from the pivot before it.  A single plain column is
-    counted by the plain kernel call.
+    is finished from the pivot before it.
 
     Every sweep is one batched Sturm count, whose last pivot d_N(x) also
     gives the count of J_{N-1} at x.  The first counts the window ends
@@ -258,19 +257,12 @@ def _stacked_brackets(diag, offsq, n, last, a, b, tol, col=None):
     n_rows = np.asarray(n, dtype=np.int64) - mod  # the rows the kernel counts
     w_last = np.zeros(mod.size)
     w_last[mod] = offsq[n_rows[mod] - 1] if col is None else offsq[n_rows[mod] - 1, col[mod]]
-    one_prefix = col is None and np.all(n_rows == n_rows[0])
-    if one_prefix:
-        diag, offsq = diag[: n_rows[0]], offsq[: n_rows[0] - 1]
 
     def counts(xs, prob):
         """The counts of J_N and of J_{N-1} and the last pivot d_N at each
         shift xs[s] on problem prob[s]."""
-        if one_prefix:
-            c, d = _kernels.sturm_counts(diag, offsq, xs)
-        elif col is None:
-            c, d = _kernels.sturm_counts(diag, offsq, xs, n_rows[prob])
-        else:
-            c, d = _kernels.sturm_counts(diag, offsq, xs, n_rows[prob], col[prob])
+        mat = None if col is None else col[prob]
+        c, d = _kernels.sturm_counts(diag, offsq, xs, n_rows[prob], mat)
         below = c - (d < 0)
         i = np.flatnonzero(mod[prob])
         if i.size:

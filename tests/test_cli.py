@@ -2,7 +2,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from jacobispec import cli
@@ -279,6 +279,15 @@ class TestGrowthCommand:
         assert doc["classification"]["case_label"] == "T2(ii)"
 
 
+# valid descriptors whose exact quantities leave the binary64 range: |y0|/x0
+# in the Wouk verdict, and d of the double-root classification
+_HUGE_RATIO = {"beta1": 0, "beta2": 0, "x0": 2.2250738585e-313, "y0": 1}
+_HUGE_D_X1 = {
+    "beta1": 3, "beta2": 3, "x0": 1e-300, "y0": -2e-300, "x1": 1e300, "y1": 0, "x2": 0, "y2": 0,
+}
+_HUGE_D_X2 = {**_HUGE_D_X1, "x1": 0, "x2": 1e300}
+
+
 class TestReportCommand:
     def test_combined_report(self, tmp_path):
         cfg = write_config(tmp_path)
@@ -311,9 +320,33 @@ class TestReportCommand:
         growth = json.loads((out / "report.json").read_text())["growth_report"]
         assert growth["classification"]["regime"] == "lpc"
         assert set(growth["zero_route"]) == {"skipped"}
-        assert growth["growth_estimate"]["convergence_exponent"] is None
+        assert "growth_estimate" not in growth
         assert not (out / "b_zeros.csv").exists()
         assert (out / "spectrum_report.json").exists()
+
+    def test_lpc_descriptor_skips_the_max_modulus_route(self, tmp_path, capsys):
+        # T1(ii) lpc whose max-modulus values do not increase: the route's fit
+        # used to raise, and report exited 2
+        desc = {"beta1": -0.040228462587983405, "y0": 4, "beta2": "-2", "x0": "1e-3",
+                "y2": 3.1757025856733474, "remainder": {}}
+        cfg = tmp_path / "lpc.json"
+        cfg.write_text(json.dumps({"descriptor": desc}))
+        out = tmp_path / "rep"
+        assert main(["report", "--config", str(cfg), "--out", str(out)]) == 0
+        assert "max-modulus route and zero route skipped (lpc)" in capsys.readouterr().out
+        growth = json.loads((out / "report.json").read_text())["growth_report"]
+        assert growth["classification"]["case_label"] == "T1(ii)"
+        assert set(growth["max_modulus_route"]) == set(growth["zero_route"]) == {"skipped"}
+        assert not (out / "log_max_modulus.csv").exists()
+
+    @pytest.mark.parametrize("command", ["classify", "report"])
+    @pytest.mark.parametrize("desc", [_HUGE_RATIO, _HUGE_D_X1, _HUGE_D_X2])
+    def test_quantity_beyond_binary64_exits_2(self, tmp_path, capsys, command, desc):
+        cfg = tmp_path / "huge.json"
+        cfg.write_text(json.dumps({"descriptor": desc}))
+        assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "binary64" in err and err.count("\n") == 1
 
     def test_lpc_sequence_file_keeps_the_sign_check(self, tmp_path, capsys):
         # the same numbers with no descriptor carry no classification
@@ -458,6 +491,9 @@ class TestConfigFuzzing:
         assert (rc == 2) == err.startswith("error: ")
 
     @given(doc=st.one_of(_CONFIG, _JSON), args=_ARGS)
+    @example(doc={"descriptor": _HUGE_RATIO}, args={})
+    @example(doc={"descriptor": _HUGE_D_X1}, args={})
+    @example(doc={"descriptor": _HUGE_D_X2}, args={})
     @settings(max_examples=150, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     def test_classify(self, tmp_path, capsys, monkeypatch, doc, args):

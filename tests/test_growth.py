@@ -6,7 +6,6 @@ import pytest
 
 from jacobispec import _kernels, growth, spectrum, verify
 from jacobispec.growth import (
-    GrowthEstimate,
     b_log_max_modulus,
     convergence_exponent_from_zeros,
     evaluate_entries_real,
@@ -445,15 +444,6 @@ class TestMaxModulus:
         single = [evaluator(np.array([r])) for r in rs]
         assert all(v.shape == (1,) for v in single)
         assert batched.tolist() == [float(v[0]) for v in single]
-
-
-def test_growth_estimate_rejects_negative_order():
-    with pytest.raises(ValueError, match="nonnegative"):
-        GrowthEstimate(order=-0.5, type_at_order=1.0, convergence_exponent=0.5,
-                       upper_density=1.0)
-    with pytest.raises(ValueError, match="nonnegative"):
-        GrowthEstimate(order=0.5, type_at_order=float("nan"),
-                       convergence_exponent=0.5, upper_density=1.0)
 
 
 class TestZeroStatistics:

@@ -707,9 +707,9 @@ class TestEigenvaluesIn:
         shifts = []
         kernel = _kernels.sturm_counts
 
-        def counted(diag, offsq, xs):
+        def counted(diag, offsq, xs, *rest):
             shifts.append(np.size(xs))
-            return kernel(diag, offsq, xs)
+            return kernel(diag, offsq, xs, *rest)
 
         monkeypatch.setattr(_kernels, "sturm_counts", counted)
         eigenvalues_in(_seq("m1", 2000), 2000, (-1e4, 1e4), tol=1e-7)
@@ -894,9 +894,9 @@ class TestWorkCount:
         work = []
         kernel = _kernels.sturm_counts
 
-        def counted(diag, offsq, xs):
+        def counted(diag, offsq, xs, *rest):
             work.append(diag.shape[0] * np.size(xs))
-            return kernel(diag, offsq, xs)
+            return kernel(diag, offsq, xs, *rest)
 
         monkeypatch.setattr(_kernels, "sturm_counts", counted)
         tol = 1e-7
@@ -927,9 +927,9 @@ class TestSecantFinish:
         sweeps = []
         kernel = _kernels.sturm_counts
 
-        def counted(diag, offsq, xs):
+        def counted(diag, offsq, xs, *rest):
             sweeps.append(np.size(xs))
-            return kernel(diag, offsq, xs)
+            return kernel(diag, offsq, xs, *rest)
 
         monkeypatch.setattr(_kernels, "sturm_counts", counted)
         tol = 1e-7
