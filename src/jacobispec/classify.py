@@ -418,8 +418,9 @@ def berezanskii_test(seq: JacobiSequence) -> CriterionVerdict:
             conclusion=CriterionConclusion.NO_CONCLUSION,
             evidence="series conditions need a descriptor",
         )
-    rho = seq.rho
-    defect = int(np.sum(rho[2:-1] ** 2 < rho[3:] * rho[1:-2]))
+    # rho_n^2 < rho_{n+1} rho_{n-1} compared in logs, which cannot overflow
+    log_rho = np.log(seq.rho)
+    defect = int(np.sum(2.0 * log_rho[2:-1] < log_rho[3:] + log_rho[1:-2]))
     _, carleman = carleman_sum(seq)
     ratio_ok = desc.frac("beta2") - desc.frac("beta1") < -1
     if defect == 0 and carleman is CarlemanVerdict.CONVERGENT and ratio_ok:

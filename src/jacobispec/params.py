@@ -201,12 +201,20 @@ def materialize(params: PowerAsymptotics, N: int) -> JacobiSequence:
             u = rng.uniform(-1.0, 1.0, size=(2, N))
             rem_rho = u[0] * envelope
             rem_q = u[1] * envelope
-    rho = m ** params.beta1 * (
-        params.x0 + params.x1 / m + params.x2 / m**2 + rem_rho
-    )
-    q = m ** params.beta2 * (
-        params.y0 + params.y1 / m + params.y2 / m**2 + rem_q
-    )
+    with np.errstate(over="ignore", invalid="ignore"):
+        rho = m ** params.beta1 * (
+            params.x0 + params.x1 / m + params.x2 / m**2 + rem_rho
+        )
+        q = m ** params.beta2 * (
+            params.y0 + params.y1 / m + params.y2 / m**2 + rem_q
+        )
+    finite = np.isfinite(rho) & np.isfinite(q)
+    if not finite.all():
+        bad = int(np.argmin(finite))
+        raise ValueError(
+            f"materialized rho[{bad}] = {rho[bad]}, q[{bad}] = {q[bad]}: {bad} is "
+            "the first index where the descriptor is not finite in binary64"
+        )
     if np.any(rho <= 0):
         bad = int(np.argmax(rho <= 0))
         raise ValueError(

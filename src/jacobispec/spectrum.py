@@ -11,7 +11,9 @@ safeguarded regula falsi on the last LD pivot, whose sign changes are
 decided by the count (after Li and Zeng, SIAM J. Matrix Anal. Appl. 15,
 1994), and a finish that centres each bracket on the converged point and
 confirms it by the counts at those of its ends that the bracket before
-it does not already settle.  A brute-force characteristic-polynomial
+it does not already settle.  A bracket that the regula falsi cannot
+finish goes back to isolation, the one rule that cuts, which narrows it
+to the tolerance.  A brute-force characteristic-polynomial
 root isolator serves as the independent cross-check for tiny matrices.
 """
 
@@ -91,7 +93,8 @@ def gershgorin_interval(seq: JacobiSequence, N: int) -> tuple[float, float]:
 _HALF = 0.45
 #: the secant iteration stops once its next step is below _STEP * tol
 _STEP = 0.1
-#: sweeps after which every unfinished secant iteration turns to bisection
+#: sweeps after which every unfinished secant iteration goes back to
+#: isolation and no interval is promoted to the secant any more
 _SECANT_SWEEPS = 100
 #: shifts per isolation sweep: while fewer than _SPLIT // 2 intervals are
 #: being isolated, each is cut into at least _SPLIT // count parts instead
@@ -103,7 +106,7 @@ _SPLIT = 256
 
 # columns of the table of isolated eigenvalues in _stacked_brackets
 _LO, _HI, _FLO, _FHI, _K, _P, _LAST, _X, _MODE, _FAILS, _PROB = range(11)
-_SECANT, _CONFIRM, _BISECT = 0.0, 1.0, 2.0
+_SECANT, _CONFIRM = 0.0, 1.0
 
 
 def _cut(lo, hi, t):
@@ -150,8 +153,8 @@ def _isolation_cuts(iso):
 
 def _split(iso, ncut, cuts, c, p, f):
     """The parts of every interval between its cut points, ncut[i] of them
-    in interval i, each with the counts and pivots at both of its ends and
-    its problem; empty parts are dropped."""
+    in interval i, each with the counts and pivots at both of its ends, its
+    problem and its flag; empty parts are dropped."""
     i = np.repeat(np.arange(len(iso)), ncut)
     # a count is kept monotone across the cuts of its interval; offset by
     # interval, a running maximum never reaches into the next one
@@ -167,9 +170,9 @@ def _split(iso, ncut, cuts, c, p, f):
     points[:, lo], points[:, hi] = iso[:, 0:8:2].T, iso[:, 1:8:2].T
     points[:, inner] = cuts, c, p, f
     inner[lo] = True  # the lower end of every part
-    parts = np.empty((cuts.size + len(iso), 9))
+    parts = np.empty((cuts.size + len(iso), 10))
     parts[:, 0:8:2], parts[:, 1:8:2] = points[:, inner].T, points[:, np.roll(inner, 1)].T
-    parts[:, 8] = np.repeat(iso[:, 8], ncut + 1)
+    parts[:, 8:] = np.repeat(iso[:, 8:], ncut + 1, axis=0)
     return parts[parts[:, 3] > parts[:, 2]]
 
 
@@ -237,19 +240,22 @@ def _stacked_brackets(diag, offsq, n, last, a, b, tol, col=None):
        both ends so placed is stored at once, with no count.
 
     A bracket that fails its confirmation resumes the secant from the end
-    the confirmation moved; one that fails twice, or whose pivots disagree
-    with its counts, is bisected to width <= tol instead, by the isolation
-    rule: while there are few such brackets, each is cut into more parts.
-    So is an interval that cannot be isolated, such as a cluster narrower
-    than tol; each of its eigenvalues then gets the interval itself as its
-    bracket.
+    the confirmation moved.  One that fails twice, or whose pivots disagree
+    with its counts, and from sweep ``_SECANT_SWEEPS`` on every secant
+    bracket, goes back to isolation as an interval that holds eigenvalue k
+    of J_N and none of J_{N-1}, flagged never to return to the secant; from
+    that sweep on no interval is promoted at all.  Isolation is the one
+    rule that cuts.  An interval stops once it is at most tol wide, and its
+    eigenvalues get the interval itself as their bracket; one that holds
+    more than one eigenvalue of J_N, a cluster narrower than tol, is cut on
+    until no float is left strictly between its ends, so that only
+    eigenvalues equal at float resolution share a bracket.
 
     Every decision is taken per bracket, except the number of parts an
-    interval or a bisected bracket is cut into: about ``_SPLIT`` cut points
-    per sweep are shared by all intervals (more where they hold many
-    eigenvalues), and about as many by all bisected brackets, of all
-    problems.  So a problem among others may get other
-    brackets than alone, each still of width <= tol around its eigenvalue.
+    interval is cut into: about ``_SPLIT`` cut points per sweep are shared
+    by all intervals of all problems (more where they hold many
+    eigenvalues).  So a problem among others may get other brackets than
+    alone, each still of width <= tol around its eigenvalue.
     """
 
     mod = np.array([v is not None for v in last], dtype=bool)
@@ -279,9 +285,10 @@ def _stacked_brackets(diag, offsq, n, last, a, b, tol, col=None):
     top = np.finfo(np.float64).max
     ends = np.clip([np.nextafter(a, -top), np.nextafter(b, top)], -top, top)
     # intervals being isolated: lo, hi, the J_N counts, the J_{N-1} counts
-    # and d_N, each at both ends, and the problem; the counts at the window
-    # ends come with the first sweep
-    iso = np.zeros((n_prob, 9))
+    # and d_N, each at both ends, the problem and a flag set on a bracket
+    # that left the secant, which never returns to it; the counts at the
+    # window ends come with the first sweep
+    iso = np.zeros((n_prob, 10))
     iso[:, 0], iso[:, 1], iso[:, 8] = ends[0], ends[1], np.arange(n_prob)
     # isolated eigenvalues, in the columns named above: lo, hi, d_N at both
     # (weighted), the index k, the J_{N-1} count, the end replaced last (-1
@@ -292,22 +299,10 @@ def _stacked_brackets(diag, offsq, n, last, a, b, tol, col=None):
     sweeps = 0
     while shift is None or iso.size or one.size:
         sweeps += 1
-        if sweeps >= _SECANT_SWEEPS:
-            one[:, _MODE] = _BISECT
-            one[:, _X] = _mid(one[:, _LO], one[:, _HI])
         cuts, ncut = _isolation_cuts(iso)
         one_prob = one[:, _PROB].astype(np.int64)
         mode, k, tk = one[:, _MODE], one[:, _K], tol[one_prob]
         conf = mode == _CONFIRM
-        # a bisected bracket is cut like an interval being isolated; its
-        # first cut is its next point
-        bis0 = mode == _BISECT
-        n_bis = np.count_nonzero(bis0)
-        bparts = max(2, _SPLIT // n_bis) if n_bis else 2
-        bcuts = _cut(
-            one[bis0, _LO:_LO + 1], one[bis0, _HI:_HI + 1], np.arange(1, bparts) / bparts
-        )
-        one[bis0, _X] = bcuts[:, 0]
         # a bracket in its centred finish is counted at those of its two
         # ends that lie strictly inside the bracket: one at or beyond an end
         # of the bracket is on the right side of eigenvalue k already
@@ -315,11 +310,8 @@ def _stacked_brackets(diag, offsq, n, last, a, b, tol, col=None):
         x2 = one[conf, _X] + _HALF * tk[conf]
         at1 = ~conf | (x1 > one[:, _LO])
         at2 = x2 < one[conf, _HI]
-        xs = [cuts, x1[at1], x2[at2], bcuts[:, 1:].ravel()]
-        prob = [
-            np.repeat(iso[:, 8].astype(np.int64), ncut), one_prob[at1],
-            one_prob[conf][at2], np.repeat(one_prob[bis0], bparts - 2),
-        ]
+        xs = [cuts, x1[at1], x2[at2]]
+        prob = [np.repeat(iso[:, 8].astype(np.int64), ncut), one_prob[at1], one_prob[conf][at2]]
         if shift is None:
             xs += [ends.ravel()]
             prob += [np.tile(np.arange(n_prob), 2)]
@@ -327,14 +319,14 @@ def _stacked_brackets(diag, offsq, n, last, a, b, tol, col=None):
         m0 = cuts.size
         m1 = m0 + xs[1].size
         m2 = m1 + xs[2].size
-        m3 = m2 + bcuts[:, 1:].size
         if shift is None:
-            iso[:, 2:8] = np.column_stack([e[m3:].reshape(2, n_prob).T for e in (c, p, f)])
+            iso[:, 2:8] = np.column_stack([e[m2:].reshape(2, n_prob).T for e in (c, p, f)])
             offsets = np.concatenate([[0], np.cumsum(iso[:, 3] - iso[:, 2])]).astype(np.int64)
             shift = offsets[:-1] - iso[:, 2].astype(np.int64)
             out_lo = np.empty(offsets[-1])
             out_hi = np.empty(offsets[-1])
 
+        fell = np.empty((0, 10))
         if one.size:
             # whether each point lies above eigenvalue k, with its pivots;
             # an end of a finish that was not counted lies below the bracket
@@ -343,7 +335,7 @@ def _stacked_brackets(diag, offsq, n, last, a, b, tol, col=None):
             # every counted point narrows its bracket, as the count says
             lo = np.where(up, one[:, _LO], np.maximum(one[:, _LO], x1))
             hi = np.where(up, np.minimum(one[:, _HI], x1), one[:, _HI])
-            bis = mode == _BISECT
+            back = np.zeros(k.size, dtype=bool)
             done = np.zeros(k.size, dtype=bool)
             # the point that moved each bracket, whose pivots are pc, fc
             xc = x1.copy()
@@ -356,24 +348,14 @@ def _stacked_brackets(diag, offsq, n, last, a, b, tol, col=None):
                 hi[conf] = np.where(up2, np.minimum(hi[conf], x2), hi[conf])
                 # the centred finish: confirmed, else back to the secant once
                 # from the end it moved (where d_N is huge at the other end a
-                # step is small far from the eigenvalue), then bisected
+                # step is small far from the eigenvalue), then isolated again
                 done[conf] = ~up[conf] & up2
                 failed = conf & ~done
-                bis |= failed & (one[:, _FAILS] > 0)
+                back |= failed & (one[:, _FAILS] > 0)
                 one[failed, _FAILS] += 1
-                one[failed & ~bis, _MODE] = _SECANT
+                one[failed & ~back, _MODE] = _SECANT
                 i = np.flatnonzero(conf)[~up2]  # x2 moved lo
                 xc[i], fc[i], pc[i] = x2[~up2], f2[~up2], p2[~up2]
-            if bparts > 2:
-                # each bisected bracket keeps the part between its cuts
-                # that holds eigenvalue k
-                ends_b = np.column_stack([one[bis0, _LO], bcuts, one[bis0, _HI]])
-                above = np.column_stack(
-                    [up[bis0], c[m2:m3].reshape(-1, bparts - 2) >= k[bis0, None]]
-                )
-                j = np.where(above.any(axis=1), above.argmax(axis=1), bparts - 1)
-                r = np.arange(j.size)
-                lo[bis0], hi[bis0] = ends_b[r, j], ends_b[r, j + 1]
             one[:, _LO], one[:, _HI] = lo, hi
             sec = mode == _SECANT
             if sec.any():
@@ -401,39 +383,39 @@ def _stacked_brackets(diag, offsq, n, last, a, b, tol, col=None):
                 # holds eigenvalue k without a count
                 x = one[:, _X]
                 done |= near & (x - _HALF * tk <= lo) & (x + _HALF * tk >= hi)
-                bis |= bad
-            # bisection, finished at width <= tol or when no float is left
-            # strictly between the ends
-            stop = bis & _unsplittable(lo, hi, tk)
-            one[bis, _MODE] = _BISECT
-            one[bis, _X] = _mid(lo[bis], hi[bis])
-            if done.any() or stop.any():
-                # a finished bracket is centred on its point, a bisected one
-                # is what is left of it
-                x = one[:, _X]
-                brackets = np.column_stack([lo, hi, k - 1, k])
-                brackets[done, 0] = x[done] - _HALF * tk[done]
-                brackets[done, 1] = x[done] + _HALF * tk[done]
-                end = done | stop
-                _store(out_lo, out_hi, brackets[end], shift[one_prob[end]])
-                one = one[~end]
+                back |= bad
+            if sweeps >= _SECANT_SWEEPS:
+                back |= ~done
+            if done.any():
+                # a finished bracket is centred on its point
+                x, half = one[done, _X], _HALF * tk[done]
+                brackets = np.column_stack([x - half, x + half, k[done] - 1, k[done]])
+                _store(out_lo, out_hi, brackets, shift[one_prob[done]])
+            # a bracket that leaves the secant is an interval to isolate
+            # again, which holds eigenvalue k of J_N and none of J_{N-1}
+            fell = one[back][:, [_LO, _HI, _K, _K, _P, _P, _FLO, _FHI, _PROB, _PROB]]
+            fell[:, 2] -= 1.0
+            fell[:, 9] = 1.0
+            one = one[~(done | back)]
 
-        if m0:
-            iso = _split(iso, ncut, cuts, c[:m0], p[:m0], f[:m0])
-            iso_prob = iso[:, 8].astype(np.int64)
-            stop = _unsplittable(iso[:, 0], iso[:, 1], tol[iso_prob])
-            if stop.any():
-                _store(out_lo, out_hi, iso[stop], shift[iso_prob[stop]])
-                iso = iso[~stop]
-            ready = (iso[:, 3] - iso[:, 2] == 1.0) & (iso[:, 4] == iso[:, 5])
-            if ready.any():
-                add = np.zeros((np.count_nonzero(ready), 11))
-                add[:, [_LO, _HI, _FLO, _FHI, _K, _P, _PROB]] = (
-                    iso[ready][:, [0, 1, 6, 7, 3, 4, 8]]
-                )
-                add[:, _X] = _secant_point(add)
-                one = np.concatenate([one, add])
-                iso = iso[~ready]
+        iso = np.concatenate([_split(iso, ncut, cuts, c[:m0], p[:m0], f[:m0]), fell])
+        iso_prob = iso[:, 8].astype(np.int64)
+        # an interval stops at width <= tol, or, while it holds more than one
+        # eigenvalue of J_N, once no float is left strictly between its ends
+        crowded = iso[:, 3] - iso[:, 2] > 1.0
+        stop = _unsplittable(iso[:, 0], iso[:, 1], np.where(crowded, 0.0, tol[iso_prob]))
+        if stop.any():
+            _store(out_lo, out_hi, iso[stop], shift[iso_prob[stop]])
+            iso = iso[~stop]
+        ready = (iso[:, 3] - iso[:, 2] == 1.0) & (iso[:, 4] == iso[:, 5]) & (iso[:, 9] == 0.0)
+        if sweeps < _SECANT_SWEEPS and ready.any():
+            add = np.zeros((np.count_nonzero(ready), 11))
+            add[:, [_LO, _HI, _FLO, _FHI, _K, _P, _PROB]] = (
+                iso[ready][:, [0, 1, 6, 7, 3, 4, 8]]
+            )
+            add[:, _X] = _secant_point(add)
+            one = np.concatenate([one, add])
+            iso = iso[~ready]
     return out_lo, out_hi, offsets
 
 

@@ -257,6 +257,20 @@ class TestBerezanskii:
         assert v.conclusion is CriterionConclusion.NO_CONCLUSION
         assert "beta2 - beta1" in v.evidence
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_rho_beyond_the_square_root_of_binary64(self):
+        # rho_n = n^60 reaches 1.1e198 at n = 2000, where its square
+        # overflowed and a defect there went uncounted
+        seq = materialize(PowerAsymptotics(beta1=60, beta2=0, x0=1, y0=1), 2000)
+        assert seq.rho[-1] > 1e198
+        assert berezanskii_test(seq).conclusion is CriterionConclusion.IMPLIES_LCC
+        rho = seq.rho.copy()
+        rho[-2] *= 0.5  # rho_{N-2}^2 < rho_{N-1} rho_{N-3}
+        dented = JacobiSequence(rho=rho, q=seq.q, source=seq.source)
+        v = berezanskii_test(dented)
+        assert v.conclusion is CriterionConclusion.NO_CONCLUSION
+        assert "1 log-concavity defects" in v.evidence
+
     def test_raw_sequence_defect(self):
         seq = JacobiSequence(rho=np.array([1.0, 1.0, 10.0]), q=np.zeros(3))
         assert berezanskii_test(seq).conclusion is CriterionConclusion.NO_CONCLUSION

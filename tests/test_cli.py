@@ -186,6 +186,31 @@ class TestSpectrumCommand:
         assert [per_n[n]["count_in_window"] for n in ("1", "2", "3")] == [1, 2, 1]
         assert [per_n[n]["counts"][-1] for n in ("1", "2", "3")] == [1, 2, 1]
 
+    def test_eigenvalue_pairs_closer_than_tol(self, tmp_path):
+        # q in pairs 1e-10 apart with rho = 1e-12, far inside the default
+        # tol of 1e-8: each pair is cut until its eigenvalues are apart,
+        # where it was stopped at width <= tol and both got one midpoint
+        q = np.repeat(np.arange(1.0, 21.0), 2)
+        q[1::2] += 1e-10
+        seq = JacobiSequence(rho=np.full(40, 1e-12), q=q)
+        seq_path = tmp_path / "pairs.csv"
+        sequence_to_csv(seq, seq_path)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "sequence_file": str(seq_path),
+            "N": [10, 20, 40],
+            "r_grid": {"r_min": 1.0, "r_max": 100.0, "points": 8},
+        }))
+        out = tmp_path / "spec"
+        assert main(["spectrum", "--config", str(cfg), "--out", str(out)]) == 0
+        for N in (10, 20, 40):
+            rows = (out / f"eigenvalues_N{N}.csv").read_text().splitlines()[1:]
+            ev = np.array([float(row.split(",")[1]) for row in rows])
+            off = np.diag(seq.rho[: N - 1], 1)
+            dense = np.linalg.eigvalsh(np.diag(q[:N]) + off + off.T)
+            assert ev.size == N and np.all(np.diff(ev) > 0)
+            assert np.all(np.abs(ev - dense) <= 1e-8)
+
     def test_writes_curves(self, tmp_path):
         cfg = write_config(tmp_path)
         out = tmp_path / "spec"
@@ -286,6 +311,9 @@ _HUGE_D_X1 = {
     "beta1": 3, "beta2": 3, "x0": 1e-300, "y0": -2e-300, "x1": 1e300, "y1": 0, "x2": 0, "y2": 0,
 }
 _HUGE_D_X2 = {**_HUGE_D_X1, "x1": 0, "x2": 1e300}
+# rho overflows binary64 from n = 35, and from n = 18
+_HUGE_RHO_BETA = {"beta1": 200, "beta2": 0, "x0": 1, "y0": 1}
+_HUGE_RHO_X1 = {**M1, "x1": "1e307"}
 
 
 class TestReportCommand:
@@ -494,6 +522,8 @@ class TestConfigFuzzing:
     @example(doc={"descriptor": _HUGE_RATIO}, args={})
     @example(doc={"descriptor": _HUGE_D_X1}, args={})
     @example(doc={"descriptor": _HUGE_D_X2}, args={})
+    @example(doc={"descriptor": _HUGE_RHO_BETA}, args={})
+    @example(doc={"descriptor": _HUGE_RHO_X1}, args={})
     @settings(max_examples=150, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     def test_classify(self, tmp_path, capsys, monkeypatch, doc, args):

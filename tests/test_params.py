@@ -125,6 +125,20 @@ class TestMaterialize:
         with pytest.raises(ValueError, match="remainder amplitude"):
             materialize(huge, 16)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize(
+        "desc, bad",
+        [
+            ({"beta1": 200, "beta2": 0, "x0": 1, "y0": 1}, 35),
+            ({"beta1": 2, "beta2": 0, "x0": 1, "y0": 1, "x1": "1e307"}, 18),
+        ],
+    )
+    def test_overflow_names_the_first_non_finite_index(self, desc, bad):
+        # numpy's overflow warning used to come before the sequence's own
+        # "both arrays finite" error, which named no index
+        with pytest.raises(ValueError, match=rf"rho\[{bad}\] = inf.*{bad} is the first index"):
+            materialize(descriptor_from_json(desc), 100)
+
     @pytest.mark.parametrize(
         "kw",
         [

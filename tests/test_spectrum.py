@@ -585,6 +585,32 @@ class TestSharedBracketCalls:
             assert np.all(np.abs(0.5 * (lo + hi) - dense) <= 1.01e-10 * scale)
 
 
+class TestSecantSweepCap:
+    """From sweep _SECANT_SWEEPS on, every secant bracket goes back to
+    isolation and no interval is promoted to the secant."""
+
+    @pytest.mark.parametrize("cap", [1, 2, 5])
+    def test_brackets_hold_their_eigenvalues(self, monkeypatch, cap):
+        secant_calls = []
+        secant = spectrum._secant_point
+        monkeypatch.setattr(spectrum, "_SECANT_SWEEPS", cap)
+        monkeypatch.setattr(
+            spectrum, "_secant_point", lambda one: secant_calls.append(1) or secant(one)
+        )
+        m2, _, _ = _golden_m2_2000()
+        for seq, Ns in ((_seq("m1", 51), range(1, 51)), (m2, range(1, 296, 7))):
+            problems = [(seq, N, gershgorin_interval(seq, N), None, None) for N in Ns]
+            for (_, N, (a, b), _, _), (lo, hi) in zip(problems, spectrum._bracket_each(problems)):
+                scale = max(1.0, abs(a), abs(b))
+                off = np.diag(seq.rho[: N - 1], 1)
+                dense = np.linalg.eigvalsh(np.diag(seq.q[:N]) + off + off.T)
+                # eigvalsh's own error is a few ulps of the matrix norm
+                slack = 64 * np.finfo(float).eps * scale
+                assert lo.size == N and np.all(hi - lo <= 1e-10 * scale)
+                assert np.all((lo - slack <= dense) & (dense <= hi + slack))
+        assert (not secant_calls) == (cap == 1)
+
+
 class TestIsolationSweeps:
     """After the first sweep, each interval being isolated is cut into at
     least as many parts as it holds eigenvalues of J_N and J_{N-1}."""
