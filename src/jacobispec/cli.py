@@ -32,7 +32,6 @@ from .params import (
     sequence_from_csv,
 )
 from .recurrence import norm_exponent, solve_at_zero, wronskian_residual
-from .verify import run_all_checks, write_junit
 
 _GUARD_NOTE = (
     "index-0 values are evaluated at m = max(n, 1); the asymptotic family "
@@ -353,6 +352,8 @@ def cmd_growth(cfg: ExperimentConfig, out: Path) -> int:
 
 
 def cmd_verify(cfg: Optional[ExperimentConfig], out: Path) -> int:
+    from .verify import run_all_checks, write_junit
+
     results = run_all_checks()
     for r in results:
         print(r.line())

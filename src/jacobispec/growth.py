@@ -20,7 +20,7 @@ import numpy as np
 from . import _kernels
 from .classify import Classification, Regime, classify
 from .params import JacobiSequence
-from .recurrence import ExponentFit, PolySolution, power_law_fit
+from .recurrence import ExponentFit, PolySolution, _line_fit, power_law_fit
 from .spectrum import _bracket_each
 
 __all__ = [
@@ -288,6 +288,28 @@ def leading_coefficient_logs(seq: JacobiSequence, N: Optional[int] = None) -> np
     return out
 
 
+def _mgs_lstsq(A: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Least-squares solution of A c ~ y by modified Gram-Schmidt on the
+    augmented matrix [A | y], the columns of A scaled to unit norm.
+
+    MGS on [A | y] solves the problem backward stably (Bjorck 1967); the
+    triangular system R c = Q^T y is then solved by back substitution.
+    """
+    scale = np.sqrt(np.sum(A * A, axis=0))
+    W = np.column_stack([A / scale, y])
+    k = A.shape[1]
+    R = np.zeros((k, k + 1))
+    for i in range(k):
+        R[i, i] = np.sqrt(np.sum(W[:, i] ** 2))
+        W[:, i] /= R[i, i]
+        R[i, i + 1 :] = np.sum(W[:, i, None] * W[:, i + 1 :], axis=0)
+        W[:, i + 1 :] -= W[:, i, None] * R[i, i + 1 :]
+    c = np.zeros(k)
+    for i in reversed(range(k)):
+        c[i] = (R[i, k] - np.sum(R[i, i + 1 : k] * c[i + 1 :])) / R[i, i]
+    return c / scale
+
+
 def order_type_from_coefficients(log_coeffs: np.ndarray) -> tuple[float, float]:
     """Order and type of sum c_n z^n from the decay of log |c_n|.
 
@@ -306,8 +328,8 @@ def order_type_from_coefficients(log_coeffs: np.ndarray) -> tuple[float, float]:
     if not (np.all(np.isfinite(y)) and y[-1] > y[0] and np.all(y > 0)):
         raise ValueError("coefficients do not decay over the tail window")
     n = w.astype(np.float64)
-    basis = np.vstack([n * np.log(n), n, np.log(n), np.ones_like(n)]).T
-    coef, *_ = np.linalg.lstsq(basis, y, rcond=None)
+    basis = np.column_stack([n * np.log(n), n, np.log(n), np.ones_like(n)])
+    coef = _mgs_lstsq(basis, y)
     if coef[0] <= 0:
         raise ValueError("coefficient decay is slower than any positive order")
     order = 1.0 / float(coef[0])
@@ -338,9 +360,7 @@ def order_type_from_max_modulus(
     half = r_grid.size // 2
     x = np.log(r_grid[half:])
     y = np.log(logM[half:])
-    order = float(np.linalg.lstsq(
-        np.vstack([x, np.ones_like(x)]).T, y, rcond=None
-    )[0][0])
+    order = _line_fit(x, y)[0]
     type_at_order = float(np.mean(logM[half:] / r_grid[half:] ** order))
     return order, type_at_order
 

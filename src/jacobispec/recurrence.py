@@ -126,24 +126,37 @@ def wronskian_residual(sol: PolySolution, seq: JacobiSequence) -> float:
     return float(np.max(np.abs(w - 1.0)))
 
 
+def _line_fit(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float, float, float]:
+    """Least-squares line y ~ slope * x + intercept in closed form.
+
+    slope = Sxy / Sxx and intercept = mean(y) - slope * mean(x), from the
+    centred sums; returns (slope, intercept, residual sum of squares, Syy, Sxx).
+    """
+    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
+        raise ValueError("cannot fit a line through non-finite values")
+    if x.min() == x.max():
+        raise ValueError("all x values are equal: the slope is undefined")
+    dx = x - x.mean()
+    dy = y - y.mean()
+    sxx = float(np.sum(dx**2))
+    slope = float(np.sum(dx * dy)) / sxx
+    intercept = float(y.mean()) - slope * float(x.mean())
+    ss_res = float(np.sum((dy - slope * dx) ** 2))
+    return slope, intercept, ss_res, float(np.sum(dy**2)), sxx
+
+
 def power_law_fit(x: np.ndarray, y: np.ndarray, window: tuple) -> ExponentFit:
     """Least-squares slope of log y against log x."""
     lx = np.log(np.asarray(x, dtype=np.float64))
     ly = np.log(np.asarray(y, dtype=np.float64))
-    A = np.vstack([lx, np.ones_like(lx)]).T
-    coef, *_ = np.linalg.lstsq(A, ly, rcond=None)
-    resid = ly - A @ coef
-    ss_res = float(np.sum(resid**2))
-    ss_tot = float(np.sum((ly - ly.mean()) ** 2))
+    slope, intercept, ss_res, ss_tot, sxx = _line_fit(lx, ly)
     dof = max(len(lx) - 2, 1)
-    sxx = float(np.sum((lx - lx.mean()) ** 2))
-    stderr = float(np.sqrt(ss_res / dof / sxx)) if sxx > 0 else float("inf")
     r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
     return ExponentFit(
-        slope=float(coef[0]),
-        intercept=float(coef[1]),
+        slope=slope,
+        intercept=intercept,
         r_squared=r2,
-        stderr=stderr,
+        stderr=float(np.sqrt(ss_res / dof / sxx)),
         window=tuple(window),
     )
 

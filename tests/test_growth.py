@@ -408,6 +408,51 @@ class TestCoefficientSeries:
             order_type_from_coefficients(np.arange(128, dtype=float))
 
 
+class TestFitsWithoutLapack:
+    """The four-term fit (modified Gram-Schmidt) and the max-modulus line
+    fit (closed form) pinned against np.linalg.lstsq, called here only."""
+
+    @pytest.fixture(scope="class")
+    def c08_problem(self, m1_seq):
+        # the basis and tail window order_type_from_coefficients fits for c08
+        logc = leading_coefficient_logs(m1_seq)
+        n = np.arange(logc.size // 2, logc.size, dtype=np.float64)
+        basis = np.column_stack([n * np.log(n), n, np.log(n), np.ones_like(n)])
+        return logc, basis, -logc[n.astype(int)]
+
+    def test_c08_order_and_type_match_lstsq(self, c08_problem):
+        logc, basis, y = c08_problem
+        a = np.linalg.lstsq(basis, y, rcond=None)[0][0]
+        n = basis[:, 1]
+        order = 1.0 / a
+        tau = np.max(n * np.exp(order * logc[n.astype(int)] / n)) / (math.e * order)
+        got_order, got_tau = order_type_from_coefficients(logc)
+        assert abs(got_order - order) <= 1e-10 * order
+        assert abs(got_tau - tau) <= 1e-10 * tau
+
+    def test_c08_coefficients_match_50_digit_least_squares(self, c08_problem):
+        _, basis, y = c08_problem
+        with mpmath.workdps(50):
+            # normal equations: the scaled basis has condition ~3e4, so its
+            # square costs 9 of the 50 digits
+            B = mpmath.matrix(basis.tolist())
+            exact = mpmath.lu_solve(B.T * B, B.T * mpmath.matrix(y.tolist()))
+            exact = np.array([float(c) for c in exact])
+        got = growth._mgs_lstsq(basis, y)
+        assert np.all(np.abs(got - exact) <= 1e-9 * np.abs(exact))
+
+    def test_m3_bench_grid_matches_lstsq(self):
+        # the r grid of the m3_growth bench workload on golden m3 at N = 2000
+        rs = np.geomspace(100.0, 1e6, 20)
+        logM = b_log_max_modulus(_sol("m3", 2000), 2000)(rs)
+        x, y = np.log(rs[10:]), np.log(logM[10:])
+        slope = np.linalg.lstsq(np.vstack([x, np.ones_like(x)]).T, y, rcond=None)[0][0]
+        tau = np.mean(logM[10:] / rs[10:] ** slope)
+        order, got_tau = order_type_from_max_modulus(rs, logM)
+        assert abs(order - slope) <= 1e-10 * slope
+        assert abs(got_tau - tau) <= 1e-10 * tau
+
+
 class TestMaxModulus:
     def test_synthetic_exact(self):
         rs = np.geomspace(10, 1e5, 16)

@@ -1,5 +1,6 @@
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -18,6 +19,7 @@ from jacobispec.recurrence import (
     RecurrenceOverflowError,
     SummabilityTrend,
     norm_exponent,
+    power_law_fit,
     solve_at_zero,
     solve_with_initial_data,
     square_summability_probe,
@@ -172,6 +174,74 @@ class TestNormExponent:
         with pytest.raises(ValueError, match="vanishing"):
             # P^2 + Q^2 never vanishes, so force it with a degenerate pair
             norm_exponent(PolySolution(P=sol.P * 0, Q=sol.Q * 0), (2, 40))
+
+
+def _lstsq_line(x, y):
+    """Slope and intercept from np.linalg.lstsq on [log x, 1]: the
+    reference the closed-form fit is pinned against."""
+    lx, ly = np.log(x), np.log(y)
+    return np.linalg.lstsq(np.vstack([lx, np.ones_like(lx)]).T, ly, rcond=None)[0]
+
+
+class TestPowerLawFit:
+    @pytest.mark.parametrize("which", ["m1", "m3"])
+    def test_decay_windows_match_lstsq(self, which, m1_sol, m3_sol):
+        # the windows of c03 (m1) and c10 (m3): n in [100, 5000]
+        sol = {"m1": m1_sol, "m3": m3_sol}[which]
+        n = np.arange(100, 5001)
+        l = sol.norms_squared()[100:5001]
+        fit = power_law_fit(n, l, (100, 5000))
+        slope, intercept = _lstsq_line(n, l)
+        assert abs(fit.slope - slope) <= 1e-10 * abs(slope)
+        assert abs(fit.intercept - intercept) <= 1e-10 * abs(intercept)
+
+    def test_equal_x_rejected(self):
+        with pytest.raises(ValueError, match="all x values are equal"):
+            power_law_fit(np.full(20, 3.0), np.arange(1.0, 21.0), (1, 20))
+
+    def test_non_finite_rejected(self):
+        y = np.arange(1.0, 21.0)
+        y[4] = np.inf
+        with pytest.raises(ValueError, match="non-finite"):
+            power_law_fit(np.arange(1.0, 21.0), y, (1, 20))
+
+
+def _mp_norms_squared(seq, n_max, dps=50):
+    """P_n(0)^2 + Q_n(0)^2 for n <= n_max from the recurrence run at *dps*
+    digits on the same float rho and q."""
+    with mpmath.workdps(dps):
+        rho = [mpmath.mpf(float(r)) for r in seq.rho[:n_max]]
+        q = [mpmath.mpf(float(x)) for x in seq.q[:n_max]]
+
+        def solve(u0, u1):
+            out = [u0, u1]
+            for k in range(n_max - 1):
+                out.append(-(q[k + 1] * out[-1] + rho[k] * out[-2]) / rho[k + 1])
+            return out
+
+        P = solve(mpmath.mpf(1), -q[0] / rho[0])
+        Q = solve(mpmath.mpf(0), 1 / rho[0])
+        return np.array([float(p * p + r * r) for p, r in zip(P, Q)])
+
+
+class TestDecayFitMpmath:
+    """c03 fits n in [100, 5000], beyond the Fraction oracle's n <= 200."""
+
+    @pytest.fixture(scope="class")
+    def exact(self, m1_seq):
+        return _mp_norms_squared(m1_seq, 5000)
+
+    def test_norms_match_50_digit_recurrence(self, exact, m1_sol):
+        # Each float step rounds 4 times; 5000 steps accumulating linearly,
+        # doubled by the squares, give 4 * 5000 * 2**-53 * 2 = 4.4e-12.
+        # Observed: 1.2e-14.
+        got = m1_sol.norms_squared()
+        assert np.max(np.abs(got[1:] - exact[1:]) / exact[1:]) <= 4.4e-12
+
+    def test_c03_slope_matches_50_digit_inputs(self, exact, m1_sol):
+        n = np.arange(100, 5001)
+        reference = power_law_fit(n, exact[100:5001], (100, 5000))
+        assert abs(norm_exponent(m1_sol, (100, 5000)).slope - reference.slope) <= 1e-9
 
 
 class TestSummability:

@@ -1,3 +1,4 @@
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -1150,6 +1151,48 @@ def _charpoly_roots_per_bracket(seq, N, tol=1e-11):
                 hi = mid
         roots.append(0.5 * (lo + hi))
     return np.array(roots)
+
+
+def _mp_eigenvalues(seq, n, dps=40):
+    """Eigenvalues of J_n at *dps* digits (mpmath's Jacobi method), from the
+    same float rho and q."""
+    with mpmath.workdps(dps):
+        J = mpmath.zeros(n)
+        for i in range(n):
+            J[i, i] = mpmath.mpf(float(seq.q[i]))
+            if i + 1 < n:
+                J[i, i + 1] = J[i + 1, i] = mpmath.mpf(float(seq.rho[i]))
+        return np.sort([float(e) for e in mpmath.eigsy(J, eigvals_only=True)])
+
+
+class TestMpmathEigenvalueWitness:
+    """c14 compares the Sturm solver with the charpoly oracle; a 40-digit
+    eigensolver checks both, on c14's random matrices and on J_1 .. J_30 of
+    m1, within c14's 1e-9."""
+
+    @pytest.fixture(scope="class")
+    def problems(self):
+        seq = _seq("m1", 51)
+        m1 = []
+        for n in range(1, 31):
+            a, b = gershgorin_interval(seq, n)
+            m1.append((seq, n, (a, b), 1e-12 * max(1, abs(a), abs(b))))
+        return _c14_problems() + m1
+
+    @pytest.fixture(scope="class")
+    def exact(self, problems):
+        return [_mp_eigenvalues(seq, n) for seq, n, _, _ in problems]
+
+    def test_sturm_eigenvalues(self, problems, exact):
+        for ev, ref in zip(eigenvalues_in_each(problems), exact):
+            assert ev.size == ref.size
+            assert np.max(np.abs(ev - ref)) <= 1e-9
+
+    def test_charpoly_oracle(self, problems, exact):
+        got = charpoly_eigenvalues_each((seq, n) for seq, n, _, _ in problems)
+        for ev, ref in zip(got, exact):
+            assert ev.size == ref.size
+            assert np.max(np.abs(ev - ref)) <= 1e-9
 
 
 class TestCharpolyOracle:
