@@ -70,14 +70,6 @@ class CriterionVerdict:
         if conclusive and not self.applies:
             raise ValueError("a conclusive criterion must apply")
 
-    def to_json(self) -> dict:
-        return {
-            "name": self.name,
-            "applies": self.applies,
-            "conclusion": self.conclusion.value,
-            "evidence": self.evidence,
-        }
-
 
 Exponent = Union[float, tuple]
 
@@ -102,23 +94,6 @@ class Classification:
             lo, hi = self.predicted_exponent
             if not lo <= hi:
                 raise ValueError("predicted exponent interval must have lo <= hi")
-
-    def to_json(self) -> dict:
-        exp = self.predicted_exponent
-        if isinstance(exp, tuple):
-            exp = list(exp)
-        return {
-            "regime": self.regime.value,
-            "case_label": self.case_label,
-            "predicted_exponent": exp,
-            "density_lower": self.density_lower,
-            "density_upper": self.density_upper,
-            "a_constant": self.a_constant,
-            "z1": self.z1,
-            "z2": self.z2,
-            "d": self.d,
-            "notes": list(self.notes),
-        }
 
 
 def _compare(a: Fraction, b: Fraction, what: str, notes: list) -> int:

@@ -2,14 +2,16 @@
 
 Subcommands: classify, spectrum, growth, verify, report.  Config is JSON;
 curve outputs are CSV and scalar outputs JSON, with sorted keys and repr
-floats so identical configs produce byte-identical files.  Exit codes:
-0 ok, 1 check failure, 2 usage or parse error.
+floats so identical configs produce byte-identical files.  This module
+alone decides the output formats: the other modules return dataclasses.
+Exit codes: 0 ok, 1 check failure, 2 usage or parse error.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import enum
 import hashlib
 import json
 import sys
@@ -45,6 +47,16 @@ _LPC_NOTE = (
     "classified lpc: the Nevanlinna matrix does not converge, so B_N has no "
     "limit whose growth or zeros the route could estimate; the route is not run"
 )
+_UNDETERMINED_NOTE = (
+    "classified undetermined: the family is not known to be lcc, so B_N may have "
+    "no limit whose growth or zeros the route could estimate; the route is not run"
+)
+#: the keys a config and its r_grid and tolerances objects may hold
+_CONFIG_KEYS = {
+    "descriptor", "sequence_file", "N", "r_grid", "window", "tolerances", "rays", "out",
+}
+_R_GRID_KEYS = {"r_min", "r_max", "points"}
+_TOLERANCE_KEYS = {"eig_tol"}
 #: largest accepted truncation dimension and r-grid size; the arrays are
 #: allocated as asked, so a larger value would only exhaust memory
 _MAX_SIZE = 10**7
@@ -90,6 +102,12 @@ def _is_json_number(x, types=(int, float)) -> bool:
     return isinstance(x, types) and not isinstance(x, bool)
 
 
+def _check_keys(obj: dict, allowed: set, where: str) -> None:
+    unknown = sorted(set(obj) - allowed)
+    if unknown:
+        raise ValueError(f"unknown {where} keys: {unknown}")
+
+
 def load_config(path: str, seed: Optional[int] = None) -> ExperimentConfig:
     if seed is not None and seed < 0:
         raise ValueError("--seed must be an integer >= 0")
@@ -97,6 +115,7 @@ def load_config(path: str, seed: Optional[int] = None) -> ExperimentConfig:
     obj = json.loads(raw)
     if not isinstance(obj, dict):
         raise ValueError("config must be a JSON object")
+    _check_keys(obj, _CONFIG_KEYS, "config")
     if ("descriptor" in obj) == ("sequence_file" in obj):
         raise ValueError("config needs exactly one of 'descriptor', 'sequence_file'")
     for key in ("sequence_file", "out"):
@@ -120,6 +139,7 @@ def load_config(path: str, seed: Optional[int] = None) -> ExperimentConfig:
     rg = obj.get("r_grid", {})
     if not isinstance(rg, dict):
         raise ValueError("r_grid must be a JSON object")
+    _check_keys(rg, _R_GRID_KEYS, "r_grid")
     r_min = rg.get("r_min", 10.0)
     r_max = rg.get("r_max", 1e4)
     if not (_is_finite_number(r_min) and _is_finite_number(r_max)):
@@ -143,6 +163,7 @@ def load_config(path: str, seed: Optional[int] = None) -> ExperimentConfig:
     tol = obj.get("tolerances", {})
     if not isinstance(tol, dict):
         raise ValueError("tolerances must be a JSON object")
+    _check_keys(tol, _TOLERANCE_KEYS, "tolerances")
     eig_tol = tol.get("eig_tol")
     if eig_tol is not None and not (_is_finite_number(eig_tol) and eig_tol > 0):
         raise ValueError("tolerances.eig_tol must be a finite positive number")
@@ -180,21 +201,32 @@ def _report_envelope(cfg: ExperimentConfig) -> dict:
     return env
 
 
+def _json_default(obj):
+    """An enum as its value and a result dataclass as its fields; tuples
+    are already JSON lists."""
+    if isinstance(obj, enum.Enum):
+        return obj.value
+    if dataclasses.is_dataclass(obj):
+        return dataclasses.asdict(obj)
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
+
+
 def _write_json(obj: dict, path: Path) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
+        json.dump(obj, fh, indent=2, sort_keys=True, default=_json_default)
         fh.write("\n")
 
 
-def _write_curve_csv(path: Path, column: str, rs, values) -> None:
+def _write_csv(path: Path, header: list, *columns) -> None:
+    """One row per index of *columns*, sequences of Python numbers, which
+    the csv module writes by repr."""
     import csv
 
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
-        w.writerow(["r", column])
-        for r, v in zip(rs, values):
-            w.writerow([repr(float(r)), v])
+        w.writerow(header)
+        w.writerows(zip(*columns))
 
 
 def _exponent_str(exp) -> str:
@@ -205,14 +237,14 @@ def _exponent_str(exp) -> str:
     return f"{exp:.6g}"
 
 
-def cmd_classify(cfg: ExperimentConfig, out: Path) -> int:
+def cmd_classify(cfg: ExperimentConfig, out: Path) -> dict:
     report = _report_envelope(cfg)
     seq = cfg.sequence(max(cfg.Ns))
     criteria = [wouk_test(seq), carleman_test(seq), berezanskii_test(seq)]
-    report["criteria"] = [c.to_json() for c in criteria]
+    report["criteria"] = criteria
     if cfg.descriptor is not None:
         cls = classify(cfg.descriptor)
-        report["classification"] = cls.to_json()
+        report["classification"] = cls
         if cls.regime is Regime.UNDETERMINED:
             print(f"Undetermined: {cls.notes[0]}")
         else:
@@ -232,10 +264,10 @@ def cmd_classify(cfg: ExperimentConfig, out: Path) -> int:
     for c in criteria:
         print(f"  {c.name}: {c.conclusion.value} ({c.evidence})")
     _write_json(report, out / "classification.json")
-    return 0
+    return report
 
 
-def cmd_spectrum(cfg: ExperimentConfig, out: Path) -> int:
+def cmd_spectrum(cfg: ExperimentConfig, out: Path) -> dict:
     report = _report_envelope(cfg)
     seq = cfg.sequence(max(cfg.Ns))
     rs = cfg.r_grid()
@@ -244,11 +276,12 @@ def cmd_spectrum(cfg: ExperimentConfig, out: Path) -> int:
     evs = spectrum.eigenvalues_in_each((seq, N, window, cfg.eig_tol) for N in cfg.Ns)
     per_n = {}
     for j, (N, ev) in enumerate(zip(cfg.Ns, evs)):
-        spectrum.TruncatedSpectrum(eigenvalues=ev).to_csv(
-            out / f"eigenvalues_N{N}.csv"
+        ev = spectrum.TruncatedSpectrum(eigenvalues=ev).eigenvalues
+        _write_csv(
+            out / f"eigenvalues_N{N}.csv", ["index", "lambda"], range(ev.size), ev.tolist()
         )
         counts = table[:, j].tolist()
-        _write_curve_csv(out / f"counting_N{N}.csv", "count", rs, counts)
+        _write_csv(out / f"counting_N{N}.csv", ["r", "count"], rs.tolist(), counts)
         per_n[str(N)] = {"count_in_window": int(ev.size), "counts": counts}
     stabilization = [
         {"r": float(r), "counts": counts, "stabilized": bool(s)}
@@ -263,10 +296,10 @@ def cmd_spectrum(cfg: ExperimentConfig, out: Path) -> int:
         f"spectrum: {len(cfg.Ns)} truncations, counts stabilized at "
         f"{stable_count}/{len(rs)} radii"
     )
-    return 0
+    return report
 
 
-def cmd_growth(cfg: ExperimentConfig, out: Path) -> int:
+def cmd_growth(cfg: ExperimentConfig, out: Path) -> dict:
     report = _report_envelope(cfg)
     N = max(cfg.Ns)
     seq = cfg.sequence(N)
@@ -274,7 +307,7 @@ def cmd_growth(cfg: ExperimentConfig, out: Path) -> int:
     report["wronskian_residual"] = wronskian_residual(sol, seq)
     window = cfg.window or (max(2, N // 50), N)
     decay = norm_exponent(sol, window)
-    report["decay_fit"] = decay.to_json()
+    report["decay_fit"] = decay
 
     # route 1: power-series coefficients
     logc = growth.leading_coefficient_logs(seq)
@@ -286,22 +319,27 @@ def cmd_growth(cfg: ExperimentConfig, out: Path) -> int:
         coeff_route = {"error": str(exc)}
     report["coefficient_route"] = coeff_route
 
-    # routes 2 and 3 read B_N, not evaluated where the classification says lpc
+    # routes 2 and 3 read B_N, evaluated only where a descriptor is
+    # classified lcc; a sequence file carries no classification
     predicted = None
     if cfg.descriptor is not None:
         predicted = classify(cfg.descriptor)
-        report["classification"] = predicted.to_json()
-    if predicted is not None and predicted.regime is Regime.LPC:
+        report["classification"] = predicted
+    if predicted is not None and predicted.regime is not Regime.LCC:
+        note = _LPC_NOTE if predicted.regime is Regime.LPC else _UNDETERMINED_NOTE
         mods = np.empty(0)
-        report["max_modulus_route"] = {"skipped": _LPC_NOTE}
-        zero_route = {"skipped": _LPC_NOTE}
-        found = "max-modulus route and zero route skipped (lpc)"
+        report["max_modulus_route"] = {"skipped": note}
+        zero_route = {"skipped": note}
+        found = f"max-modulus route and zero route skipped ({predicted.regime.value})"
     else:
         # route 2: max modulus on rays
         rs = cfg.r_grid()
         logM = growth.b_log_max_modulus(sol, N, rays=cfg.rays)(rs)
-        _write_curve_csv(
-            out / "log_max_modulus.csv", "log_max_modulus", rs, logM.tolist()
+        _write_csv(
+            out / "log_max_modulus.csv",
+            ["r", "log_max_modulus"],
+            rs.tolist(),
+            logM.tolist(),
         )
         order_m, type_m = growth.order_type_from_max_modulus(rs, logM)
         report["max_modulus_route"] = {"order": order_m, "type_at_order": type_m}
@@ -315,7 +353,7 @@ def cmd_growth(cfg: ExperimentConfig, out: Path) -> int:
             f"{zeros.size} zeros found"
         )
         if mods.size >= 32:
-            fit = growth.convergence_exponent_from_zeros(mods).to_json()
+            fit = dataclasses.asdict(growth.convergence_exponent_from_zeros(mods))
             zero_route["convergence_exponent"] = fit.pop("slope")
             zero_route["stderr"] = fit.pop("stderr")
             zero_route["fit"] = fit
@@ -339,7 +377,7 @@ def cmd_growth(cfg: ExperimentConfig, out: Path) -> int:
         deltas = hamburger.delta_exponents(
             data, (max(1, window[0]), min(window[1], N - 1))
         )
-        report["delta_exponents"] = deltas.to_json()
+        report["delta_exponents"] = {**dataclasses.asdict(deltas), "sum": deltas.total}
 
     _write_json(report, out / "growth_report.json")
     print(f"growth: coefficient route {coeff_route}")
@@ -348,7 +386,7 @@ def cmd_growth(cfg: ExperimentConfig, out: Path) -> int:
         print(
             f"        predicted exponent {_exponent_str(predicted.predicted_exponent)}"
         )
-    return 0
+    return report
 
 
 def cmd_verify(cfg: Optional[ExperimentConfig], out: Path) -> int:
@@ -367,20 +405,17 @@ def cmd_verify(cfg: Optional[ExperimentConfig], out: Path) -> int:
     return 1 if failed else 0
 
 
-def cmd_report(cfg: ExperimentConfig, out: Path) -> int:
+def cmd_report(cfg: ExperimentConfig, out: Path) -> dict:
     # the spectrum step needs three truncations: fail before any file is written
     spectrum._check_dimensions(cfg.Ns)
-    rc = cmd_classify(cfg, out)
-    rc = max(rc, cmd_spectrum(cfg, out))
-    rc = max(rc, cmd_growth(cfg, out))
-    combined = {}
-    for name in ("classification", "spectrum_report", "growth_report"):
-        path = out / f"{name}.json"
-        if path.exists():
-            combined[name] = json.loads(path.read_text())
+    combined = {
+        "classification": cmd_classify(cfg, out),
+        "spectrum_report": cmd_spectrum(cfg, out),
+        "growth_report": cmd_growth(cfg, out),
+    }
     _write_json(combined, out / "report.json")
     print(f"combined report at {out / 'report.json'}")
-    return rc
+    return combined
 
 
 def main(argv: Optional[list] = None) -> int:
@@ -420,18 +455,21 @@ def main(argv: Optional[list] = None) -> int:
         print(f"error: cannot make output directory {str(out)!r}: {exc}", file=sys.stderr)
         return 2
 
+    # each returns the report it wrote; verify returns its exit code
     commands = {
         "classify": cmd_classify,
         "spectrum": cmd_spectrum,
         "growth": cmd_growth,
-        "verify": cmd_verify,
         "report": cmd_report,
     }
     try:
-        return commands[args.command](cfg, out)
+        if args.command == "verify":
+            return cmd_verify(cfg, out)
+        commands[args.command](cfg, out)
     except (ValueError, RuntimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    return 0
 
 
 if __name__ == "__main__":

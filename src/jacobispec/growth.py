@@ -235,9 +235,7 @@ def _case2_constants(seq: JacobiSequence) -> tuple[float, float, Classification]
     return float(desc.beta1), float(cls.a_constant / desc.x0), cls
 
 
-def log_majorant_product(
-    seq: JacobiSequence, r: float, terms: Optional[int] = None
-) -> float:
+def log_majorant_product(seq: JacobiSequence, r: float) -> float:
     """log F(r) = sum_n log(1 + r * (a/x0) n^{-beta1}).
 
     The factor weights use only the limiting constant a/x0 of the
@@ -249,8 +247,7 @@ def log_majorant_product(
     beta1, g, _ = _case2_constants(seq)
     if r == 0.0:
         return 0.0
-    if terms is None:
-        terms = min(max(8192, int(50.0 * (r * g) ** (1.0 / beta1))), 5_000_000)
+    terms = min(max(8192, int(50.0 * (r * g) ** (1.0 / beta1))), 5_000_000)
     n = np.arange(1, terms + 1, dtype=np.float64)
     return float(np.sum(np.log1p(r * g * n ** (-beta1))))
 

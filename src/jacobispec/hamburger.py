@@ -38,15 +38,6 @@ class HamburgerData:
         self.l.setflags(write=False)
         self.dphi.setflags(write=False)
 
-    def to_csv(self, path) -> None:
-        import csv
-
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["n", "l", "dphi"])
-            for i in range(self.dphi.shape[0]):
-                w.writerow([i, repr(float(self.l[i])), repr(float(self.dphi[i]))])
-
 
 @dataclass(frozen=True)
 class DeltaExponents:
@@ -58,15 +49,6 @@ class DeltaExponents:
     @property
     def total(self) -> float:
         return self.delta_l + self.delta_phi
-
-    def to_json(self) -> dict:
-        return {
-            "delta_l": self.delta_l,
-            "delta_phi": self.delta_phi,
-            "sum": self.total,
-            "fit_l": self.fit_l.to_json(),
-            "fit_phi": self.fit_phi.to_json(),
-        }
 
 
 def lengths_angles(sol: PolySolution, seq: JacobiSequence) -> HamburgerData:

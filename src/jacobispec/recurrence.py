@@ -62,15 +62,6 @@ class PolySolution:
     def norms_squared(self) -> np.ndarray:
         return self.P**2 + self.Q**2
 
-    def to_csv(self, path) -> None:
-        import csv
-
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["n", "P", "Q"])
-            for i in range(self.P.shape[0]):
-                w.writerow([i, repr(float(self.P[i])), repr(float(self.Q[i]))])
-
 
 @dataclass(frozen=True)
 class ExponentFit:
@@ -83,15 +74,6 @@ class ExponentFit:
     def __post_init__(self):
         if self.window[1] - self.window[0] + 1 < 16:
             raise ValueError("window too short")
-
-    def to_json(self) -> dict:
-        return {
-            "slope": self.slope,
-            "intercept": self.intercept,
-            "r_squared": self.r_squared,
-            "stderr": self.stderr,
-            "window": list(self.window),
-        }
 
 
 class SummabilityTrend(enum.Enum):

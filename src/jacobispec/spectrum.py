@@ -56,15 +56,6 @@ class TruncatedSpectrum:
         ev.setflags(write=False)
         object.__setattr__(self, "eigenvalues", ev)
 
-    def to_csv(self, path) -> None:
-        import csv
-
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["index", "lambda"])
-            for i, lam in enumerate(self.eigenvalues):
-                w.writerow([i, repr(float(lam))])
-
 
 def _submatrix(seq: JacobiSequence, N: int) -> tuple[np.ndarray, np.ndarray]:
     if not 1 <= N <= len(seq):

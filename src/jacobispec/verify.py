@@ -12,7 +12,7 @@ import math
 import time
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Optional
+from typing import Callable
 from xml.etree import ElementTree
 
 import numpy as np
@@ -441,9 +441,8 @@ def run_check(name: str) -> CheckResult:
     )
 
 
-def run_all_checks(names: Optional[list] = None) -> list:
-    selected = names or [n for n, _ in CHECKS]
-    return [run_check(n) for n in selected]
+def run_all_checks() -> list:
+    return [run_check(n) for n, _ in CHECKS]
 
 
 def write_junit(results: list, path) -> None:

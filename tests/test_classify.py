@@ -1,3 +1,4 @@
+import json
 import math
 from fractions import Fraction
 
@@ -18,6 +19,7 @@ from jacobispec.classify import (
     classify_double_root,
     wouk_test,
 )
+from jacobispec.cli import _write_json
 from jacobispec.params import (
     ExpansionOrder,
     JacobiSequence,
@@ -400,9 +402,12 @@ class TestProperties:
             assert cls.density_lower < cls.density_upper
 
 
-def test_classification_json_round_trip():
+def test_classification_json_round_trip(tmp_path):
+    # the CLI's writer serializes result dataclasses: enums by value, tuples
+    # as lists
     cls = classify(second_order(beta1=1.8, beta2=1.8, x0=1, y0=-2, x1=2))
-    doc = cls.to_json()
+    _write_json({"classification": cls}, tmp_path / "c.json")
+    doc = json.loads((tmp_path / "c.json").read_text())["classification"]
     assert doc["regime"] == "lcc"
     assert doc["predicted_exponent"] == [
         pytest.approx(1 / 1.8),

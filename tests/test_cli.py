@@ -141,6 +141,10 @@ class TestClassifyCommand:
         ({"descriptor": None, "sequence_file": 5}, "sequence_file"),
         ({"out": 5}, "out"),
         ({"out": "cfg.json"}, "output directory"),
+        # misspelt keys, which were ignored in favour of the defaults
+        ({"r_grid": {"rmax": 1e6}}, "rmax"),
+        ({"tolerance": {"eig_tol": 1e-3}}, "tolerance"),
+        ({"Ns": [10]}, "Ns"),
     ],
 )
 def test_malformed_config_key_exits_2(tmp_path, capsys, monkeypatch, overrides, message):
@@ -326,6 +330,9 @@ class TestReportCommand:
         assert set(combined) == {
             "classification", "spectrum_report", "growth_report"
         }
+        # each section is the report its command wrote in the same run
+        for name, section in combined.items():
+            assert section == json.loads((out / f"{name}.json").read_text())
 
     def test_too_few_dimensions_write_nothing(self, tmp_path, capsys):
         cfg = write_config(tmp_path, N=[300, 600])
@@ -366,6 +373,24 @@ class TestReportCommand:
         assert growth["classification"]["case_label"] == "T1(ii)"
         assert set(growth["max_modulus_route"]) == set(growth["zero_route"]) == {"skipped"}
         assert not (out / "log_max_modulus.csv").exists()
+
+    @pytest.mark.parametrize("command", ["growth", "report"])
+    def test_undetermined_descriptor_skips_both_b_routes(self, tmp_path, capsys, command):
+        # exceptional family with first-order data only: P^2 + Q^2 reaches
+        # 2.2e124 at n = 2000, and the max-modulus fit used to raise (exit 2)
+        desc = {"beta1": 3, "beta2": 3, "x0": 1, "y0": -2}
+        cfg = tmp_path / "undetermined.json"
+        cfg.write_text(json.dumps({"descriptor": desc}))
+        out = tmp_path / "o"
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 0
+        printed = capsys.readouterr().out
+        assert "max-modulus route and zero route skipped (undetermined)" in printed
+        growth = json.loads((out / "growth_report.json").read_text())
+        assert growth["classification"]["regime"] == "undetermined"
+        assert set(growth["max_modulus_route"]) == set(growth["zero_route"]) == {"skipped"}
+        assert "undetermined" in growth["zero_route"]["skipped"]
+        assert not (out / "log_max_modulus.csv").exists()
+        assert not (out / "b_zeros.csv").exists()
 
     @pytest.mark.parametrize("command", ["classify", "report"])
     @pytest.mark.parametrize("desc", [_HUGE_RATIO, _HUGE_D_X1, _HUGE_D_X2])

@@ -50,16 +50,6 @@ class TestLengthsAngles:
         with pytest.raises(ValueError):
             lengths_angles(m1_sol, seq)
 
-    def test_csv_dump(self, tmp_path):
-        rho0 = 2.0
-        sol = PolySolution(P=np.array([1.0, 0.0]), Q=np.array([0.0, 0.5]))
-        seq = JacobiSequence(rho=np.array([rho0]), q=np.array([0.0]))
-        path = tmp_path / "hamburger.csv"
-        lengths_angles(sol, seq).to_csv(path)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "n,l,dphi"
-        assert lines[1] == "0,1.0,1.0"
-
 
 class TestDeltaExponents:
     def test_synthetic_exact_powers(self):

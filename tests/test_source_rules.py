@@ -4,10 +4,11 @@
 * no read of ``os.environ`` / ``os.getenv``: no hidden runtime knobs;
 * no import of ``numba`` or ``concurrent.futures``: one numpy backend and
   no thread pools;
-* no dead surface: every module-level ``def`` and ``class`` is used
-  somewhere in the package outside its own definition (``__all__`` and
-  ``__init__.py`` do not count), or is named in ``perfbench/``, which is
-  only read.
+* no dead surface: every module-level ``def`` and ``class``, and every
+  method and property of a module-level class apart from dunder methods,
+  is used somewhere in the package outside its own definition
+  (``__all__`` and ``__init__.py`` do not count), or is named in
+  ``perfbench/``, which is only read.
 """
 
 import ast
@@ -22,6 +23,7 @@ SOURCES = sorted(PACKAGE.glob("*.py"))
 # public names with no caller in the package, kept on purpose
 UNUSED_ALLOWED = {
     "params.sequence_to_csv",  # writes the documented ``n,rho,q`` input CSV
+    "params.PowerAsymptotics.scaled",  # the scale-invariance property tests
 }
 
 _ENV_NAMES = {"environ", "getenv", "environb", "getenvb"}
@@ -94,9 +96,27 @@ def test_rule_catches_offence(rule, source):
     assert any(rule(node) for node in ast.walk(ast.parse(source)))
 
 
+_FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+
+def _definitions(tree):
+    """``(qualified name, node)`` of each module-level def and class of
+    *tree*, and of each method of such a class that is not a dunder."""
+    for defn in tree.body:
+        if not isinstance(defn, (*_FUNCTIONS, ast.ClassDef)):
+            continue
+        yield defn.name, defn
+        if isinstance(defn, ast.ClassDef):
+            for method in defn.body:
+                if isinstance(method, _FUNCTIONS) and not (
+                    method.name.startswith("__") and method.name.endswith("__")
+                ):
+                    yield f"{defn.name}.{method.name}", method
+
+
 def _unreferenced(modules, outside_text=""):
-    """``module.name`` of each module-level def or class of *modules* (a
-    mapping of module name to source) that no other node of any module
+    """``module.name`` of each definition of *modules* (a mapping of module
+    name to source; see ``_definitions``) that no other node of any module
     names, and that *outside_text* does not name either."""
     trees = {name: ast.parse(text) for name, text in modules.items()}
     used = {}
@@ -113,17 +133,13 @@ def _unreferenced(modules, outside_text=""):
                 used.setdefault(ref, []).append(node)
     dead = []
     for name, tree in trees.items():
-        for defn in tree.body:
-            if not isinstance(
-                defn, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
-            ):
-                continue
+        for qualname, defn in _definitions(tree):
             own = set(map(id, ast.walk(defn)))
             if any(id(node) not in own for node in used.get(defn.name, [])):
                 continue
             if re.search(rf"\b{re.escape(defn.name)}\b", outside_text):
                 continue
-            dead.append(f"{name}.{defn.name}")
+            dead.append(f"{name}.{qualname}")
     return dead
 
 
@@ -143,7 +159,12 @@ def test_unused_rule_catches_dead_definitions():
             "def used():\n    pass\n"
             "def exported():\n    pass\n"
             "class Benched:\n    pass\n"
+            "class Used:\n"
+            "    def __init__(self):\n        self.helper()\n"
+            "    def helper(self):\n        pass\n"
+            "    @property\n    def idle(self):\n        return self.idle\n"
+            "    def touched(self):\n        pass\n"
         ),
-        "b": "from .a import used, exported\nused()\n",
+        "b": "from .a import used, exported, Used\nused()\nUsed().touched()\n",
     }
-    assert _unreferenced(modules, "Benched") == ["a.dead", "a.exported"]
+    assert _unreferenced(modules, "Benched") == ["a.dead", "a.exported", "a.Used.idle"]

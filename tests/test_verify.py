@@ -38,11 +38,3 @@ def test_golden_models_materialize(tmp_path):
     assert verify._seq("m1", 64).rho[3] == 16.0
     assert verify._seq("m3", 64).q[5] == -250.0  # -2 n^3 at n = 5
     assert np.all(verify.golden_m5_sequence(64).rho == 1.0)
-
-
-def test_solution_csv_dump(tmp_path, m1_sol):
-    path = tmp_path / "pq.csv"
-    m1_sol.to_csv(path)
-    header, first = path.read_text().splitlines()[:2]
-    assert header == "n,P,Q"
-    assert first == "0,1.0,0.0"
