@@ -22,6 +22,7 @@ from .classify import (
     wouk_test,
 )
 from .growth import (
+    MaxModulusFit,
     NevanlinnaPartial,
     convergence_exponent_from_zeros,
     leading_coefficient_logs,

@@ -12,11 +12,16 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import enum
-import hashlib
 import json
 import sys
 from pathlib import Path
 from typing import Optional
+
+try:
+    # CPython's built-in SHA-1, which maps no OpenSSL
+    from _sha1 import sha1
+except ImportError:
+    from hashlib import sha1
 
 import numpy as np
 
@@ -92,7 +97,7 @@ class ExperimentConfig:
 
 
 def _git_blob_sha1(content: bytes) -> str:
-    h = hashlib.sha1()
+    h = sha1()
     h.update(b"blob %d\0" % len(content))
     h.update(content)
     return h.hexdigest()
@@ -341,8 +346,11 @@ def cmd_growth(cfg: ExperimentConfig, out: Path) -> dict:
             rs.tolist(),
             logM.tolist(),
         )
-        order_m, type_m = growth.order_type_from_max_modulus(rs, logM)
-        report["max_modulus_route"] = {"order": order_m, "type_at_order": type_m}
+        fit = dataclasses.asdict(growth.order_type_from_max_modulus(rs, logM))
+        order_m, type_m = fit.pop("order"), fit.pop("type_at_order")
+        report["max_modulus_route"] = {
+            "order": order_m, "type_at_order": type_m, "fit": fit,
+        }
         # route 3: zeros of B
         zeros = growth.scan_b_zeros(sol, seq, N, cfg.r_max)
         np.savetxt(out / "b_zeros.csv", zeros, header="zero", comments="", fmt="%.17g")

@@ -20,7 +20,7 @@ import numpy as np
 from . import _kernels
 from .classify import Classification, Regime, classify
 from .params import JacobiSequence
-from .recurrence import ExponentFit, PolySolution, _line_fit, power_law_fit
+from .recurrence import ExponentFit, PolySolution, _fit_quality, _line_fit, power_law_fit
 from .spectrum import _bracket_each
 
 __all__ = [
@@ -35,6 +35,7 @@ __all__ = [
     "majorant_bound_gap",
     "leading_coefficient_logs",
     "order_type_from_coefficients",
+    "MaxModulusFit",
     "order_type_from_max_modulus",
     "convergence_exponent_from_zeros",
     "upper_density",
@@ -338,9 +339,21 @@ def order_type_from_coefficients(log_coeffs: np.ndarray) -> tuple[float, float]:
 # max-modulus and zero-based estimates
 # ---------------------------------------------------------------------------
 
-def order_type_from_max_modulus(
-    r_grid: np.ndarray, logM: np.ndarray
-) -> tuple[float, float]:
+@dataclass(frozen=True)
+class MaxModulusFit:
+    """Order and type read off log M(r), with the diagnostics of the line
+    fit of log log M against log r: the slope's stderr, R², the radius
+    window [r_min, r_max] and the number of radii fitted."""
+
+    order: float
+    type_at_order: float
+    stderr: float
+    r_squared: float
+    window: tuple
+    points: int
+
+
+def order_type_from_max_modulus(r_grid: np.ndarray, logM: np.ndarray) -> MaxModulusFit:
     """Order from the top-half slope of log log M(r) vs log r; type from
     the mean of log M(r) / r^order there.  ``logM`` holds log M(r) at
     each radius of ``r_grid``."""
@@ -357,9 +370,16 @@ def order_type_from_max_modulus(
     half = r_grid.size // 2
     x = np.log(r_grid[half:])
     y = np.log(logM[half:])
-    order = _line_fit(x, y)[0]
-    type_at_order = float(np.mean(logM[half:] / r_grid[half:] ** order))
-    return order, type_at_order
+    order, _, ss_res, ss_tot, sxx = _line_fit(x, y)
+    r2, stderr = _fit_quality(ss_res, ss_tot, sxx, x.size)
+    return MaxModulusFit(
+        order=order,
+        type_at_order=float(np.mean(logM[half:] / r_grid[half:] ** order)),
+        stderr=stderr,
+        r_squared=r2,
+        window=(float(r_grid[half]), float(r_grid[-1])),
+        points=int(x.size),
+    )
 
 
 def convergence_exponent_from_zeros(zeros: np.ndarray) -> ExponentFit:

@@ -23,6 +23,8 @@ from typing import Mapping, Union
 
 import numpy as np
 
+from ._pcg64 import Pcg64
+
 __all__ = [
     "ExpansionOrder",
     "RemainderKind",
@@ -62,7 +64,12 @@ class RemainderModel:
 
     ``deterministic`` adds c*n^(-1-eps) (first order) or c*n^(-2-eps)
     (second order); ``seeded_noise`` multiplies that envelope by a
-    reproducible pseudo-random factor u_n in [-1, 1].
+    reproducible pseudo-random factor u_n in [-1, 1].  The u_n of rho are
+    the first N draws of numpy's ``default_rng(seed).uniform(-1, 1)``
+    stream (PCG64 seeded through ``SeedSequence``) and those of q the next
+    N; ``_pcg64`` reproduces that stream bit for bit without importing
+    numpy's random subpackage, so a seed gives the matrix that numpy's
+    own generator gives.
     """
 
     kind: RemainderKind = RemainderKind.NONE
@@ -197,8 +204,7 @@ def materialize(params: PowerAsymptotics, N: int) -> JacobiSequence:
             rem_rho = envelope
             rem_q = envelope
         else:
-            rng = np.random.default_rng(params.remainder.seed)
-            u = rng.uniform(-1.0, 1.0, size=(2, N))
+            u = Pcg64(params.remainder.seed).uniform(-1.0, 1.0, 2 * N).reshape(2, N)
             rem_rho = u[0] * envelope
             rem_q = u[1] * envelope
     with np.errstate(over="ignore", invalid="ignore"):

@@ -127,18 +127,23 @@ def _line_fit(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float, float,
     return slope, intercept, ss_res, float(np.sum(dy**2)), sxx
 
 
+def _fit_quality(ss_res: float, ss_tot: float, sxx: float, points: int) -> tuple[float, float]:
+    """(R², slope stderr) of a ``_line_fit`` through *points* points."""
+    r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
+    return r2, float(np.sqrt(ss_res / max(points - 2, 1) / sxx))
+
+
 def power_law_fit(x: np.ndarray, y: np.ndarray, window: tuple) -> ExponentFit:
     """Least-squares slope of log y against log x."""
     lx = np.log(np.asarray(x, dtype=np.float64))
     ly = np.log(np.asarray(y, dtype=np.float64))
     slope, intercept, ss_res, ss_tot, sxx = _line_fit(lx, ly)
-    dof = max(len(lx) - 2, 1)
-    r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
+    r2, stderr = _fit_quality(ss_res, ss_tot, sxx, len(lx))
     return ExponentFit(
         slope=slope,
         intercept=intercept,
         r_squared=r2,
-        stderr=float(np.sqrt(ss_res / dof / sxx)),
+        stderr=stderr,
         window=tuple(window),
     )
 

@@ -33,6 +33,18 @@ def write_config(tmp_path, name="cfg.json", **overrides):
     return path
 
 
+@pytest.mark.parametrize(
+    "content, blob_id",
+    [
+        (b"", "e69de29bb2d1d6434b8b29ae775ad8c2e48c5391"),
+        (b"hello\n", "ce013625030ba8dba906f756967f9e9ca394464a"),
+    ],
+)
+def test_config_sha1_is_the_git_blob_id(content, blob_id):
+    # ``git hash-object`` ids: a change of SHA-1 provider must not move config_sha1
+    assert cli._git_blob_sha1(content) == blob_id
+
+
 class TestClassifyCommand:
     def test_prints_case_line(self, tmp_path, capsys):
         cfg = write_config(tmp_path)
@@ -248,6 +260,10 @@ class TestGrowthCommand:
         doc = json.loads((out / "growth_report.json").read_text())
         assert doc["coefficient_route"]["order"] == pytest.approx(0.5, abs=0.05)
         assert doc["max_modulus_route"]["order"] == pytest.approx(0.5, abs=0.1)
+        fit = doc["max_modulus_route"]["fit"]
+        assert set(fit) == {"stderr", "r_squared", "window", "points"}
+        assert fit["points"] == 5
+        assert fit["window"] == [np.geomspace(5.0, 500.0, 10)[5], 500.0]
         assert doc["classification"]["case_label"] == "T1(ii)"
         assert doc["wronskian_residual"] < 1e-8
         assert "majorant_gap" in doc

@@ -448,25 +448,42 @@ class TestFitsWithoutLapack:
         x, y = np.log(rs[10:]), np.log(logM[10:])
         slope = np.linalg.lstsq(np.vstack([x, np.ones_like(x)]).T, y, rcond=None)[0][0]
         tau = np.mean(logM[10:] / rs[10:] ** slope)
-        order, got_tau = order_type_from_max_modulus(rs, logM)
-        assert abs(order - slope) <= 1e-10 * slope
-        assert abs(got_tau - tau) <= 1e-10 * tau
+        fit = order_type_from_max_modulus(rs, logM)
+        assert abs(fit.order - slope) <= 1e-10 * slope
+        assert abs(fit.type_at_order - tau) <= 1e-10 * tau
 
 
 class TestMaxModulus:
     def test_synthetic_exact(self):
         rs = np.geomspace(10, 1e5, 16)
-        order, tau = order_type_from_max_modulus(rs, 2.0 * np.sqrt(rs))
-        assert order == pytest.approx(0.5, abs=1e-6)
-        assert tau == pytest.approx(2.0, abs=1e-6)
+        fit = order_type_from_max_modulus(rs, 2.0 * np.sqrt(rs))
+        assert fit.order == pytest.approx(0.5, abs=1e-6)
+        assert fit.type_at_order == pytest.approx(2.0, abs=1e-6)
+        assert fit.stderr < 1e-9 and fit.r_squared == pytest.approx(1.0, abs=1e-12)
+
+    def test_fit_window_on_default_grid(self):
+        # the CLI's default r grid: 20 radii from 10 to 1e4; the top half is fitted
+        rs = np.geomspace(10.0, 1e4, 20)
+        logM = 3.0 * rs**0.5 + np.log(rs)
+        fit = order_type_from_max_modulus(rs, logM)
+        assert fit.points == 10
+        assert fit.window == (rs[10], 1e4)
+        x, y = np.log(rs[10:]), np.log(logM[10:])
+        design = np.vstack([x, np.ones_like(x)]).T
+        coef, res = np.linalg.lstsq(design, y, rcond=None)[:2]
+        stderr = np.sqrt(res[0] / 8 / np.sum((x - x.mean()) ** 2))
+        assert fit.stderr == pytest.approx(stderr, rel=1e-6)
+        assert fit.r_squared == pytest.approx(
+            1 - res[0] / np.sum((y - y.mean()) ** 2), rel=1e-9
+        )
 
     def test_m1_b_function(self, m1_sol_2000):
         rs = np.geomspace(10, 1e5, 24)
-        order, tau = order_type_from_max_modulus(
+        fit = order_type_from_max_modulus(
             rs, b_log_max_modulus(m1_sol_2000, 2000)(rs)
         )
-        assert order == pytest.approx(0.5, abs=0.05)
-        assert 1.8 <= tau <= 4.4  # theoretical type window [2, 4] with slack
+        assert fit.order == pytest.approx(0.5, abs=0.05)
+        assert 1.8 <= fit.type_at_order <= 4.4  # theoretical type window [2, 4] with slack
 
     def test_rejects_non_monotone(self):
         rs = np.geomspace(10, 1e3, 8)
@@ -537,9 +554,9 @@ class TestCrossMethodConsistency:
             return top + math.log(np.sum(np.exp(terms - top)))
 
         rs = np.geomspace(1e2, 1e5, 16)
-        order_m, _ = order_type_from_max_modulus(
+        order_m = order_type_from_max_modulus(
             rs, np.array([log_series(r) for r in rs])
-        )
+        ).order
         order_c, _ = order_type_from_coefficients(logc)
         assert abs(order_m - order_c) <= 0.05
 

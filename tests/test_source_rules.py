@@ -4,6 +4,10 @@
 * no read of ``os.environ`` / ``os.getenv``: no hidden runtime knobs;
 * no import of ``numba`` or ``concurrent.futures``: one numpy backend and
   no thread pools;
+* no import of ``numpy.random`` and no ``np.random`` / ``numpy.random``
+  attribute: it imports ``secrets`` and so maps OpenSSL, and ``_pcg64``
+  draws the same streams (``hashlib`` is left to ``test_import_cost.py``,
+  since ``cli`` keeps it as the fallback of ``_sha1``);
 * no dead surface: every module-level ``def`` and ``class``, and every
   method and property of a module-level class apart from dunder methods,
   is used somewhere in the package outside its own definition
@@ -27,7 +31,7 @@ UNUSED_ALLOWED = {
 }
 
 _ENV_NAMES = {"environ", "getenv", "environb", "getenvb"}
-_BANNED_MODULES = ("numba", "concurrent.futures")
+_BANNED_MODULES = ("numba", "concurrent.futures", "numpy.random")
 
 
 def _banned(module):
@@ -48,6 +52,15 @@ def _env_reads(node):
     if isinstance(node, ast.ImportFrom):
         return node.module == "os" and any(a.name in _ENV_NAMES for a in node.names)
     return False
+
+
+def _numpy_random_access(node):
+    return (
+        isinstance(node, ast.Attribute)
+        and node.attr == "random"
+        and isinstance(node.value, ast.Name)
+        and node.value.id in ("np", "numpy")
+    )
 
 
 def _banned_imports(node):
@@ -73,7 +86,9 @@ def test_package_sources_found():
     assert "_kernels.py" in {p.name for p in SOURCES}
 
 
-@pytest.mark.parametrize("rule", [_asserts, _env_reads, _banned_imports])
+@pytest.mark.parametrize(
+    "rule", [_asserts, _env_reads, _banned_imports, _numpy_random_access]
+)
 def test_source_rule(rule):
     assert _offences(rule) == []
 
@@ -90,6 +105,11 @@ def test_source_rule(rule):
         (_banned_imports, "from concurrent.futures import ThreadPoolExecutor\n"),
         (_banned_imports, "from concurrent import futures\n"),
         (_banned_imports, "import concurrent.futures\n"),
+        (_banned_imports, "import numpy.random\n"),
+        (_banned_imports, "from numpy.random import default_rng\n"),
+        (_banned_imports, "from numpy import random\n"),
+        (_numpy_random_access, "import numpy as np\nrng = np.random.default_rng(1)\n"),
+        (_numpy_random_access, "import numpy\nx = numpy.random.uniform()\n"),
     ],
 )
 def test_rule_catches_offence(rule, source):
