@@ -1,6 +1,23 @@
+"""The command line, run on one thread: ``python -m jacobispec`` and the
+installed ``jacobispec`` command both enter here.
+
+Every route is a sequential three-term recurrence and nothing in the
+package calls BLAS, yet OpenBLAS starts a worker thread when numpy loads,
+and that thread busy-waits for about 0.12 s of CPU per run.  The pin below
+is written before anything imports numpy, which the lazy package root
+allows; it is a constant, not an option.
+"""
+
+import os
 import sys
 
-from .cli import main
+os.putenv("OPENBLAS_NUM_THREADS", "1")
+
+# the layers load in the order the eager package root loaded them, which keeps
+# peak RSS at the eager root's on m3 growth; importing cli first measured
+# +0.1 MiB there (and -0.1 to -0.2 MiB on m2 spectrum and verify)
+from . import _kernels, classify, growth, hamburger, params, recurrence, spectrum  # noqa: E402,F401
+from .cli import main  # noqa: E402
 
 if __name__ == "__main__":
     sys.exit(main())

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Optional, Union
 
@@ -25,6 +25,7 @@ from .params import (
     ExpansionOrder,
     JacobiSequence,
     PowerAsymptotics,
+    RemainderKind,
     _z1_fraction,
     _z2_fraction,
     carleman_sum,
@@ -226,23 +227,40 @@ def classify_double_root(params: PowerAsymptotics) -> Classification:
 
 
 def classify(params: PowerAsymptotics) -> Classification:
-    """Dispatch between the generic and exceptional decision procedures."""
+    """Dispatch between the generic and exceptional decision procedures.
+
+    First-order data of an exceptional family is second-order data with
+    x2 = y2 = 0 when its remainder meets the second-order hypothesis,
+    O(n^(-2-delta)) for some delta > 0: no remainder, or a remainder
+    c n^(-1-eps) with eps > 1.  Other first-order data is undetermined.
+    """
     exceptional, near = exceptional_parameters(params)
     if not exceptional:
         return classify_distinct_roots(params)
-    if params.order is not ExpansionOrder.SECOND:
-        notes = [
-            "exceptional family with first-order data only: second-order "
-            "expansion terms (x2, y2) are required to classify"
-        ]
-        if near:
-            notes.append("near-boundary: equality treated within 1e-12 relative")
-        return Classification(
-            regime=Regime.UNDETERMINED,
-            case_label="exceptional/first-order",
-            notes=tuple(notes),
-        )
-    return classify_double_root(params)
+    if params.order is ExpansionOrder.SECOND:
+        return classify_double_root(params)
+    remainder = params.remainder
+    if (
+        remainder.kind is RemainderKind.NONE
+        or not remainder.amplitude
+        or params.frac("epsilon") > 1
+    ):
+        cls = classify_double_root(replace(params, order=ExpansionOrder.SECOND))
+        note = "first-order data classified as second-order data with x2 = y2 = 0"
+        return replace(cls, notes=(note, *cls.notes))
+    notes = [
+        "exceptional family with first-order data only: reading it as "
+        "second-order data with x2 = y2 = 0 needs a remainder O(n^(-2-delta)), "
+        f"delta > 0, which the {remainder.kind.value} remainder c n^(-1-eps) "
+        f"with eps = {params.epsilon:g} <= 1 does not meet"
+    ]
+    if near:
+        notes.append("near-boundary: equality treated within 1e-12 relative")
+    return Classification(
+        regime=Regime.UNDETERMINED,
+        case_label="exceptional/first-order",
+        notes=tuple(notes),
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 from fractions import Fraction
@@ -24,6 +25,8 @@ from jacobispec.params import (
     ExpansionOrder,
     JacobiSequence,
     PowerAsymptotics,
+    RemainderKind,
+    RemainderModel,
     materialize,
 )
 from jacobispec.verify import golden_table
@@ -212,9 +215,49 @@ class TestDispatch:
         ).case_label.startswith("T2")
 
     def test_first_order_exceptional_undetermined(self):
-        cls = classify(PowerAsymptotics(beta1=3, beta2=3, x0=1, y0=2))
-        assert cls.regime is Regime.UNDETERMINED
-        assert any("x2, y2" in n for n in cls.notes)
+        # a first-order remainder c n^(-1-eps) with eps <= 1 is not
+        # O(n^(-2-delta)), the hypothesis of the second-order case split
+        for remainder in (
+            RemainderModel(RemainderKind.DETERMINISTIC, 0.5),
+            RemainderModel(RemainderKind.SEEDED_NOISE, 0.5, seed=7),
+        ):
+            cls = classify(
+                PowerAsymptotics(beta1=3, beta2=3, x0=1, y0=2, remainder=remainder)
+            )
+            assert cls.regime is Regime.UNDETERMINED
+            assert cls.case_label == "exceptional/first-order"
+            assert "x2 = y2 = 0 needs a remainder O(n^(-2-delta))" in cls.notes[0]
+            assert f"{remainder.kind.value} remainder" in cls.notes[0]
+            assert "eps = 1 <= 1" in cls.notes[0]
+
+    @pytest.mark.parametrize(
+        "kw, regime, label",
+        [
+            # b* = 0 < beta = 3
+            (dict(beta1=3, beta2=3, x0=1, y0=-2), Regime.LPC, "T2(i)"),
+            (dict(beta1=3, beta2=3, x0=1, y0=2), Regime.LPC, "T2(i)"),
+            # 2 <= beta = 2.5 < b* = 4
+            (dict(beta1=2.5, beta2=2.5, x0=1, y0=-2, x1=2), Regime.LCC, "T2(ii)"),
+            # a zero-amplitude remainder adds nothing
+            (dict(beta1=3, beta2=3, x0=1, y0=-2,
+                  remainder=RemainderModel(RemainderKind.DETERMINISTIC, 0.0)),
+             Regime.LPC, "T2(i)"),
+            # c n^(-1-eps) with eps = 3/2 is O(n^(-5/2))
+            (dict(beta1=2.5, beta2=2.5, x0=1, y0=-2, x1=2, epsilon="1.5",
+                  remainder=RemainderModel(RemainderKind.SEEDED_NOISE, 0.5, seed=7)),
+             Regime.LCC, "T2(ii)"),
+        ],
+    )
+    def test_first_order_exceptional_decided_as_second_order(self, kw, regime, label):
+        first = PowerAsymptotics(**kw)
+        cls = classify(first)
+        assert (cls.regime, cls.case_label) == (regime, label)
+        assert cls.notes[0] == (
+            "first-order data classified as second-order data with x2 = y2 = 0"
+        )
+        as_second = classify_double_root(second_order(**kw))
+        assert cls == dataclasses.replace(as_second, notes=cls.notes)
+        assert cls.notes[1:] == as_second.notes
 
     def test_near_boundary_note(self):
         cls = classify(second_order(beta1=3, beta2=3, x0=1, y0=-(2 + 1e-14)))

@@ -63,7 +63,10 @@ class TestClassifyCommand:
     def test_undetermined_exceptional_first_order(self, tmp_path, capsys):
         cfg = write_config(
             tmp_path,
-            descriptor={"beta1": 3, "beta2": 3, "x0": 1, "y0": 2, "order": "first"},
+            descriptor={
+                "beta1": 3, "beta2": 3, "x0": 1, "y0": 2, "order": "first",
+                "remainder": {"kind": "deterministic", "amplitude": 0.5},
+            },
         )
         rc = main(["classify", "--config", str(cfg), "--out", str(tmp_path / "o")])
         assert rc == 0
@@ -392,9 +395,13 @@ class TestReportCommand:
 
     @pytest.mark.parametrize("command", ["growth", "report"])
     def test_undetermined_descriptor_skips_both_b_routes(self, tmp_path, capsys, command):
-        # exceptional family with first-order data only: P^2 + Q^2 reaches
-        # 2.2e124 at n = 2000, and the max-modulus fit used to raise (exit 2)
-        desc = {"beta1": 3, "beta2": 3, "x0": 1, "y0": -2}
+        # exceptional family with first-order data and a first-order
+        # remainder: P^2 + Q^2 reaches ~1e124 at n = 2000, and the
+        # max-modulus fit used to raise (exit 2)
+        desc = {
+            "beta1": 3, "beta2": 3, "x0": 1, "y0": -2,
+            "remainder": {"kind": "deterministic", "amplitude": 0.5},
+        }
         cfg = tmp_path / "undetermined.json"
         cfg.write_text(json.dumps({"descriptor": desc}))
         out = tmp_path / "o"

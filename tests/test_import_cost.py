@@ -8,7 +8,13 @@ only by the ``verify`` subcommand.  No subcommand may load ``numpy.random``
 maps OpenSSL's libcrypto.  Without them the peak RSS of one CLI run on the
 bench configs fell by about 5.5 MiB, e.g. m3 ``growth`` 37.8 → 32.5 MiB
 and ``verify`` 40.6 → 34.6 MiB (median of 6 runs, ``os.wait4``, Python
-3.11, numpy 2.4, 2-core Xeon)."""
+3.11, numpy 2.4, 2-core Xeon).
+
+The package root loads nothing until a name is used, and a CLI run
+(``python -m jacobispec`` or the installed command) runs on one thread:
+``__main__`` pins OpenBLAS to one thread before numpy loads, since no
+route calls BLAS and its idle worker thread busy-waits for ~0.12 s of CPU
+per run."""
 
 import json
 import os
@@ -93,9 +99,79 @@ M3_SMALL = {
 }
 
 
+# the names the eager package root exported, in its order, by module
+EXPORTS = {
+    "_kernels": ["BACKEND"],
+    "classify": [
+        "Classification", "CriterionConclusion", "CriterionVerdict", "Regime",
+        "berezanskii_test", "carleman_test", "classify", "classify_distinct_roots",
+        "classify_double_root", "wouk_test",
+    ],
+    "growth": [
+        "MaxModulusFit", "NevanlinnaPartial", "convergence_exponent_from_zeros",
+        "leading_coefficient_logs", "log_majorant_product", "nevanlinna_evaluate",
+        "order_type_from_coefficients", "order_type_from_max_modulus",
+        "scan_b_zeros", "scan_b_zeros_each", "upper_density",
+    ],
+    "hamburger": [
+        "DeltaExponents", "HamburgerData", "delta_exponents",
+        "exceptional_order_bound", "exponent_upper_bounds", "lengths_angles",
+    ],
+    "params": [
+        "CarlemanVerdict", "ExpansionOrder", "JacobiSequence", "PowerAsymptotics",
+        "RemainderKind", "RemainderModel", "carleman_sum", "descriptor_from_json",
+        "descriptor_to_json", "materialize", "sequence_from_csv",
+        "sequence_to_csv", "wouk_margin",
+    ],
+    "recurrence": [
+        "ExponentFit", "PolySolution", "RecurrenceOverflowError",
+        "SummabilityTrend", "norm_exponent", "solve_at_zero",
+        "square_summability_probe", "transformed_recurrence", "wronskian_residual",
+    ],
+    "spectrum": [
+        "TruncatedSpectrum", "charpoly_eigenvalues", "charpoly_eigenvalues_each",
+        "eigenvalues_in", "eigenvalues_in_each", "full_spectra", "full_spectrum",
+        "stabilized_counting", "sturm_count",
+    ],
+}
+EXPORTED = [(module, name) for module, names in EXPORTS.items() for name in names]
+
+BARE_IMPORT_CODE = """
+import sys
+import jacobispec
+print(",".join(m for m in sys.modules if m.split(".")[0] == "numpy" or m.startswith("jacobispec.")))
+"""
+
+# the console script's import, then numpy; prints the process's threads
+ENTRY_POINT_CODE = """
+import os
+from jacobispec.__main__ import main
+import numpy
+print(len(os.listdir("/proc/self/task")))
+"""
+
+# ``python -m jacobispec ARGS`` in this process; the last line printed is
+# the number of threads left when it exits
+MODULE_RUN_CODE = """
+import atexit
+import os
+import runpy
+
+atexit.register(lambda: print(len(os.listdir("/proc/self/task"))))
+runpy.run_module("jacobispec", run_name="__main__", alter_sys=True)
+"""
+
+needs_proc = pytest.mark.skipif(
+    not os.path.isdir("/proc/self/task"), reason="no /proc/self/task"
+)
+
+
 def _run(args):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    # a thread count pinned by the caller would hide whether the package pins it
+    for name in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
+        env.pop(name, None)
     return subprocess.run(
         [sys.executable, "-c", *args], env=env, capture_output=True, text=True,
         timeout=120,
@@ -138,3 +214,61 @@ def test_cli_runs_load_neither_openssl_nor_numpy_random(tmp_path):
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout.strip().splitlines()[-1])
     assert result == {"rcs": [0, 0, 0, 0], "loaded": []}
+
+
+class TestLazyRoot:
+    def test_bare_import_loads_no_numpy_and_no_submodule(self):
+        proc = _run([BARE_IMPORT_CODE])
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == ""
+
+    def test_exports_pinned(self):
+        assert jacobispec.__all__ == [name for _, name in EXPORTED]
+
+    @pytest.mark.parametrize("module, name", EXPORTED)
+    def test_export_resolves_from_its_module(self, module, name):
+        value = getattr(jacobispec, name)
+        assert value is getattr(sys.modules[f"jacobispec.{module}"], name)
+
+    def test_star_import_yields_every_export(self):
+        namespace = {}
+        exec("from jacobispec import *", namespace)
+        assert {name for _, name in EXPORTED} <= set(namespace)
+        assert namespace["classify"] is sys.modules["jacobispec.classify"].classify
+
+    def test_classify_stays_the_function(self):
+        # the submodule of the same name is loaded by the tests above
+        assert "jacobispec.classify" in sys.modules
+        assert callable(jacobispec.classify)
+        assert "classify" in dir(jacobispec)
+
+    def test_unknown_name_raises(self):
+        with pytest.raises(AttributeError, match="no attribute 'nonexistent'"):
+            jacobispec.nonexistent
+
+
+def test_console_script_enters_through_main_module():
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = Path(SRC).parent / "pyproject.toml"
+    scripts = tomllib.loads(pyproject.read_text())["project"]["scripts"]
+    assert scripts == {"jacobispec": "jacobispec.__main__:main"}
+
+
+@needs_proc
+def test_console_script_import_pins_one_thread():
+    proc = _run([ENTRY_POINT_CODE])
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "1"
+
+
+@needs_proc
+@pytest.mark.parametrize("command", ["growth", "spectrum", "verify"])
+def test_module_run_ends_with_one_thread(tmp_path, command):
+    args = [command, "--out", str(tmp_path / "out")]
+    if command != "verify":
+        config = tmp_path / "m3_small.json"
+        config.write_text(json.dumps({**M3_SMALL, "r_grid": {"r_min": 10.0, "r_max": 1e3}}))
+        args += ["--config", str(config)]
+    proc = _run([MODULE_RUN_CODE, *args])
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip().splitlines()[-1] == "1"

@@ -187,9 +187,11 @@ class TestZ1Z2:
         assert classify(p).z2 == 1.0
 
     def test_none_off_the_second_order_exceptional_family(self):
+        # first-order data with a c n^(-2) remainder is not second-order data
+        first_order = RemainderModel(RemainderKind.DETERMINISTIC, amplitude=0.5)
         for p in (
             second_order(beta1=2, beta2=0, x0=1, y0=1),
-            PowerAsymptotics(beta1=2, beta2=2, x0=1, y0=2),
+            PowerAsymptotics(beta1=2, beta2=2, x0=1, y0=2, remainder=first_order),
         ):
             cls = classify(p)
             assert cls.z1 is None and cls.z2 is None

@@ -8,11 +8,19 @@
   attribute: it imports ``secrets`` and so maps OpenSSL, and ``_pcg64``
   draws the same streams (``hashlib`` is left to ``test_import_cost.py``,
   since ``cli`` keeps it as the fallback of ``_sha1``);
-* no dead surface: every module-level ``def`` and ``class``, and every
-  method and property of a module-level class apart from dunder methods,
-  is used somewhere in the package outside its own definition
-  (``__all__`` and ``__init__.py`` do not count), or is named in
-  ``perfbench/``, which is only read.
+* no BLAS entry point: no ``np.`` / ``numpy.`` ``dot``, ``matmul``,
+  ``inner``, ``vdot``, ``tensordot``, ``einsum``, ``linalg``, ``cov``,
+  ``corrcoef`` or ``polyfit`` (nor an import of them), no ``.dot(`` call
+  and no ``@``: every route is a sequential recurrence, which is why
+  ``__main__`` can pin OpenBLAS to one thread;
+* ``putenv`` only in ``__main__.py``, where it writes that pin;
+* no dead surface: every module-level ``def`` and ``class`` that is not a
+  dunder function (the package root's PEP 562 ``__getattr__`` and
+  ``__dir__``), and every method and property of a module-level class
+  apart from dunder methods, is used somewhere in the package outside its
+  own definition, or is named in ``perfbench/``, which is only read.
+  Re-exports do not count as uses: ``__all__`` and the package root's
+  export table hold strings, and an imported alias names nothing.
 """
 
 import ast
@@ -32,6 +40,10 @@ UNUSED_ALLOWED = {
 
 _ENV_NAMES = {"environ", "getenv", "environb", "getenvb"}
 _BANNED_MODULES = ("numba", "concurrent.futures", "numpy.random")
+_BLAS_NAMES = {
+    "dot", "matmul", "inner", "vdot", "tensordot", "einsum", "linalg", "cov",
+    "corrcoef", "polyfit",
+}
 
 
 def _banned(module):
@@ -63,6 +75,36 @@ def _numpy_random_access(node):
     )
 
 
+def _blas_calls(node):
+    if isinstance(node, (ast.BinOp, ast.AugAssign)):
+        return isinstance(node.op, ast.MatMult)
+    if isinstance(node, ast.Call):
+        return isinstance(node.func, ast.Attribute) and node.func.attr == "dot"
+    if isinstance(node, ast.Attribute):
+        return (
+            node.attr in _BLAS_NAMES
+            and isinstance(node.value, ast.Name)
+            and node.value.id in ("np", "numpy")
+        )
+    if isinstance(node, ast.Import):
+        return any(a.name.startswith("numpy.linalg") for a in node.names)
+    if isinstance(node, ast.ImportFrom) and node.module:
+        return node.module.startswith("numpy.linalg") or (
+            node.module == "numpy" and any(a.name in _BLAS_NAMES for a in node.names)
+        )
+    return False
+
+
+def _putenv(node):
+    if isinstance(node, ast.Attribute):
+        return node.attr == "putenv"
+    if isinstance(node, ast.Name):
+        return node.id == "putenv"
+    if isinstance(node, ast.ImportFrom):
+        return any(a.name == "putenv" for a in node.names)
+    return False
+
+
 def _banned_imports(node):
     if isinstance(node, ast.Import):
         return any(_banned(a.name) for a in node.names)
@@ -87,10 +129,14 @@ def test_package_sources_found():
 
 
 @pytest.mark.parametrize(
-    "rule", [_asserts, _env_reads, _banned_imports, _numpy_random_access]
+    "rule", [_asserts, _env_reads, _banned_imports, _numpy_random_access, _blas_calls]
 )
 def test_source_rule(rule):
     assert _offences(rule) == []
+
+
+def test_putenv_only_in_main():
+    assert [o.split(":")[0] for o in _offences(_putenv)] == ["__main__.py"]
 
 
 @pytest.mark.parametrize(
@@ -110,6 +156,20 @@ def test_source_rule(rule):
         (_banned_imports, "from numpy import random\n"),
         (_numpy_random_access, "import numpy as np\nrng = np.random.default_rng(1)\n"),
         (_numpy_random_access, "import numpy\nx = numpy.random.uniform()\n"),
+        (_blas_calls, "import numpy as np\ny = np.dot(a, b)\n"),
+        (_blas_calls, "import numpy\ny = numpy.matmul(a, b)\n"),
+        (_blas_calls, "import numpy as np\ny = np.einsum('ij,j', a, b)\n"),
+        (_blas_calls, "import numpy as np\nc = np.polyfit(x, y, 1)\n"),
+        (_blas_calls, "import numpy as np\nc = np.linalg.lstsq(a, y)\n"),
+        (_blas_calls, "import numpy as np\nc = np.cov(x)\n"),
+        (_blas_calls, "y = a.dot(b)\n"),
+        (_blas_calls, "y = a @ b\n"),
+        (_blas_calls, "a @= b\n"),
+        (_blas_calls, "from numpy import tensordot\n"),
+        (_blas_calls, "from numpy.linalg import solve\n"),
+        (_blas_calls, "import numpy.linalg\n"),
+        (_putenv, "import os\nos.putenv('X', '1')\n"),
+        (_putenv, "from os import putenv\n"),
     ],
 )
 def test_rule_catches_offence(rule, source):
@@ -119,19 +179,21 @@ def test_rule_catches_offence(rule, source):
 _FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
 
 
+def _dunder(name):
+    return name.startswith("__") and name.endswith("__")
+
+
 def _definitions(tree):
-    """``(qualified name, node)`` of each module-level def and class of
-    *tree*, and of each method of such a class that is not a dunder."""
+    """``(qualified name, node)`` of each module-level class of *tree*, and
+    of each module-level function and class method that is not a dunder."""
     for defn in tree.body:
-        if not isinstance(defn, (*_FUNCTIONS, ast.ClassDef)):
-            continue
-        yield defn.name, defn
         if isinstance(defn, ast.ClassDef):
+            yield defn.name, defn
             for method in defn.body:
-                if isinstance(method, _FUNCTIONS) and not (
-                    method.name.startswith("__") and method.name.endswith("__")
-                ):
+                if isinstance(method, _FUNCTIONS) and not _dunder(method.name):
                     yield f"{defn.name}.{method.name}", method
+        elif isinstance(defn, _FUNCTIONS) and not _dunder(defn.name):
+            yield defn.name, defn
 
 
 def _unreferenced(modules, outside_text=""):
@@ -140,9 +202,7 @@ def _unreferenced(modules, outside_text=""):
     names, and that *outside_text* does not name either."""
     trees = {name: ast.parse(text) for name, text in modules.items()}
     used = {}
-    for name, tree in trees.items():
-        if name == "__init__":
-            continue
+    for tree in trees.values():
         for node in ast.walk(tree):
             ref = (
                 node.id if isinstance(node, ast.Name)
@@ -173,7 +233,12 @@ def test_no_unused_module_level_definitions():
 
 def test_unused_rule_catches_dead_definitions():
     modules = {
-        "__init__": "from .a import dead, exported\n__all__ = ['dead']\n",
+        "__init__": (
+            "from .a import dead, exported\n__all__ = ['dead']\n"
+            "def __getattr__(name):\n    return Root\n"
+            "class Root:\n    pass\n"
+            "class Idle:\n    pass\n"
+        ),
         "a": (
             "def dead():\n    return dead()\n"
             "def used():\n    pass\n"
@@ -187,4 +252,6 @@ def test_unused_rule_catches_dead_definitions():
         ),
         "b": "from .a import used, exported, Used\nused()\nUsed().touched()\n",
     }
-    assert _unreferenced(modules, "Benched") == ["a.dead", "a.exported", "a.Used.idle"]
+    assert _unreferenced(modules, "Benched") == [
+        "__init__.Idle", "a.dead", "a.exported", "a.Used.idle"
+    ]
