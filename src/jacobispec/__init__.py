@@ -5,8 +5,9 @@ convergence exponent and density bounds of the spectrum, and verifies the
 predictions at desk scale through truncated spectra, recurrence
 asymptotics and entire-function growth estimation.
 
-The package root imports nothing: each name below is loaded from its
-module on first use (PEP 562), so ``import jacobispec`` loads no numpy and
+The package root imports nothing: each name below, and each module that
+exports one (``jacobispec.growth``, ``jacobispec.params``, ...), is loaded
+on first use (PEP 562), so ``import jacobispec`` loads no numpy and
 ``python -m jacobispec`` can pin OpenBLAS to one thread before numpy loads
 (see ``__main__``).
 """
@@ -97,6 +98,9 @@ __all__ = list(_MODULE_OF)
 def __getattr__(name):
     module = _MODULE_OF.get(name)
     if module is None:
+        if name in _EXPORTS:
+            # a module the eager root imported; importing it binds the attribute
+            return import_module(f".{name}", __name__)
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     value = getattr(import_module(f".{module}", __name__), name)
     globals()[name] = value
@@ -104,7 +108,7 @@ def __getattr__(name):
 
 
 def __dir__():
-    return sorted({*globals(), *__all__})
+    return sorted({*globals(), *__all__, *_EXPORTS})
 
 
 class _Root(types.ModuleType):

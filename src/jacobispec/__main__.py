@@ -13,10 +13,6 @@ import sys
 
 os.putenv("OPENBLAS_NUM_THREADS", "1")
 
-# the layers load in the order the eager package root loaded them, which keeps
-# peak RSS at the eager root's on m3 growth; importing cli first measured
-# +0.1 MiB there (and -0.1 to -0.2 MiB on m2 spectrum and verify)
-from . import _kernels, classify, growth, hamburger, params, recurrence, spectrum  # noqa: E402,F401
 from .cli import main  # noqa: E402
 
 if __name__ == "__main__":

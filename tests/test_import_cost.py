@@ -142,6 +142,15 @@ import jacobispec
 print(",".join(m for m in sys.modules if m.split(".")[0] == "numpy" or m.startswith("jacobispec.")))
 """
 
+# a module the eager package root imported, reached as an attribute of a
+# bare ``import jacobispec``
+SUBMODULE_CODE = """
+import jacobispec
+jacobispec.growth.b_log_max_modulus
+jacobispec.params.NO_REMAINDER
+print(callable(jacobispec.classify))
+"""
+
 # the console script's import, then numpy; prints the process's threads
 ENTRY_POINT_CODE = """
 import os
@@ -221,6 +230,11 @@ class TestLazyRoot:
         proc = _run([BARE_IMPORT_CODE])
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == ""
+
+    def test_submodule_resolves_after_bare_import(self):
+        proc = _run([SUBMODULE_CODE])
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "True"
 
     def test_exports_pinned(self):
         assert jacobispec.__all__ == [name for _, name in EXPORTED]
