@@ -45,6 +45,8 @@ on its own matrix, bit for bit.
 
 import numpy as np
 
+__all__ = ["BACKEND"]
+
 BACKEND = "numpy"
 
 _PIVMIN = 1e-300       # Sturm pivot floor

@@ -279,9 +279,10 @@ def cmd_spectrum(cfg: ExperimentConfig, out: Path) -> dict:
     table, stable = spectrum.stabilized_counting(seq, rs, cfg.Ns)
     window = (-cfg.r_max, cfg.r_max)
     evs = spectrum.eigenvalues_in_each((seq, N, window, cfg.eig_tol) for N in cfg.Ns)
+    # validate every truncation before the first file is written
+    evs = [spectrum.TruncatedSpectrum(eigenvalues=ev).eigenvalues for ev in evs]
     per_n = {}
     for j, (N, ev) in enumerate(zip(cfg.Ns, evs)):
-        ev = spectrum.TruncatedSpectrum(eigenvalues=ev).eigenvalues
         _write_csv(
             out / f"eigenvalues_N{N}.csv", ["index", "lambda"], range(ev.size), ev.tolist()
         )

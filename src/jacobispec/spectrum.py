@@ -48,10 +48,16 @@ class TruncatedSpectrum:
 
     def __post_init__(self):
         ev = np.asarray(self.eigenvalues, dtype=np.float64)
-        if np.any(np.diff(ev) <= 0):
+        step = np.diff(ev)
+        if np.any(step < 0):
+            raise ValueError("truncation spectrum must be strictly increasing")
+        if np.any(step == 0):
+            # only eigenvalues equal at float resolution share a bracket
+            value = ev[np.argmax(step == 0)]
             raise ValueError(
-                "truncation spectrum must be strictly increasing; "
-                "decrease tol if close eigenvalues collided"
+                f"truncation eigenvalue {float(value)!r} has multiplicity "
+                f"{np.count_nonzero(ev == value)} at float resolution; "
+                "no tol separates equal eigenvalues"
             )
         ev.setflags(write=False)
         object.__setattr__(self, "eigenvalues", ev)

@@ -254,6 +254,27 @@ class TestSpectrumCommand:
         assert list(out.iterdir()) == []
 
 
+    def test_equal_eigenvalues_fail_before_any_write(self, tmp_path, capsys):
+        # rho_1 = 1e-200 splits J_4 into two copies of [[0, 1], [1, 1]]: its
+        # eigenvalues (1 -+ sqrt 5) / 2 are each double at float resolution
+        seq_path = tmp_path / "split.csv"
+        sequence_to_csv(
+            JacobiSequence(rho=np.array([1.0, 1e-200, 1.0, 1.0]), q=np.array([0.0, 1, 0, 1])),
+            seq_path,
+        )
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "sequence_file": str(seq_path), "N": [2, 3, 4], "tolerances": {"eig_tol": 1e-14},
+        }))
+        out = tmp_path / "spec"
+        assert main(["spectrum", "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert "error: truncation eigenvalue -0.618033988749" in err
+        assert "has multiplicity 2 at float resolution; no tol separates" in err
+        assert list(out.iterdir()) == []
+
+
 class TestGrowthCommand:
     def test_report_contains_all_routes(self, tmp_path):
         cfg = write_config(tmp_path)

@@ -10,7 +10,8 @@ bench configs fell by about 5.5 MiB, e.g. m3 ``growth`` 37.8 → 32.5 MiB
 and ``verify`` 40.6 → 34.6 MiB (median of 6 runs, ``os.wait4``, Python
 3.11, numpy 2.4, 2-core Xeon).
 
-The package root loads nothing until a name is used, and a CLI run
+The package root loads nothing until a name is used, then every layer
+once, and binds each name of the layers' ``__all__``; a CLI run
 (``python -m jacobispec`` or the installed command) runs on one thread:
 ``__main__`` pins OpenBLAS to one thread before numpy loads, since no
 route calls BLAS and its idle worker thread busy-waits for ~0.12 s of CPU
@@ -20,6 +21,7 @@ import json
 import os
 import subprocess
 import sys
+from importlib import import_module
 from pathlib import Path
 
 import pytest
@@ -99,7 +101,11 @@ M3_SMALL = {
 }
 
 
-# the names the eager package root exported, in its order, by module
+# each layer's __all__, sorted: the 59 names the eager package root
+# exported, in its order, and the 8 it missed (``b_log_max_modulus``,
+# ``evaluate_entries``, ``evaluate_entries_real``, ``majorant_bound_gap``,
+# ``exceptional_parameters``, ``power_law_fit``, ``solve_with_initial_data``,
+# ``gershgorin_interval``)
 EXPORTS = {
     "_kernels": ["BACKEND"],
     "classify": [
@@ -108,10 +114,12 @@ EXPORTS = {
         "classify_double_root", "wouk_test",
     ],
     "growth": [
-        "MaxModulusFit", "NevanlinnaPartial", "convergence_exponent_from_zeros",
-        "leading_coefficient_logs", "log_majorant_product", "nevanlinna_evaluate",
-        "order_type_from_coefficients", "order_type_from_max_modulus",
-        "scan_b_zeros", "scan_b_zeros_each", "upper_density",
+        "MaxModulusFit", "NevanlinnaPartial", "b_log_max_modulus",
+        "convergence_exponent_from_zeros", "evaluate_entries", "evaluate_entries_real",
+        "leading_coefficient_logs", "log_majorant_product", "majorant_bound_gap",
+        "nevanlinna_evaluate", "order_type_from_coefficients",
+        "order_type_from_max_modulus", "scan_b_zeros", "scan_b_zeros_each",
+        "upper_density",
     ],
     "hamburger": [
         "DeltaExponents", "HamburgerData", "delta_exponents",
@@ -120,18 +128,19 @@ EXPORTS = {
     "params": [
         "CarlemanVerdict", "ExpansionOrder", "JacobiSequence", "PowerAsymptotics",
         "RemainderKind", "RemainderModel", "carleman_sum", "descriptor_from_json",
-        "descriptor_to_json", "materialize", "sequence_from_csv",
+        "descriptor_to_json", "exceptional_parameters", "materialize", "sequence_from_csv",
         "sequence_to_csv", "wouk_margin",
     ],
     "recurrence": [
         "ExponentFit", "PolySolution", "RecurrenceOverflowError",
-        "SummabilityTrend", "norm_exponent", "solve_at_zero",
-        "square_summability_probe", "transformed_recurrence", "wronskian_residual",
+        "SummabilityTrend", "norm_exponent", "power_law_fit", "solve_at_zero",
+        "solve_with_initial_data", "square_summability_probe", "transformed_recurrence",
+        "wronskian_residual",
     ],
     "spectrum": [
         "TruncatedSpectrum", "charpoly_eigenvalues", "charpoly_eigenvalues_each",
         "eigenvalues_in", "eigenvalues_in_each", "full_spectra", "full_spectrum",
-        "stabilized_counting", "sturm_count",
+        "gershgorin_interval", "stabilized_counting", "sturm_count",
     ],
 }
 EXPORTED = [(module, name) for module, names in EXPORTS.items() for name in names]
@@ -149,6 +158,18 @@ import jacobispec
 jacobispec.growth.b_log_max_modulus
 jacobispec.params.NO_REMAINDER
 print(callable(jacobispec.classify))
+"""
+
+# a layer imported before the root serves any name: it loads the
+# ``classify`` submodule, which must not shadow the function of that name
+LAYER_FIRST_CODE = """
+import types
+import jacobispec.growth
+import jacobispec
+assert isinstance(jacobispec.growth, types.ModuleType)
+assert jacobispec.classify is jacobispec.growth.classify
+assert not isinstance(jacobispec.classify, types.ModuleType)
+print(len(jacobispec.__all__))
 """
 
 # the console script's import, then numpy; prints the process's threads
@@ -251,10 +272,29 @@ class TestLazyRoot:
         assert namespace["classify"] is sys.modules["jacobispec.classify"].classify
 
     def test_classify_stays_the_function(self):
-        # the submodule of the same name is loaded by the tests above
-        assert "jacobispec.classify" in sys.modules
+        import_module("jacobispec.classify")
         assert callable(jacobispec.classify)
         assert "classify" in dir(jacobispec)
+
+    def test_layer_imported_first_keeps_classify_the_function(self):
+        proc = _run([LAYER_FIRST_CODE])
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == str(len(EXPORTED))
+
+    @pytest.mark.parametrize("layer", jacobispec._LAYERS)
+    def test_layer_exports_are_defined_and_served(self, layer):
+        module = import_module(f"jacobispec.{layer}")
+        for name in module.__all__:
+            assert name in vars(module), f"{layer}.__all__ names undefined {name!r}"
+            assert getattr(jacobispec, name) is vars(module)[name]
+
+    def test_no_two_layers_export_one_name(self):
+        # the root binds the layers in turn, so a later layer would win silently
+        owners = {}
+        for layer in jacobispec._LAYERS:
+            for name in import_module(f"jacobispec.{layer}").__all__:
+                owners.setdefault(name, []).append(layer)
+        assert {name: m for name, m in owners.items() if len(m) > 1} == {}
 
     def test_unknown_name_raises(self):
         with pytest.raises(AttributeError, match="no attribute 'nonexistent'"):

@@ -1271,3 +1271,7 @@ class TestCharpolyOracle:
     def test_strict_spectrum_validation(self):
         with pytest.raises(ValueError):
             TruncatedSpectrum(eigenvalues=np.array([1.0, 1.0]))
+        with pytest.raises(ValueError, match="strictly increasing"):
+            TruncatedSpectrum(eigenvalues=np.array([2.0, 1.0]))
+        with pytest.raises(ValueError, match=r"eigenvalue 1\.5 has multiplicity 3 .*no tol"):
+            TruncatedSpectrum(eigenvalues=np.array([0.5, 1.5, 1.5, 1.5, 2.0, 2.0]))
