@@ -23,10 +23,11 @@ _LAYERS = ("_kernels", "classify", "growth", "hamburger", "params", "recurrence"
 
 
 def __getattr__(name):
+    if name == "_kernels":
+        # served alone: a half-imported layer asks for it by ``from . import``
+        return import_module("._kernels", __name__)
     namespace = globals()
     if "__all__" not in namespace:
-        # a layer still being imported has no __all__ yet: the AttributeError
-        # defers the load, and the import probe then imports the submodule
         layers = [import_module(f".{layer}", __name__) for layer in _LAYERS]
         exports = [(layer, n) for layer in layers for n in sorted(layer.__all__)]
         namespace.update((n, getattr(layer, n)) for layer, n in exports)

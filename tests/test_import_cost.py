@@ -160,15 +160,19 @@ jacobispec.params.NO_REMAINDER
 print(callable(jacobispec.classify))
 """
 
-# a layer imported before the root serves any name: it loads the
-# ``classify`` submodule, which must not shadow the function of that name
+# a layer imported first, before the root has served any name: the layers
+# import ``_kernels`` through the root while half imported, and loading the
+# ``classify`` submodule must not shadow the function of that name
 LAYER_FIRST_CODE = """
+import sys
 import types
-import jacobispec.growth
+layer = sys.argv[1]
+exec(f"import jacobispec.{layer}")
 import jacobispec
-assert isinstance(jacobispec.growth, types.ModuleType)
-assert jacobispec.classify is jacobispec.growth.classify
+assert jacobispec.classify is sys.modules["jacobispec.classify"].classify
 assert not isinstance(jacobispec.classify, types.ModuleType)
+if layer != "classify":
+    assert getattr(jacobispec, layer) is sys.modules[f"jacobispec.{layer}"]
 print(len(jacobispec.__all__))
 """
 
@@ -276,8 +280,9 @@ class TestLazyRoot:
         assert callable(jacobispec.classify)
         assert "classify" in dir(jacobispec)
 
-    def test_layer_imported_first_keeps_classify_the_function(self):
-        proc = _run([LAYER_FIRST_CODE])
+    @pytest.mark.parametrize("layer", jacobispec._LAYERS)
+    def test_layer_imported_first_keeps_classify_the_function(self, layer):
+        proc = _run([LAYER_FIRST_CODE, layer])
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == str(len(EXPORTED))
 
