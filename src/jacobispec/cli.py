@@ -4,14 +4,19 @@ Subcommands: classify, spectrum, growth, verify, report.  Config is JSON;
 curve outputs are CSV and scalar outputs JSON, with sorted keys and repr
 floats so identical configs produce byte-identical files.  This module
 alone decides the output formats: the other modules return dataclasses.
+Each command returns the text of its files, and ``main`` writes them only
+once the command has returned, so a run that fails writes nothing.
 Exit codes: 0 ok, 1 check failure, 2 usage or parse error.
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
 import dataclasses
 import enum
+import functools
+import io
 import json
 import sys
 from pathlib import Path
@@ -84,8 +89,9 @@ class ExperimentConfig:
     def r_grid(self) -> np.ndarray:
         return np.geomspace(self.r_min, self.r_max, self.r_points)
 
-    def sequence(self, N: Optional[int] = None) -> JacobiSequence:
-        N = N or max(self.Ns)
+    @functools.cached_property
+    def sequence(self) -> JacobiSequence:
+        N = max(self.Ns)
         if self.descriptor is not None:
             return materialize(self.descriptor, N)
         seq = sequence_from_csv(self.sequence_file)
@@ -175,6 +181,11 @@ def load_config(path: str, seed: Optional[int] = None) -> ExperimentConfig:
     rays = obj.get("rays", 16)
     if not (_is_json_number(rays, int) and 16 <= rays <= _MAX_SIZE):
         raise ValueError(f"rays must be an integer in [16, {_MAX_SIZE}]")
+    # the counting table and the max-modulus route allocate these products
+    if 2 * r_points * len(Ns) > _MAX_SIZE:
+        raise ValueError(f"2 * r_grid.points * len(N) must be <= {_MAX_SIZE}")
+    if rays * r_points > _MAX_SIZE:
+        raise ValueError(f"rays * r_grid.points must be <= {_MAX_SIZE}")
     return ExperimentConfig(
         descriptor=descriptor,
         sequence_file=obj.get("sequence_file"),
@@ -216,22 +227,18 @@ def _json_default(obj):
     raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
-def _write_json(obj: dict, path: Path) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True, default=_json_default)
-        fh.write("\n")
+def _json_text(obj: dict) -> str:
+    return json.dumps(obj, indent=2, sort_keys=True, default=_json_default) + "\n"
 
 
-def _write_csv(path: Path, header: list, *columns) -> None:
+def _csv_text(header: list, *columns) -> str:
     """One row per index of *columns*, sequences of Python numbers, which
     the csv module writes by repr."""
-    import csv
-
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(header)
-        w.writerows(zip(*columns))
+    buf = io.StringIO()
+    w = csv.writer(buf)
+    w.writerow(header)
+    w.writerows(zip(*columns))
+    return buf.getvalue()
 
 
 def _exponent_str(exp) -> str:
@@ -242,9 +249,9 @@ def _exponent_str(exp) -> str:
     return f"{exp:.6g}"
 
 
-def cmd_classify(cfg: ExperimentConfig, out: Path) -> dict:
+def cmd_classify(cfg: ExperimentConfig, out: Path) -> tuple[dict, dict]:
     report = _report_envelope(cfg)
-    seq = cfg.sequence(max(cfg.Ns))
+    seq = cfg.sequence
     criteria = [wouk_test(seq), carleman_test(seq), berezanskii_test(seq)]
     report["criteria"] = criteria
     if cfg.descriptor is not None:
@@ -268,26 +275,24 @@ def cmd_classify(cfg: ExperimentConfig, out: Path) -> dict:
         print("external sequence: criterion verdicts only (no family labels)")
     for c in criteria:
         print(f"  {c.name}: {c.conclusion.value} ({c.evidence})")
-    _write_json(report, out / "classification.json")
-    return report
+    return report, {"classification.json": _json_text(report)}
 
 
-def cmd_spectrum(cfg: ExperimentConfig, out: Path) -> dict:
+def cmd_spectrum(cfg: ExperimentConfig, out: Path) -> tuple[dict, dict]:
     report = _report_envelope(cfg)
-    seq = cfg.sequence(max(cfg.Ns))
+    seq = cfg.sequence
     rs = cfg.r_grid()
     table, stable = spectrum.stabilized_counting(seq, rs, cfg.Ns)
     window = (-cfg.r_max, cfg.r_max)
     evs = spectrum.eigenvalues_in_each((seq, N, window, cfg.eig_tol) for N in cfg.Ns)
-    # validate every truncation before the first file is written
-    evs = [spectrum.TruncatedSpectrum(eigenvalues=ev).eigenvalues for ev in evs]
-    per_n = {}
+    files, per_n = {}, {}
     for j, (N, ev) in enumerate(zip(cfg.Ns, evs)):
-        _write_csv(
-            out / f"eigenvalues_N{N}.csv", ["index", "lambda"], range(ev.size), ev.tolist()
+        ev = spectrum.TruncatedSpectrum(eigenvalues=ev).eigenvalues
+        files[f"eigenvalues_N{N}.csv"] = _csv_text(
+            ["index", "lambda"], range(ev.size), ev.tolist()
         )
         counts = table[:, j].tolist()
-        _write_csv(out / f"counting_N{N}.csv", ["r", "count"], rs.tolist(), counts)
+        files[f"counting_N{N}.csv"] = _csv_text(["r", "count"], rs.tolist(), counts)
         per_n[str(N)] = {"count_in_window": int(ev.size), "counts": counts}
     stabilization = [
         {"r": float(r), "counts": counts, "stabilized": bool(s)}
@@ -296,19 +301,19 @@ def cmd_spectrum(cfg: ExperimentConfig, out: Path) -> dict:
     report["window"] = list(window)
     report["per_N"] = per_n
     report["stabilization"] = stabilization
-    _write_json(report, out / "spectrum_report.json")
+    files["spectrum_report.json"] = _json_text(report)
     stable_count = sum(s["stabilized"] for s in stabilization)
     print(
         f"spectrum: {len(cfg.Ns)} truncations, counts stabilized at "
         f"{stable_count}/{len(rs)} radii"
     )
-    return report
+    return report, files
 
 
-def cmd_growth(cfg: ExperimentConfig, out: Path) -> dict:
+def cmd_growth(cfg: ExperimentConfig, out: Path) -> tuple[dict, dict]:
     report = _report_envelope(cfg)
     N = max(cfg.Ns)
-    seq = cfg.sequence(N)
+    seq = cfg.sequence
     sol = solve_at_zero(seq)
     report["wronskian_residual"] = wronskian_residual(sol, seq)
     window = cfg.window or (max(2, N // 50), N)
@@ -327,7 +332,7 @@ def cmd_growth(cfg: ExperimentConfig, out: Path) -> dict:
 
     # routes 2 and 3 read B_N, evaluated only where a descriptor is
     # classified lcc; a sequence file carries no classification
-    predicted = None
+    files, predicted = {}, None
     if cfg.descriptor is not None:
         predicted = classify(cfg.descriptor)
         report["classification"] = predicted
@@ -341,11 +346,8 @@ def cmd_growth(cfg: ExperimentConfig, out: Path) -> dict:
         # route 2: max modulus on rays
         rs = cfg.r_grid()
         logM = growth.b_log_max_modulus(sol, N, rays=cfg.rays)(rs)
-        _write_csv(
-            out / "log_max_modulus.csv",
-            ["r", "log_max_modulus"],
-            rs.tolist(),
-            logM.tolist(),
+        files["log_max_modulus.csv"] = _csv_text(
+            ["r", "log_max_modulus"], rs.tolist(), logM.tolist()
         )
         fit = dataclasses.asdict(growth.order_type_from_max_modulus(rs, logM))
         order_m, type_m = fit.pop("order"), fit.pop("type_at_order")
@@ -354,7 +356,7 @@ def cmd_growth(cfg: ExperimentConfig, out: Path) -> dict:
         }
         # route 3: zeros of B
         zeros = growth.scan_b_zeros(sol, seq, N, cfg.r_max)
-        np.savetxt(out / "b_zeros.csv", zeros, header="zero", comments="", fmt="%.17g")
+        files["b_zeros.csv"] = "zero\n" + "".join(f"{z:.17g}\n" for z in zeros.tolist())
         mods = np.sort(np.abs(zeros))
         zero_route = {"count": int(zeros.size)}
         found = (
@@ -388,43 +390,44 @@ def cmd_growth(cfg: ExperimentConfig, out: Path) -> dict:
         )
         report["delta_exponents"] = {**dataclasses.asdict(deltas), "sum": deltas.total}
 
-    _write_json(report, out / "growth_report.json")
+    files["growth_report.json"] = _json_text(report)
     print(f"growth: coefficient route {coeff_route}")
     print(f"        {found}")
     if predicted is not None and predicted.predicted_exponent is not None:
         print(
             f"        predicted exponent {_exponent_str(predicted.predicted_exponent)}"
         )
-    return report
+    return report, files
 
 
-def cmd_verify(cfg: Optional[ExperimentConfig], out: Path) -> int:
+def cmd_verify(cfg: Optional[ExperimentConfig], out: Path) -> tuple[int, dict]:
     from .verify import run_all_checks, write_junit
 
     results = run_all_checks()
     for r in results:
         print(r.line())
-    out.mkdir(parents=True, exist_ok=True)
-    write_junit(results, out / "verify.xml")
+    xml = io.StringIO()
+    write_junit(results, xml)
     failed = [r for r in results if not r.passed]
     print(
         f"{len(results) - len(failed)}/{len(results)} checks passed; "
         f"JUnit report at {out / 'verify.xml'}"
     )
-    return 1 if failed else 0
+    return (1 if failed else 0), {"verify.xml": xml.getvalue()}
 
 
-def cmd_report(cfg: ExperimentConfig, out: Path) -> dict:
-    # the spectrum step needs three truncations: fail before any file is written
-    spectrum._check_dimensions(cfg.Ns)
-    combined = {
-        "classification": cmd_classify(cfg, out),
-        "spectrum_report": cmd_spectrum(cfg, out),
-        "growth_report": cmd_growth(cfg, out),
-    }
-    _write_json(combined, out / "report.json")
+def cmd_report(cfg: ExperimentConfig, out: Path) -> tuple[dict, dict]:
+    combined, files = {}, {}
+    for name, command in (
+        ("classification", cmd_classify),
+        ("spectrum_report", cmd_spectrum),
+        ("growth_report", cmd_growth),
+    ):
+        combined[name], made = command(cfg, out)
+        files.update(made)
+    files["report.json"] = _json_text(combined)
     print(f"combined report at {out / 'report.json'}")
-    return combined
+    return combined, files
 
 
 def main(argv: Optional[list] = None) -> int:
@@ -464,21 +467,23 @@ def main(argv: Optional[list] = None) -> int:
         print(f"error: cannot make output directory {str(out)!r}: {exc}", file=sys.stderr)
         return 2
 
-    # each returns the report it wrote; verify returns its exit code
+    # each returns its report (verify: its exit code) and the text of every
+    # file it makes, which is written only once the command has returned
     commands = {
         "classify": cmd_classify,
         "spectrum": cmd_spectrum,
         "growth": cmd_growth,
+        "verify": cmd_verify,
         "report": cmd_report,
     }
     try:
-        if args.command == "verify":
-            return cmd_verify(cfg, out)
-        commands[args.command](cfg, out)
+        result, files = commands[args.command](cfg, out)
+        for name, text in files.items():
+            (out / name).write_text(text, encoding="utf-8", newline="")
     except (ValueError, RuntimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    return 0
+    return result if args.command == "verify" else 0
 
 
 if __name__ == "__main__":

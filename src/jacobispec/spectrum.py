@@ -511,15 +511,6 @@ def full_spectrum(
     return full_spectra(seq, [N], tol)[0]
 
 
-def _check_dimensions(Ns: Sequence[int]) -> list:
-    """The truncation dimensions of a counting table, which needs at least
-    three, strictly increasing."""
-    Ns = list(Ns)
-    if len(Ns) < 3 or any(b <= a for a, b in zip(Ns, Ns[1:])):
-        raise ValueError("need at least three strictly increasing dimensions")
-    return Ns
-
-
 def stabilized_counting(
     seq: JacobiSequence, rs: np.ndarray, Ns: Sequence[int]
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -531,7 +522,9 @@ def stabilized_counting(
     counts stabilize; the flag array reports, per radius, whether the last
     two agree.
     """
-    Ns = _check_dimensions(Ns)
+    Ns = list(Ns)
+    if len(Ns) < 3 or any(b <= a for a, b in zip(Ns, Ns[1:])):
+        raise ValueError("need at least three strictly increasing dimensions")
     rs = np.asarray(rs, dtype=np.float64)
     if rs.ndim != 1:
         raise ValueError("rs must be a 1-d array of radii")

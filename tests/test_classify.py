@@ -20,7 +20,7 @@ from jacobispec.classify import (
     classify_double_root,
     wouk_test,
 )
-from jacobispec.cli import _write_json
+from jacobispec.cli import _json_text
 from jacobispec.params import (
     ExpansionOrder,
     JacobiSequence,
@@ -445,12 +445,11 @@ class TestProperties:
             assert cls.density_lower < cls.density_upper
 
 
-def test_classification_json_round_trip(tmp_path):
-    # the CLI's writer serializes result dataclasses: enums by value, tuples
-    # as lists
+def test_classification_json_round_trip():
+    # the CLI's JSON renderer serializes result dataclasses: enums by value,
+    # tuples as lists
     cls = classify(second_order(beta1=1.8, beta2=1.8, x0=1, y0=-2, x1=2))
-    _write_json({"classification": cls}, tmp_path / "c.json")
-    doc = json.loads((tmp_path / "c.json").read_text())["classification"]
+    doc = json.loads(_json_text({"classification": cls}))["classification"]
     assert doc["regime"] == "lcc"
     assert doc["predicted_exponent"] == [
         pytest.approx(1 / 1.8),

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -186,6 +187,26 @@ def test_rays_out_of_range_rejected_before_any_work(tmp_path, rays):
     # load_config alone: an accepted 10**9 would allocate points x rays values
     with pytest.raises(ValueError, match="rays"):
         load_config(write_config(tmp_path, rays=rays))
+
+
+@pytest.mark.parametrize(
+    "overrides, message",
+    [
+        # 146 TiB in the max-modulus route
+        ({"rays": 10**7, "r_grid": {"r_min": 5.0, "r_max": 500.0, "points": 10**6}},
+         "rays * r_grid.points"),
+        # 149 GiB in the counting table
+        ({"N": list(range(2, 1002)), "r_grid": {"r_min": 5.0, "r_max": 500.0, "points": 10**7}},
+         "2 * r_grid.points * len(N)"),
+    ],
+)
+def test_oversized_products_rejected_before_any_work(tmp_path, capsys, overrides, message):
+    # each size is within _MAX_SIZE, but the arrays they span are not
+    cfg = write_config(tmp_path, **overrides)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        load_config(cfg)
+    assert main(["growth", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == f"error: {message} must be <= {_MAX_SIZE}\n"
 
 
 class TestSpectrumCommand:
@@ -485,6 +506,43 @@ class TestVerifyCommand:
         assert 'tests="14"' in xml and 'failures="0"' in xml
 
 
+def _tiny_radii_config(tmp_path):
+    # at r ~ 1e-300 the max-modulus values do not increase: the growth step
+    # fails after the classification and spectrum steps have succeeded
+    return write_config(tmp_path, r_grid={"r_min": 1e-300, "r_max": 1e-290, "points": 10})
+
+
+def _split_config(tmp_path):
+    # J_4 is two copies of [[0, 1], [1, 1]]: the spectrum step fails on a
+    # double eigenvalue after the classification step has succeeded
+    seq_path = tmp_path / "split.csv"
+    sequence_to_csv(
+        JacobiSequence(rho=np.array([1.0, 1e-200, 1.0, 1.0]), q=np.array([0.0, 1, 0, 1])),
+        seq_path,
+    )
+    return write_config(
+        tmp_path, descriptor=None, sequence_file=str(seq_path), N=[2, 3, 4], r_grid=None,
+        tolerances={"eig_tol": 1e-14},
+    )
+
+
+@pytest.mark.parametrize(
+    "command, make_config, error",
+    [
+        ("growth", _tiny_radii_config, "max-modulus values are not increasing"),
+        ("report", _tiny_radii_config, "max-modulus values are not increasing"),
+        ("report", _split_config, "has multiplicity 2 at float resolution"),
+    ],
+    ids=["growth-tiny-radii", "report-tiny-radii", "report-double-eigenvalue"],
+)
+def test_no_exit_2_leaves_a_file(tmp_path, capsys, command, make_config, error):
+    out = tmp_path / "out"
+    assert main([command, "--config", str(make_config(tmp_path)), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and error in err
+    assert list(out.iterdir()) == []
+
+
 def test_usage_error_exit_code(tmp_path):
     with pytest.raises(SystemExit) as err:
         main(["frobnicate"])
@@ -606,6 +664,8 @@ class TestConfigFuzzing:
     def test_spectrum_and_growth_load(self, tmp_path, capsys, monkeypatch, doc, args, command):
         monkeypatch.chdir(tmp_path)
         loaded = []
-        monkeypatch.setattr(cli, f"cmd_{command}", lambda cfg, out: loaded.append(cfg) or 0)
+        monkeypatch.setattr(
+            cli, f"cmd_{command}", lambda cfg, out: loaded.append(cfg) or (None, {})
+        )
         self.run(tmp_path, capsys, doc, [command], args)
         assert all(isinstance(cfg, cli.ExperimentConfig) for cfg in loaded)
