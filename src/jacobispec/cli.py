@@ -53,14 +53,14 @@ _BOUNDARY_NOTE = (
     "case boundaries use exact rational comparisons; equality of derived "
     "quantities is granted within 1e-12 relative and flagged as near-boundary"
 )
-_LPC_NOTE = (
-    "classified lpc: the Nevanlinna matrix does not converge, so B_N has no "
-    "limit whose growth or zeros the route could estimate; the route is not run"
-)
-_UNDETERMINED_NOTE = (
-    "classified undetermined: the family is not known to be lcc, so B_N may have "
-    "no limit whose growth or zeros the route could estimate; the route is not run"
-)
+#: why the max-modulus and zero routes, which read B_N, are not run
+_SKIP_NOTES = {
+    Regime.LPC: "classified lpc: the Nevanlinna matrix does not converge, so B_N "
+    "has no limit whose growth or zeros the route could estimate; the route is not run",
+    Regime.UNDETERMINED: "classified undetermined: the family is not known to be lcc, "
+    "so B_N may have no limit whose growth or zeros the route could estimate; the "
+    "route is not run",
+}
 #: the keys a config and its r_grid and tolerances objects may hold
 _CONFIG_KEYS = {
     "descriptor", "sequence_file", "N", "r_grid", "window", "tolerances", "rays", "out",
@@ -235,9 +235,7 @@ def _csv_text(header: list, *columns) -> str:
     """One row per index of *columns*, sequences of Python numbers, which
     the csv module writes by repr."""
     buf = io.StringIO()
-    w = csv.writer(buf)
-    w.writerow(header)
-    w.writerows(zip(*columns))
+    csv.writer(buf).writerows([header, *zip(*columns)])
     return buf.getvalue()
 
 
@@ -249,7 +247,7 @@ def _exponent_str(exp) -> str:
     return f"{exp:.6g}"
 
 
-def cmd_classify(cfg: ExperimentConfig, out: Path) -> tuple[dict, dict]:
+def cmd_classify(cfg: ExperimentConfig) -> tuple[dict, dict]:
     report = _report_envelope(cfg)
     seq = cfg.sequence
     criteria = [wouk_test(seq), carleman_test(seq), berezanskii_test(seq)]
@@ -265,11 +263,7 @@ def cmd_classify(cfg: ExperimentConfig, out: Path) -> tuple[dict, dict]:
                 f"{_exponent_str(cls.predicted_exponent)}"
             )
             if cls.density_lower is not None:
-                upper = (
-                    f"{cls.density_upper:.6g}"
-                    if cls.density_upper is not None
-                    else "n/a"
-                )
+                upper = _exponent_str(cls.density_upper)
                 print(f"  upper-density bounds: [{cls.density_lower:.6g}, {upper}]")
     else:
         print("external sequence: criterion verdicts only (no family labels)")
@@ -278,7 +272,7 @@ def cmd_classify(cfg: ExperimentConfig, out: Path) -> tuple[dict, dict]:
     return report, {"classification.json": _json_text(report)}
 
 
-def cmd_spectrum(cfg: ExperimentConfig, out: Path) -> tuple[dict, dict]:
+def cmd_spectrum(cfg: ExperimentConfig) -> tuple[dict, dict]:
     report = _report_envelope(cfg)
     seq = cfg.sequence
     rs = cfg.r_grid()
@@ -298,92 +292,94 @@ def cmd_spectrum(cfg: ExperimentConfig, out: Path) -> tuple[dict, dict]:
         {"r": float(r), "counts": counts, "stabilized": bool(s)}
         for r, counts, s in zip(rs, table.tolist(), stable)
     ]
-    report["window"] = list(window)
-    report["per_N"] = per_n
-    report["stabilization"] = stabilization
+    report.update(window=list(window), per_N=per_n, stabilization=stabilization)
     files["spectrum_report.json"] = _json_text(report)
-    stable_count = sum(s["stabilized"] for s in stabilization)
     print(
         f"spectrum: {len(cfg.Ns)} truncations, counts stabilized at "
-        f"{stable_count}/{len(rs)} radii"
+        f"{int(stable.sum())}/{len(rs)} radii"
     )
     return report, files
 
 
-def cmd_growth(cfg: ExperimentConfig, out: Path) -> tuple[dict, dict]:
+def _route(compute, skipped: Optional[str] = None) -> dict:
+    """``{"skipped": note}``, the section *compute* returns, or, when it
+    raises ValueError or RuntimeError, ``{"error": line}``."""
+    if skipped is not None:
+        return {"skipped": skipped}
+    try:
+        return compute()
+    except (ValueError, RuntimeError) as exc:
+        return {"error": str(exc)}
+
+
+def _route_summary(section: dict, predicted) -> str:
+    if "skipped" in section:
+        return f"skipped ({predicted.regime.value})"
+    if "error" in section:
+        return f"error: {section['error']}"
+    if "order" in section:
+        return f"order {section['order']:.4f}, type {section['type_at_order']:.4f}"
+    text = f"{section['count']} zeros"
+    if "convergence_exponent" in section:
+        text += f", convergence exponent {section['convergence_exponent']:.4f}"
+    return text
+
+
+def cmd_growth(cfg: ExperimentConfig) -> tuple[dict, dict]:
     report = _report_envelope(cfg)
     N = max(cfg.Ns)
     seq = cfg.sequence
     sol = solve_at_zero(seq)
     report["wronskian_residual"] = wronskian_residual(sol, seq)
     window = cfg.window or (max(2, N // 50), N)
-    decay = norm_exponent(sol, window)
-    report["decay_fit"] = decay
-
-    # route 1: power-series coefficients
-    logc = growth.leading_coefficient_logs(seq)
-    coeff_route = {}
-    try:
-        order_c, type_c = growth.order_type_from_coefficients(logc)
-        coeff_route = {"order": order_c, "type_at_order": type_c}
-    except ValueError as exc:
-        coeff_route = {"error": str(exc)}
-    report["coefficient_route"] = coeff_route
-
-    # routes 2 and 3 read B_N, evaluated only where a descriptor is
-    # classified lcc; a sequence file carries no classification
-    files, predicted = {}, None
+    report["decay_fit"] = norm_exponent(sol, window)
+    # a sequence file carries no classification, so every route runs on it
+    files, predicted, skipped = {}, None, None
     if cfg.descriptor is not None:
         predicted = classify(cfg.descriptor)
         report["classification"] = predicted
-    if predicted is not None and predicted.regime is not Regime.LCC:
-        note = _LPC_NOTE if predicted.regime is Regime.LPC else _UNDETERMINED_NOTE
-        mods = np.empty(0)
-        report["max_modulus_route"] = {"skipped": note}
-        zero_route = {"skipped": note}
-        found = f"max-modulus route and zero route skipped ({predicted.regime.value})"
-    else:
-        # route 2: max modulus on rays
+        skipped = _SKIP_NOTES.get(predicted.regime)
+
+    def coefficient_route() -> dict:
+        logc = growth.leading_coefficient_logs(seq)
+        order, type_at_order = growth.order_type_from_coefficients(logc)
+        return {"order": order, "type_at_order": type_at_order}
+
+    def max_modulus_route() -> dict:
         rs = cfg.r_grid()
         logM = growth.b_log_max_modulus(sol, N, rays=cfg.rays)(rs)
+        fit = dataclasses.asdict(growth.order_type_from_max_modulus(rs, logM))
+        order, type_at_order = fit.pop("order"), fit.pop("type_at_order")
         files["log_max_modulus.csv"] = _csv_text(
             ["r", "log_max_modulus"], rs.tolist(), logM.tolist()
         )
-        fit = dataclasses.asdict(growth.order_type_from_max_modulus(rs, logM))
-        order_m, type_m = fit.pop("order"), fit.pop("type_at_order")
-        report["max_modulus_route"] = {
-            "order": order_m, "type_at_order": type_m, "fit": fit,
-        }
-        # route 3: zeros of B
+        return {"order": order, "type_at_order": type_at_order, "fit": fit}
+
+    def zero_route() -> dict:
         zeros = growth.scan_b_zeros(sol, seq, N, cfg.r_max)
-        files["b_zeros.csv"] = "zero\n" + "".join(f"{z:.17g}\n" for z in zeros.tolist())
         mods = np.sort(np.abs(zeros))
-        zero_route = {"count": int(zeros.size)}
-        found = (
-            f"max-modulus route order {order_m:.4f}, type {type_m:.4f}; "
-            f"{zeros.size} zeros found"
-        )
+        section = {"count": int(zeros.size)}
         if mods.size >= 32:
             fit = dataclasses.asdict(growth.convergence_exponent_from_zeros(mods))
-            zero_route["convergence_exponent"] = fit.pop("slope")
-            zero_route["stderr"] = fit.pop("stderr")
-            zero_route["fit"] = fit
-    report["zero_route"] = zero_route
+            section["convergence_exponent"] = fit.pop("slope")
+            section["stderr"] = fit.pop("stderr")
+            section["fit"] = fit
+            beta1 = cfg.descriptor.beta1 if cfg.descriptor is not None else 0
+            if beta1 > 1:
+                section["upper_density"] = growth.upper_density(mods, beta1)
+        files["b_zeros.csv"] = "zero\n" + "".join(f"{z:.17g}\n" for z in zeros.tolist())
+        return section
 
-    if predicted is not None:
-        beta1 = cfg.descriptor.beta1
-        if beta1 > 1 and mods.size >= 32:
-            zero_route["upper_density"] = growth.upper_density(mods, beta1)
-        if predicted.case_label == "T1(ii)" and predicted.regime is Regime.LCC:
-            gaps = growth.majorant_bound_gap(
-                sol, seq, 1j * np.geomspace(cfg.r_min, cfg.r_max, 8), N
-            )
-            report["majorant_gap"] = {
-                "max": float(np.max(gaps)),
-                "values": [float(g) for g in gaps],
-            }
-    exc = cfg.descriptor is not None and exceptional_parameters(cfg.descriptor)[0]
-    if exc:
+    report["coefficient_route"] = _route(coefficient_route)
+    report["max_modulus_route"] = _route(max_modulus_route, skipped)
+    report["zero_route"] = _route(zero_route, skipped)
+
+    if predicted is not None and predicted.case_label == "T1(ii)" and skipped is None:
+        gaps = growth.majorant_bound_gap(
+            sol, seq, 1j * np.geomspace(cfg.r_min, cfg.r_max, 8), N
+        )
+        report["majorant_gap"] = {"max": float(np.max(gaps)), "values": gaps.tolist()}
+    if cfg.descriptor is not None and exceptional_parameters(cfg.descriptor)[0]:
         data = hamburger.lengths_angles(sol, seq)
         deltas = hamburger.delta_exponents(
             data, (max(1, window[0]), min(window[1], N - 1))
@@ -391,16 +387,18 @@ def cmd_growth(cfg: ExperimentConfig, out: Path) -> tuple[dict, dict]:
         report["delta_exponents"] = {**dataclasses.asdict(deltas), "sum": deltas.total}
 
     files["growth_report.json"] = _json_text(report)
-    print(f"growth: coefficient route {coeff_route}")
-    print(f"        {found}")
+    lines = {}  # one line per route; routes with the same outcome share it
+    for name in ("coefficient", "max-modulus", "zero"):
+        section = report[f"{name.replace('-', '_')}_route"]
+        lines.setdefault(_route_summary(section, predicted), []).append(f"{name} route")
+    for lead, (summary, names) in zip(["growth:", "", ""], lines.items()):
+        print(f"{lead:7} {' and '.join(names)} {summary}")
     if predicted is not None and predicted.predicted_exponent is not None:
-        print(
-            f"        predicted exponent {_exponent_str(predicted.predicted_exponent)}"
-        )
+        print(f"{'':7} predicted exponent", _exponent_str(predicted.predicted_exponent))
     return report, files
 
 
-def cmd_verify(cfg: Optional[ExperimentConfig], out: Path) -> tuple[int, dict]:
+def cmd_verify() -> tuple[int, dict]:
     from .verify import run_all_checks, write_junit
 
     results = run_all_checks()
@@ -411,22 +409,22 @@ def cmd_verify(cfg: Optional[ExperimentConfig], out: Path) -> tuple[int, dict]:
     failed = [r for r in results if not r.passed]
     print(
         f"{len(results) - len(failed)}/{len(results)} checks passed; "
-        f"JUnit report at {out / 'verify.xml'}"
+        "JUnit report in verify.xml"
     )
     return (1 if failed else 0), {"verify.xml": xml.getvalue()}
 
 
-def cmd_report(cfg: ExperimentConfig, out: Path) -> tuple[dict, dict]:
+def cmd_report(cfg: ExperimentConfig) -> tuple[dict, dict]:
     combined, files = {}, {}
     for name, command in (
         ("classification", cmd_classify),
         ("spectrum_report", cmd_spectrum),
         ("growth_report", cmd_growth),
     ):
-        combined[name], made = command(cfg, out)
+        combined[name], made = command(cfg)
         files.update(made)
     files["report.json"] = _json_text(combined)
-    print(f"combined report at {out / 'report.json'}")
+    print("combined report in report.json")
     return combined, files
 
 
@@ -445,13 +443,14 @@ def main(argv: Optional[list] = None) -> int:
         ("report", "classify + spectrum + growth in one combined report"),
     ):
         p = sub.add_parser(name, help=helptext)
-        p.add_argument("--config", required=name != "verify", help="JSON config path")
         p.add_argument("--out", help="output directory (default: config 'out' or '.')")
-        p.add_argument("--seed", type=int, help="override the remainder seed")
+        if name != "verify":  # verify runs fixed golden models
+            p.add_argument("--config", required=True, help="JSON config path")
+            p.add_argument("--seed", type=int, help="override the remainder seed")
     args = parser.parse_args(argv)
 
     cfg = None
-    if args.config:
+    if args.command != "verify":
         try:
             cfg = load_config(args.config, seed=args.seed)
         except json.JSONDecodeError as exc:
@@ -473,11 +472,11 @@ def main(argv: Optional[list] = None) -> int:
         "classify": cmd_classify,
         "spectrum": cmd_spectrum,
         "growth": cmd_growth,
-        "verify": cmd_verify,
+        "verify": lambda cfg: cmd_verify(),
         "report": cmd_report,
     }
     try:
-        result, files = commands[args.command](cfg, out)
+        result, files = commands[args.command](cfg)
         for name, text in files.items():
             (out / name).write_text(text, encoding="utf-8", newline="")
     except (ValueError, RuntimeError, OSError) as exc:

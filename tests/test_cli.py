@@ -473,8 +473,15 @@ class TestReportCommand:
         cfg = tmp_path / "seq.json"
         cfg.write_text(json.dumps({"sequence_file": str(seq_path)}))
         out = tmp_path / "g"
-        assert main(["growth", "--config", str(cfg), "--out", str(out)]) == 2
-        assert "no sign change" in capsys.readouterr().err
+        # the sign check still fails; it is recorded as the zero route's error
+        assert main(["growth", "--config", str(cfg), "--out", str(out)]) == 0
+        assert "zero route error: B_2000 has no sign change" in capsys.readouterr().out
+        growth = json.loads((out / "growth_report.json").read_text())
+        assert set(growth["zero_route"]) == {"error"}
+        assert "no sign change" in growth["zero_route"]["error"]
+        assert {"order", "error"} & set(growth["coefficient_route"])
+        assert {"order", "error"} & set(growth["max_modulus_route"])
+        assert not (out / "b_zeros.csv").exists()
 
 
 class TestSeedOverride:
@@ -505,11 +512,63 @@ class TestVerifyCommand:
         xml = (out / "verify.xml").read_text()
         assert 'tests="14"' in xml and 'failures="0"' in xml
 
+    @pytest.mark.parametrize("option", [["--seed", "1"], ["--config", "cfg.json"]])
+    def test_takes_no_config_or_seed(self, tmp_path, option):
+        # verify runs fixed golden models, so it has no options to ignore
+        with pytest.raises(SystemExit) as err:
+            main(["verify", "--out", str(tmp_path), *option])
+        assert err.value.code == 2
 
-def _tiny_radii_config(tmp_path):
-    # at r ~ 1e-300 the max-modulus values do not increase: the growth step
-    # fails after the classification and spectrum steps have succeeded
-    return write_config(tmp_path, r_grid={"r_min": 1e-300, "r_max": 1e-290, "points": 10})
+
+class TestRouteErrors:
+    """A route that raises records its ``error`` and writes no CSV; the
+    other routes and the command keep their results."""
+
+    # B_N is flat at r ~ 1e-300, so the max-modulus fit raises
+    FLAT = {"r_grid": {"r_min": 1e-300, "r_max": 1e-290, "points": 20}}
+
+    @pytest.mark.parametrize("command", ["growth", "report"])
+    def test_flat_grid_keeps_the_other_routes(self, tmp_path, capsys, command):
+        cfg = write_config(tmp_path, N=[500, 1000, 2000], **self.FLAT)
+        out = tmp_path / "out"
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 0
+        printed = capsys.readouterr()
+        assert printed.err == ""
+        assert (
+            "max-modulus route error: max-modulus values are not increasing" in printed.out
+        )
+        growth = json.loads((out / "growth_report.json").read_text())
+        assert growth["max_modulus_route"] == {
+            "error": "max-modulus values are not increasing: evaluation breakdown"
+        }
+        assert set(growth["coefficient_route"]) == {"order", "type_at_order"}
+        assert "count" in growth["zero_route"]
+        assert growth["classification"]["regime"] == "lcc"
+        assert not (out / "log_max_modulus.csv").exists()
+        assert (out / "b_zeros.csv").exists()
+        if command == "report":
+            assert (out / "spectrum_report.json").exists()
+            combined = json.loads((out / "report.json").read_text())
+            assert set(combined) == {"classification", "spectrum_report", "growth_report"}
+
+    def test_route_guard(self):
+        def fails(exc):
+            def compute():
+                raise exc
+            return compute
+
+        assert cli._route(lambda: {"count": 3}) == {"count": 3}
+        assert cli._route(lambda: {"count": 3}, skipped="why") == {"skipped": "why"}
+        assert cli._route(fails(ValueError("bad fit"))) == {"error": "bad fit"}
+        assert cli._route(fails(RuntimeError("no sign"))) == {"error": "no sign"}
+        with pytest.raises(TypeError):  # nothing else is caught
+            cli._route(fails(TypeError("bug")))
+
+
+def _short_window_config(tmp_path):
+    # the decay fit's window is too short: the growth step fails after the
+    # classification and spectrum steps have succeeded
+    return write_config(tmp_path, window=[2, 10])
 
 
 def _split_config(tmp_path):
@@ -529,11 +588,11 @@ def _split_config(tmp_path):
 @pytest.mark.parametrize(
     "command, make_config, error",
     [
-        ("growth", _tiny_radii_config, "max-modulus values are not increasing"),
-        ("report", _tiny_radii_config, "max-modulus values are not increasing"),
+        ("growth", _short_window_config, "window must contain at least 16 points"),
+        ("report", _short_window_config, "window must contain at least 16 points"),
         ("report", _split_config, "has multiplicity 2 at float resolution"),
     ],
-    ids=["growth-tiny-radii", "report-tiny-radii", "report-double-eigenvalue"],
+    ids=["growth-short-window", "report-short-window", "report-double-eigenvalue"],
 )
 def test_no_exit_2_leaves_a_file(tmp_path, capsys, command, make_config, error):
     out = tmp_path / "out"
@@ -665,7 +724,7 @@ class TestConfigFuzzing:
         monkeypatch.chdir(tmp_path)
         loaded = []
         monkeypatch.setattr(
-            cli, f"cmd_{command}", lambda cfg, out: loaded.append(cfg) or (None, {})
+            cli, f"cmd_{command}", lambda cfg: loaded.append(cfg) or (None, {})
         )
         self.run(tmp_path, capsys, doc, [command], args)
         assert all(isinstance(cfg, cli.ExperimentConfig) for cfg in loaded)
