@@ -27,20 +27,20 @@ The last pivot d_N(x) comes back with the counts: it is negative exactly
 when x lies above one more eigenvalue of J_N than of J_{N-1}, and between
 two eigenvalues of J_{N-1} it is continuous and decreasing in x.
 
-Each shift has a stop row, the last row by default: it counts the
-leading block J_stop of the tridiagonal, so one call counts all
-truncations of one sequence, each as a prefix of its rows.  The shifts are sorted by stop, largest first, so
-that the shifts still advanced at row k are a prefix.  A block ends at
-its height or at the largest stop of its shifts, whichever comes first;
-a shift that stops inside it takes its count from the rows before its
-stop and its last pivot from its stop row, and the rows past its stop
-(zero padding, in a column of a stack) stay out of its count and of the
-floor test, so they trigger no second run, which also counts each shift
-up to its stop.  One tridiagonal is read a row at a time as scalars
-broadcast over the shifts; a stack of independent tridiagonals, one per
-column, is gathered per block, each shift reading its own column.  Either
-way each shift gets the count and last pivot of the per-row floored loop
-on its own matrix, bit for bit.
+Each shift has a stop row, the last row by default, and counts the
+leading block J_stop of its tridiagonal, so one call counts all
+truncations of one sequence, each as a prefix of its rows; the stop row
+may carry a diagonal entry of the shift's own in place of J_stop's (the
+zeros of B_N are the eigenvalues of J_N so modified).  The shifts are
+sorted by stop, largest first, so that those still advanced at row k are
+a prefix, and a block ends at its height or at the smallest stop of its
+shifts.  So each shift runs every row of its blocks, and the block that
+ends at its stop writes its own entry there before each pass's row loop.
+One tridiagonal is read a row at a time as scalars broadcast over the
+shifts; a stack of independent tridiagonals, one per column, is gathered
+per block, each shift reading its own column.  Either way each shift gets
+the count and last pivot of the per-row floored loop on its own matrix,
+bit for bit.
 """
 
 import numpy as np
@@ -93,10 +93,11 @@ def _floor_pivots(d):
     return np.where(np.abs(d) < _PIVMIN, np.where(d > 0, _PIVMIN, -_PIVMIN), d)
 
 
-def sturm_counts(diag, offsq, xs, stop=None, mat=None):
+def sturm_counts(diag, offsq, xs, stop=None, mat=None, last=None):
     """Return (counts, last pivots) of the floored LD factorization of
     J - x at every shift x of xs, J the leading ``stop[s]`` x ``stop[s]``
-    block (1 <= stop[s] <= n, all n rows by default) for shift s.
+    block (1 <= stop[s] <= n, all n rows by default) for shift s, with its
+    last diagonal entry replaced by ``last[s]`` where *last* is given.
 
     ``diag`` (n,) and ``offsq`` (n - 1,) hold one tridiagonal; with ``mat``
     they are (n, M) and (n - 1, M), one tridiagonal per column, and shift s
@@ -107,10 +108,14 @@ def sturm_counts(diag, offsq, xs, stop=None, mat=None):
     xs, stop = xs[order], stop[order]
     if mat is None:
         col, w = diag[:, None], offsq.tolist()
-        d = _floor_pivots(diag[0] - xs)
+        d = diag[0]
     else:
         mat = np.asarray(mat)[order]
-        d = _floor_pivots(diag[0, mat] - xs)
+        d = diag[0, mat]
+    if last is not None:
+        last = np.asarray(last, dtype=np.float64)[order]
+        d = np.where(stop == 1, last, d)
+    d = _floor_pivots(d - xs)
     count = (d < 0).astype(np.int64)
     S = xs.size
     # rows 1 .. top - 1 are advanced, the shifts whose stop lies beyond a
@@ -126,13 +131,10 @@ def sturm_counts(diag, offsq, xs, stop=None, mat=None):
     k0 = 1
     while k0 < top:
         act = int(np.count_nonzero(stop > k0))
-        # the block ends at its height or at the largest stop of its shifts;
-        # the shifts up to full run the whole block, the others stop in it,
-        # after the block rows `ends`
-        k1 = min(top, k0 + min(_ROWS, max(16, _BUDGET // act)))
-        full = int(np.count_nonzero(stop[:act] >= k1))
-        ends = stop[full:act] - k0
-        past = np.arange(k1 - k0)[:, None] >= ends
+        # the block ends at its height or at its shifts' smallest stop, so each
+        # runs all its rows; the shifts from `end` on stop at its last row
+        k1 = min(int(stop[act - 1]), k0 + min(_ROWS, max(16, _BUDGET // act)))
+        end = act if last is None else int(np.count_nonzero(stop > k1))
         x, ta = xs[:act], t[:act]
         block = buf[: (k1 - k0) * act].reshape(k1 - k0, act)
         sign = neg[: block.size].reshape(block.shape)
@@ -152,26 +154,21 @@ def sturm_counts(diag, offsq, xs, stop=None, mat=None):
                 else:
                     np.take(diag[k0:k1], m, axis=1, out=block, mode="clip")
                     sub(block, x, block)
+                if end < act:
+                    sub(last[end:act], x[end:], block[-1, end:])
                 for wk, row in zip(ws, block):
                     div(wk, prev, ta)
                     sub(row, ta, row)
                     if floored:
                         row[:] = _floor_pivots(row)
                     prev = row
-            # at most _ROWS negative pivots per column: a uint8 sum; rows
-            # past a shift's stop are left out of its count and of the floor
-            # test
+            # at most _ROWS negative pivots per column: a uint8 sum
             np.less(block, 0.0, sign)
             ta[:] = prev
-            if full < act:
-                np.copyto(sign[:, full:], False, where=past)
-                ta[full:] = block[ends - 1, np.arange(full, act)]
             below = np.add.reduce(sign.view(np.uint8), axis=0, dtype=np.uint8)
             if floored:
                 break
             np.abs(block, out=block)
-            if full < act:
-                np.copyto(block[:, full:], np.inf, where=past)
             if block.min() >= _PIVMIN:
                 break
         count[:act] += below

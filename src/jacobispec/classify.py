@@ -61,6 +61,8 @@ class CriterionConclusion(enum.Enum):
 
 @dataclass(frozen=True)
 class CriterionVerdict:
+    """A classical criterion's verdict: whether it applies, its conclusion, its evidence."""
+
     name: str
     applies: bool
     conclusion: CriterionConclusion
@@ -77,6 +79,9 @@ Exponent = Union[float, tuple]
 
 @dataclass(frozen=True)
 class Classification:
+    """A descriptor's regime and case, its predicted exponent (a point or an
+    interval (lo, hi)), density bounds, their constants and notes."""
+
     regime: Regime
     case_label: str
     predicted_exponent: Optional[Exponent] = None

@@ -6,6 +6,7 @@ floats so identical configs produce byte-identical files.  This module
 alone decides the output formats: the other modules return dataclasses.
 Each command returns the text of its files, and ``main`` writes them only
 once the command has returned, so a run that fails writes nothing.
+Each command imports the layers it calls, never through the package root.
 Exit codes: 0 ok, 1 check failure, 2 usage or parse error.
 """
 
@@ -30,9 +31,8 @@ except ImportError:
 
 import numpy as np
 
-from . import __version__, growth, hamburger, spectrum
+from . import __version__
 from ._kernels import BACKEND
-from .classify import Regime, berezanskii_test, carleman_test, classify, wouk_test
 from .params import (
     JacobiSequence,
     PowerAsymptotics,
@@ -43,7 +43,7 @@ from .params import (
     materialize,
     sequence_from_csv,
 )
-from .recurrence import norm_exponent, solve_at_zero, wronskian_residual
+from .spectrum import TruncatedSpectrum, eigenvalues_in_each, stabilized_counting
 
 _GUARD_NOTE = (
     "index-0 values are evaluated at m = max(n, 1); the asymptotic family "
@@ -53,11 +53,11 @@ _BOUNDARY_NOTE = (
     "case boundaries use exact rational comparisons; equality of derived "
     "quantities is granted within 1e-12 relative and flagged as near-boundary"
 )
-#: why the max-modulus and zero routes, which read B_N, are not run
+#: why the max-modulus and zero routes, which read B_N, are not run, by regime
 _SKIP_NOTES = {
-    Regime.LPC: "classified lpc: the Nevanlinna matrix does not converge, so B_N "
+    "lpc": "classified lpc: the Nevanlinna matrix does not converge, so B_N "
     "has no limit whose growth or zeros the route could estimate; the route is not run",
-    Regime.UNDETERMINED: "classified undetermined: the family is not known to be lcc, "
+    "undetermined": "classified undetermined: the family is not known to be lcc, "
     "so B_N may have no limit whose growth or zeros the route could estimate; the "
     "route is not run",
 }
@@ -74,6 +74,8 @@ _MAX_SIZE = 10**7
 
 @dataclasses.dataclass
 class ExperimentConfig:
+    """A checked config, with the raw bytes whose hash the report records."""
+
     descriptor: Optional[PowerAsymptotics]
     sequence_file: Optional[str]
     Ns: list
@@ -248,6 +250,8 @@ def _exponent_str(exp) -> str:
 
 
 def cmd_classify(cfg: ExperimentConfig) -> tuple[dict, dict]:
+    from .classify import Regime, berezanskii_test, carleman_test, classify, wouk_test
+
     report = _report_envelope(cfg)
     seq = cfg.sequence
     criteria = [wouk_test(seq), carleman_test(seq), berezanskii_test(seq)]
@@ -276,12 +280,12 @@ def cmd_spectrum(cfg: ExperimentConfig) -> tuple[dict, dict]:
     report = _report_envelope(cfg)
     seq = cfg.sequence
     rs = cfg.r_grid()
-    table, stable = spectrum.stabilized_counting(seq, rs, cfg.Ns)
+    table, stable = stabilized_counting(seq, rs, cfg.Ns)
     window = (-cfg.r_max, cfg.r_max)
-    evs = spectrum.eigenvalues_in_each((seq, N, window, cfg.eig_tol) for N in cfg.Ns)
+    evs = eigenvalues_in_each((seq, N, window, cfg.eig_tol) for N in cfg.Ns)
     files, per_n = {}, {}
     for j, (N, ev) in enumerate(zip(cfg.Ns, evs)):
-        ev = spectrum.TruncatedSpectrum(eigenvalues=ev).eigenvalues
+        ev = TruncatedSpectrum(eigenvalues=ev).eigenvalues
         files[f"eigenvalues_N{N}.csv"] = _csv_text(
             ["index", "lambda"], range(ev.size), ev.tolist()
         )
@@ -326,6 +330,15 @@ def _route_summary(section: dict, predicted) -> str:
 
 
 def cmd_growth(cfg: ExperimentConfig) -> tuple[dict, dict]:
+    from .classify import classify
+    from .growth import (
+        b_log_max_modulus, convergence_exponent_from_zeros, leading_coefficient_logs,
+        majorant_bound_gap, order_type_from_coefficients, order_type_from_max_modulus,
+        scan_b_zeros, upper_density,
+    )
+    from .hamburger import delta_exponents, lengths_angles
+    from .recurrence import norm_exponent, solve_at_zero, wronskian_residual
+
     report = _report_envelope(cfg)
     N = max(cfg.Ns)
     seq = cfg.sequence
@@ -338,17 +351,17 @@ def cmd_growth(cfg: ExperimentConfig) -> tuple[dict, dict]:
     if cfg.descriptor is not None:
         predicted = classify(cfg.descriptor)
         report["classification"] = predicted
-        skipped = _SKIP_NOTES.get(predicted.regime)
+        skipped = _SKIP_NOTES.get(predicted.regime.value)
 
     def coefficient_route() -> dict:
-        logc = growth.leading_coefficient_logs(seq)
-        order, type_at_order = growth.order_type_from_coefficients(logc)
+        logc = leading_coefficient_logs(seq)
+        order, type_at_order = order_type_from_coefficients(logc)
         return {"order": order, "type_at_order": type_at_order}
 
     def max_modulus_route() -> dict:
         rs = cfg.r_grid()
-        logM = growth.b_log_max_modulus(sol, N, rays=cfg.rays)(rs)
-        fit = dataclasses.asdict(growth.order_type_from_max_modulus(rs, logM))
+        logM = b_log_max_modulus(sol, N, rays=cfg.rays)(rs)
+        fit = dataclasses.asdict(order_type_from_max_modulus(rs, logM))
         order, type_at_order = fit.pop("order"), fit.pop("type_at_order")
         files["log_max_modulus.csv"] = _csv_text(
             ["r", "log_max_modulus"], rs.tolist(), logM.tolist()
@@ -356,17 +369,17 @@ def cmd_growth(cfg: ExperimentConfig) -> tuple[dict, dict]:
         return {"order": order, "type_at_order": type_at_order, "fit": fit}
 
     def zero_route() -> dict:
-        zeros = growth.scan_b_zeros(sol, seq, N, cfg.r_max)
+        zeros = scan_b_zeros(sol, seq, N, cfg.r_max)
         mods = np.sort(np.abs(zeros))
         section = {"count": int(zeros.size)}
         if mods.size >= 32:
-            fit = dataclasses.asdict(growth.convergence_exponent_from_zeros(mods))
+            fit = dataclasses.asdict(convergence_exponent_from_zeros(mods))
             section["convergence_exponent"] = fit.pop("slope")
             section["stderr"] = fit.pop("stderr")
             section["fit"] = fit
             beta1 = cfg.descriptor.beta1 if cfg.descriptor is not None else 0
             if beta1 > 1:
-                section["upper_density"] = growth.upper_density(mods, beta1)
+                section["upper_density"] = upper_density(mods, beta1)
         files["b_zeros.csv"] = "zero\n" + "".join(f"{z:.17g}\n" for z in zeros.tolist())
         return section
 
@@ -375,15 +388,11 @@ def cmd_growth(cfg: ExperimentConfig) -> tuple[dict, dict]:
     report["zero_route"] = _route(zero_route, skipped)
 
     if predicted is not None and predicted.case_label == "T1(ii)" and skipped is None:
-        gaps = growth.majorant_bound_gap(
-            sol, seq, 1j * np.geomspace(cfg.r_min, cfg.r_max, 8), N
-        )
+        gaps = majorant_bound_gap(sol, seq, 1j * np.geomspace(cfg.r_min, cfg.r_max, 8), N)
         report["majorant_gap"] = {"max": float(np.max(gaps)), "values": gaps.tolist()}
     if cfg.descriptor is not None and exceptional_parameters(cfg.descriptor)[0]:
-        data = hamburger.lengths_angles(sol, seq)
-        deltas = hamburger.delta_exponents(
-            data, (max(1, window[0]), min(window[1], N - 1))
-        )
+        data = lengths_angles(sol, seq)
+        deltas = delta_exponents(data, (max(1, window[0]), min(window[1], N - 1)))
         report["delta_exponents"] = {**dataclasses.asdict(deltas), "sum": deltas.total}
 
     files["growth_report.json"] = _json_text(report)

@@ -18,7 +18,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import _kernels
-from .classify import Classification, Regime, classify
+from .classify import Regime, classify
 from .params import JacobiSequence
 from .recurrence import ExponentFit, PolySolution, _fit_quality, _line_fit, power_law_fit
 from .spectrum import _bracket_each
@@ -224,7 +224,7 @@ def b_log_max_modulus(
 # majorant product
 # ---------------------------------------------------------------------------
 
-def _case2_constants(seq: JacobiSequence) -> tuple[float, float, Classification]:
+def _case2_constants(seq: JacobiSequence) -> tuple[float, float]:
     desc = seq.descriptor
     if desc is None:
         raise ValueError("the majorant needs a descriptor-backed sequence")
@@ -233,7 +233,15 @@ def _case2_constants(seq: JacobiSequence) -> tuple[float, float, Classification]
         raise ValueError(
             "majorant is defined for dominant off-diagonal lcc families only"
         )
-    return float(desc.beta1), float(cls.a_constant / desc.x0), cls
+    return float(desc.beta1), float(cls.a_constant / desc.x0)
+
+
+def _log_majorant(beta1: float, g: float, r: float) -> float:
+    if r == 0.0:
+        return 0.0
+    terms = min(max(8192, int(50.0 * (r * g) ** (1.0 / beta1))), 5_000_000)
+    n = np.arange(1, terms + 1, dtype=np.float64)
+    return float(np.sum(np.log1p(r * g * n ** (-beta1))))
 
 
 def log_majorant_product(seq: JacobiSequence, r: float) -> float:
@@ -245,26 +253,19 @@ def log_majorant_product(seq: JacobiSequence, r: float) -> float:
     """
     if r < 0:
         raise ValueError("r must be nonnegative")
-    beta1, g, _ = _case2_constants(seq)
-    if r == 0.0:
-        return 0.0
-    terms = min(max(8192, int(50.0 * (r * g) ** (1.0 / beta1))), 5_000_000)
-    n = np.arange(1, terms + 1, dtype=np.float64)
-    return float(np.sum(np.log1p(r * g * n ** (-beta1))))
+    return _log_majorant(*_case2_constants(seq), r)
 
 
 def majorant_bound_gap(
     sol: PolySolution, seq: JacobiSequence, zs: np.ndarray, N: Optional[int] = None
 ) -> np.ndarray:
     """log ||M_N(z)|| - log F(|z|) over the sample; bounded above when the
-    majorant dominates up to a constant."""
+    majorant dominates up to a constant.  The family is classified once."""
     zs = np.asarray(zs, dtype=np.complex128)
     parts = _partials(sol, zs, N)
+    beta1, g = _case2_constants(seq)
     return np.array(
-        [
-            part.log_spectral_norm() - log_majorant_product(seq, abs(z))
-            for part, z in zip(parts, zs)
-        ]
+        [part.log_spectral_norm() - _log_majorant(beta1, g, abs(z)) for part, z in zip(parts, zs)]
     )
 
 

@@ -41,6 +41,8 @@ class HamburgerData:
 
 @dataclass(frozen=True)
 class DeltaExponents:
+    """Delta_l and Delta_phi with their power-law fits; ``total`` estimates beta."""
+
     delta_l: float
     delta_phi: float
     fit_l: ExponentFit

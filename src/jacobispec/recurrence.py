@@ -65,6 +65,8 @@ class PolySolution:
 
 @dataclass(frozen=True)
 class ExponentFit:
+    """A log-log line fit over an index window of at least 16 points."""
+
     slope: float
     intercept: float
     r_squared: float

@@ -44,6 +44,8 @@ __all__ = [
 
 @dataclass(frozen=True, eq=False)
 class TruncatedSpectrum:
+    """The eigenvalues of one truncation, strictly increasing and read-only."""
+
     eigenvalues: np.ndarray
 
     def __post_init__(self):
@@ -186,14 +188,6 @@ def _store(out_lo, out_hi, brackets, shift):
     out_hi[idx] = np.repeat(brackets[:, 1], n_each)
 
 
-def _last_row(d, xs, last, w):
-    """The floored last pivot of J~ - x, where J~ is J_N with its last
-    diagonal entry replaced by *last*, from the last pivot *d* of J_{N-1}
-    - x and the squared coupling *w* = rho_{N-2}^2: the kernel's step on
-    that row, so count and pivot are those of a call on J~ itself."""
-    return _kernels._floor_pivots((last - xs) - w / d)
-
-
 def _stacked_brackets(diag, offsq, n, last, a, b, tol, col=None):
     """Brackets (lo_k, hi_k) of width <= tol[m] with count(lo_k) < k <=
     count(hi_k), one for each eigenvalue in [a[m], b[m]] of each problem m;
@@ -202,10 +196,9 @@ def _stacked_brackets(diag, offsq, n, last, a, b, tol, col=None):
 
     Problem m is the tridiagonal J of the leading n[m] rows of ``diag`` and
     the squared off-diagonal ``offsq``, or of their column col[m] where
-    they are 2-D, with its last diagonal entry replaced by last[m] unless
-    that is None (n[m] >= 2 then).  Problems on one column are prefixes of
-    it: the kernel stops each shift at its own row, and a replaced last row
-    is finished from the pivot before it.
+    they are 2-D, with last[m] as its last diagonal entry unless *last* is
+    None.  Problems on one column are prefixes of it: the kernel stops each
+    shift at its own row, which carries its problem's last entry.
 
     Every sweep is one batched Sturm count, whose last pivot d_N(x) also
     gives the count of J_{N-1} at x.  The first counts the window ends
@@ -255,26 +248,7 @@ def _stacked_brackets(diag, offsq, n, last, a, b, tol, col=None):
     alone, each still of width <= tol around its eigenvalue.
     """
 
-    mod = np.array([v is not None for v in last], dtype=bool)
-    last = np.array([0.0 if v is None else v for v in last], dtype=np.float64)
-    n_rows = np.asarray(n, dtype=np.int64) - mod  # the rows the kernel counts
-    w_last = np.zeros(mod.size)
-    w_last[mod] = offsq[n_rows[mod] - 1] if col is None else offsq[n_rows[mod] - 1, col[mod]]
-
-    def counts(xs, prob):
-        """The counts of J_N and of J_{N-1} and the last pivot d_N at each
-        shift xs[s] on problem prob[s]."""
-        mat = None if col is None else col[prob]
-        c, d = _kernels.sturm_counts(diag, offsq, xs, n_rows[prob], mat)
-        below = c - (d < 0)
-        i = np.flatnonzero(mod[prob])
-        if i.size:
-            j = prob[i]
-            d[i] = _last_row(d[i], xs[i], last[j], w_last[j])
-            below[i] = c[i]
-            c[i] += d[i] < 0
-        return c, below, d
-
+    n = np.asarray(n)
     a, b, tol = (np.asarray(v, dtype=np.float64) for v in (a, b, tol))
     n_prob = a.size
     # the lower end is counted one ulp below a: an eigenvalue at exactly a
@@ -312,7 +286,13 @@ def _stacked_brackets(diag, offsq, n, last, a, b, tol, col=None):
         if shift is None:
             xs += [ends.ravel()]
             prob += [np.tile(np.arange(n_prob), 2)]
-        c, p, f = counts(np.concatenate(xs), np.concatenate(prob))
+        # the counts of J_N and of J_{N-1} and the last pivot d_N at each shift
+        prob = np.concatenate(prob)
+        c, f = _kernels.sturm_counts(
+            diag, offsq, np.concatenate(xs), n[prob], None if col is None else col[prob],
+            None if last is None else last[prob],
+        )
+        p = c - (f < 0)
         m0 = cuts.size
         m1 = m0 + xs[1].size
         m2 = m1 + xs[2].size
@@ -453,11 +433,9 @@ def _bracket_each(problems) -> list:
         return []
     windows = np.array([_window(interval, tol) for _, _, interval, tol, _ in problems])
     seqs, size = {}, {}
-    for seq, N, _, _, last in problems:
+    for seq, N, *_ in problems:
         if not 1 <= N <= len(seq):
             raise ValueError(f"need 1 <= N <= {len(seq)}")
-        if last is not None and N < 2:
-            raise ValueError("a replaced last row needs N >= 2")
         seqs[id(seq)] = seq
         size[id(seq)] = max(size.get(id(seq), 0), N)
     mats = [_submatrix(seq, size[key]) for key, seq in seqs.items()]
@@ -468,7 +446,10 @@ def _bracket_each(problems) -> list:
         column = {key: m for m, key in enumerate(seqs)}
         col = np.array([column[id(seq)] for seq, *_ in problems])
     n = [N for _, N, *_ in problems]
-    last = [problem[4] for problem in problems]
+    # a problem without a replaced entry passes its own, if any replaces one
+    last = None
+    if any(problem[4] is not None for problem in problems):
+        last = np.array([seq.q[N - 1] if v is None else v for seq, N, *_, v in problems])
     lo, hi, offsets = _stacked_brackets(diag, offsq, n, last, *windows.T, col)
     return list(zip(np.split(lo, offsets[1:-1]), np.split(hi, offsets[1:-1])))
 

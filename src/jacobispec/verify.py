@@ -174,6 +174,8 @@ def golden_table() -> list:
 
 @dataclass(frozen=True)
 class CheckResult:
+    """One acceptance check: its verdict, observed and expected text, run time."""
+
     name: str
     passed: bool
     observed: str

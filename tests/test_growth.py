@@ -34,7 +34,7 @@ def _check_zeros(which):
 
 def _sturm_brackets(diag, offsq, a, b, tol):
     """The brackets of the eigenvalues in [a, b] of one tridiagonal."""
-    lo, hi, _ = _stacked_brackets(diag, offsq, [diag.size], [None], [a], [b], [tol])
+    lo, hi, _ = _stacked_brackets(diag, offsq, [diag.size], None, [a], [b], [tol])
     return lo, hi
 
 
@@ -361,6 +361,15 @@ class TestMajorant:
     def test_rejects_exceptional_model(self, m3_seq):
         with pytest.raises(ValueError):
             log_majorant_product(m3_seq, 10.0)
+
+    def test_gap_classifies_once(self, m1_seq_2000, m1_sol_2000, monkeypatch):
+        import jacobispec.growth as G
+
+        calls = []
+        classify = G.classify
+        monkeypatch.setattr(G, "classify", lambda desc: calls.append(1) or classify(desc))
+        majorant_bound_gap(m1_sol_2000, m1_seq_2000, 1j * np.geomspace(10.0, 1e4, 8), 2000)
+        assert len(calls) == 1
 
 
 class TestCoefficientSeries:

@@ -11,7 +11,8 @@ and ``verify`` 40.6 → 34.6 MiB (median of 6 runs, ``os.wait4``, Python
 3.11, numpy 2.4, 2-core Xeon).
 
 The package root loads nothing until a name is used, then every layer
-once, and binds each name of the layers' ``__all__``; a CLI run
+once, and binds each name of the layers' ``__all__``; a CLI command
+imports only the layers it calls, never through the root; a CLI run
 (``python -m jacobispec`` or the installed command) runs on one thread:
 ``__main__`` pins OpenBLAS to one thread before numpy loads, since no
 route calls BLAS and its idle worker thread busy-waits for ~0.12 s of CPU
@@ -145,6 +146,16 @@ EXPORTS = {
 }
 EXPORTED = [(module, name) for module, names in EXPORTS.items() for name in names]
 
+# one CLI command in a fresh child, then the package modules it loaded
+COMMAND_LAYERS_CODE = """
+import sys
+from jacobispec.cli import main
+
+config, out, command = sys.argv[1:4]
+rc = main([command, "--config", config, "--out", out])
+print(rc, *sorted(m for m in sys.modules if m.startswith("jacobispec.")))
+"""
+
 BARE_IMPORT_CODE = """
 import sys
 import jacobispec
@@ -248,6 +259,19 @@ def test_cli_runs_load_neither_openssl_nor_numpy_random(tmp_path):
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout.strip().splitlines()[-1])
     assert result == {"rcs": [0, 0, 0, 0], "loaded": []}
+
+
+@pytest.mark.parametrize("command, layers", [
+    ("classify", ["_kernels", "_pcg64", "classify", "cli", "params", "spectrum"]),
+    ("spectrum", ["_kernels", "_pcg64", "cli", "params", "spectrum"]),
+])
+def test_cli_command_loads_only_the_layers_it_calls(tmp_path, command, layers):
+    config = tmp_path / "m3_small.json"
+    config.write_text(json.dumps({**M3_SMALL, "r_grid": {"r_min": 10.0, "r_max": 1e3}}))
+    proc = _run([COMMAND_LAYERS_CODE, str(config), str(tmp_path / "out"), command])
+    assert proc.returncode == 0, proc.stderr
+    loaded = proc.stdout.strip().splitlines()[-1].split()
+    assert loaded == ["0", *(f"jacobispec.{layer}" for layer in layers)]
 
 
 class TestLazyRoot:

@@ -35,6 +35,7 @@ SOURCES = sorted(PACKAGE.glob("*.py"))
 UNUSED_ALLOWED = {
     "params.sequence_to_csv",  # writes the documented ``n,rho,q`` input CSV
     "params.PowerAsymptotics.scaled",  # the scale-invariance property tests
+    "growth.log_majorant_product",  # log F(r) alone; majorant_bound_gap classifies once
     "__init__._Root",  # the package root's module class, set in __init__.py
 }
 

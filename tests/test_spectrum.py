@@ -27,7 +27,7 @@ def tiny(rho, q):
 
 def _sturm_brackets(diag, offsq, a, b, tol):
     """The brackets of the eigenvalues in [a, b] of one tridiagonal."""
-    lo, hi, _ = spectrum._stacked_brackets(diag, offsq, [diag.size], [None], [a], [b], [tol])
+    lo, hi, _ = spectrum._stacked_brackets(diag, offsq, [diag.size], None, [a], [b], [tol])
     return lo, hi
 
 
@@ -331,9 +331,9 @@ class TestStopRowSturmKernel:
 
 
 class TestSpanningBlocks:
-    """A block ends at the largest stop of its shifts: a shift that stops
-    inside it is counted on the rows before its stop, with the pivot at its
-    stop row, and the rows past its stop are kept out of the floor test."""
+    """A block ends at the smallest stop of its shifts, so no shift stops
+    inside one: the rows past a shift's stop enter neither its count nor
+    the floor test."""
 
     @pytest.fixture
     def floored_rows(self, monkeypatch):
@@ -357,8 +357,8 @@ class TestSpanningBlocks:
                 assert np.array_equal(last[on], ref_last)
 
     def test_many_stops_inside_one_block(self, rng):
-        # 306 shifts take blocks of 107 rows: every stop 1 .. 60 ends inside
-        # the first block
+        # 306 shifts would take blocks of 107 rows; the stops 1 .. 60 cut
+        # the first 60 rows into blocks of one row
         n = 60
         diag, offsq = rng.uniform(-3.0, 3.0, n), rng.uniform(0.05, 4.0, n - 1)
         xs = np.concatenate([rng.uniform(-8.0, 8.0, 300), _EDGE_SHIFTS])
@@ -383,9 +383,9 @@ class TestSpanningBlocks:
 
     @pytest.mark.parametrize("stops, replayed", [((30,), False), ((50,), True), ((30, 50), True)])
     def test_sub_floor_pivot_before_and_after_a_stop(self, rng, floored_rows, stops, replayed):
-        # a zero coupling makes the pivot at x = 0 exactly zero at row 40, in
-        # the middle of the one block that 300 shifts take; a shift at x = 0
-        # that stops at row 30 is past it there, one that stops at 50 is not
+        # a zero coupling makes the pivot at x = 0 exactly zero at row 40; a
+        # shift at x = 0 that stops at row 30 never reaches it, one that
+        # stops at 50 does
         n, row = 60, 40
         diag, offsq = rng.uniform(1.0, 3.0, n), rng.uniform(0.05, 1.0, n - 1)
         offsq[row - 1], diag[row] = 0.0, 0.0
@@ -397,7 +397,7 @@ class TestSpanningBlocks:
 
     def test_padding_rows_trigger_no_replay(self, rng, floored_rows):
         # x = 0 on a 3-row column stacked with a 40-row one: its padding rows
-        # give a zero pivot, then 0/0, but they lie past its stop
+        # would give a zero pivot, then 0/0, but its blocks end at its stop
         mats = [
             (rng.uniform(1.0, 3.0, 3), rng.uniform(0.05, 1.0, 2)),
             (rng.uniform(-3.0, 3.0, 40), rng.uniform(0.05, 4.0, 39)),
@@ -409,6 +409,110 @@ class TestSpanningBlocks:
         _kernels.sturm_counts(diag, offsq, xs, stop, mat)
         assert len(floored_rows) == 1  # row 0 only: no block was replayed
         self.assert_stack_parity(mats, xs, stop, mat)
+
+
+class TestReplacedStopRow:
+    """A shift's stop row may carry a diagonal entry of its own: each shift
+    gets the count and last pivot of the per-row floored loop on its own
+    matrix, its leading stop x stop block with that entry in the last row,
+    bit for bit, whichever shifts share its column and its blocks."""
+
+    @staticmethod
+    def assert_parity(diag, offsq, xs, stop, last, mat=None):
+        count, piv = _kernels.sturm_counts(diag, offsq, xs, stop, mat, last)
+        if mat is None:
+            diag, offsq, mat = diag[:, None], offsq[:, None], np.zeros(xs.size, np.int64)
+        for m, s, e in np.unique(np.column_stack([mat, stop, last]), axis=0):
+            m, s = int(m), int(s)
+            on = (mat == m) & (stop == s) & (last == e)
+            own = diag[:s, m].copy()
+            own[-1] = e
+            ref_count, ref_last = _sturm_counts_per_row(own, offsq[: s - 1, m], xs[on])
+            assert np.array_equal(count[on], ref_count)
+            assert np.array_equal(piv[on], ref_last)
+        return count
+
+    @staticmethod
+    def entries(rng, diag, stop, replaced):
+        """The stop row's own diagonal entry, or a random one where
+        *replaced*."""
+        return np.where(replaced, rng.uniform(-3.0, 3.0, stop.size), diag[stop - 1])
+
+    def test_replaced_row_among_shifts_that_run_past_it(self, rng):
+        n = 40
+        for _ in range(10):
+            diag, offsq = rng.uniform(-3.0, 3.0, n), rng.uniform(0.05, 4.0, n - 1)
+            xs = np.concatenate([rng.uniform(-8.0, 8.0, 300), _EDGE_SHIFTS])
+            # half the shifts run all n rows on the plain matrix, the others
+            # stop at a row of their own with a replaced entry there
+            plain = rng.random(xs.size) < 0.5
+            stop = np.where(plain, n, rng.integers(2, n + 1, xs.size))
+            last = self.entries(rng, diag, stop, ~plain)
+            self.assert_parity(diag, offsq, xs, stop, last)
+        # a stack: columns of 40, 25 and 12 rows, shifts on each
+        mats = [(rng.uniform(-3.0, 3.0, k), rng.uniform(0.05, 4.0, k - 1)) for k in (40, 25, 12)]
+        sdiag, soffsq, sizes = _stack_columns(mats)
+        xs = rng.uniform(-8.0, 8.0, 600)
+        mat = rng.integers(0, 3, xs.size)
+        plain = rng.random(xs.size) < 0.5
+        stop = np.where(plain, sizes[mat], 2 + rng.integers(0, 100, xs.size) % (sizes[mat] - 1))
+        last = np.where(plain, sdiag[stop - 1, mat], rng.uniform(-3.0, 3.0, xs.size))
+        self.assert_parity(sdiag, soffsq, xs, stop, last, mat)
+
+    @pytest.mark.parametrize("S", [100, 2100])
+    def test_stops_on_block_boundaries(self, rng, S):
+        # 100 shifts take 255-row blocks, 2100 take 16-row ones: stops at
+        # the last row of a block, one before it and one after it; shifts
+        # above the spectrum count a negative pivot in every row
+        rows = min(_kernels._ROWS, max(16, _kernels._BUDGET // S))
+        assert rows == (255 if S == 100 else 16)
+        n = 2 * rows + 8
+        diag, offsq = rng.uniform(-3.0, 3.0, n), rng.uniform(0.05, 4.0, n - 1)
+        xs = np.concatenate([rng.uniform(-8.0, 8.0, S - S // 4), rng.uniform(10.0, 20.0, S // 4)])
+        stop = rng.choice([rows, rows + 1, rows + 2, 2 * rows + 1, n], S)
+        last = self.entries(rng, diag, stop, rng.random(S) < 0.5)
+        count = self.assert_parity(diag, offsq, xs, stop, last)
+        above = xs > 10.0
+        assert np.array_equal(count[above], stop[above])
+
+    def test_every_row_a_stop(self, rng):
+        # every row from the first on ends a block of one row
+        n = 50
+        diag, offsq = rng.uniform(-3.0, 3.0, n), rng.uniform(0.05, 4.0, n - 1)
+        xs = np.concatenate([rng.uniform(-8.0, 8.0, 300), _EDGE_SHIFTS])
+        stop = 1 + np.arange(xs.size) % n
+        last = self.entries(rng, diag, stop, rng.random(xs.size) < 0.5)
+        self.assert_parity(diag, offsq, xs, stop, last)
+        mats = [(rng.uniform(-3.0, 3.0, k), rng.uniform(0.05, 4.0, k - 1)) for k in (50, 31, 7)]
+        sdiag, soffsq, sizes = _stack_columns(mats)
+        mat = rng.integers(0, 3, xs.size)
+        stop = 1 + np.arange(xs.size) % sizes[mat]
+        replaced = rng.random(xs.size) < 0.5
+        last = np.where(replaced, sdiag[stop - 1, mat], rng.uniform(-3.0, 3.0, xs.size))
+        self.assert_parity(sdiag, soffsq, xs, stop, last, mat)
+
+    @pytest.mark.parametrize("row", [16, 17, 30])
+    @pytest.mark.parametrize("entry, replayed", [(0.0, True), (1e-310, True), (0.5, False)])
+    def test_zero_pivot_in_the_replaced_row(self, rng, row, entry, replayed, monkeypatch):
+        # a zero coupling into the stop row makes the pivot at x = 0 exactly
+        # the replaced entry there; the shifts that run past that row keep
+        # its own entry, so only a sub-floor replaced entry replays a block
+        calls = []
+        floor = _kernels._floor_pivots
+        monkeypatch.setattr(
+            _kernels, "_floor_pivots", lambda d: calls.append(1) or floor(d)
+        )
+        n = 40
+        diag, offsq = rng.uniform(1.0, 3.0, n), rng.uniform(0.05, 1.0, n - 1)
+        offsq[row - 2] = 0.0
+        xs = np.concatenate([[0.0, 0.0], rng.uniform(-1.0, 1.0, 2100)])
+        stop = rng.choice([row, n], xs.size)
+        stop[:2] = row, n
+        last = diag[stop - 1]
+        last[0] = entry
+        _kernels.sturm_counts(diag, offsq, xs, stop, None, last)
+        assert (len(calls) > 1) == replayed
+        self.assert_parity(diag, offsq, xs, stop, last)
 
 
 class TestUint8BlockCount:
@@ -473,8 +577,8 @@ class TestUint8BlockCount:
 
 
 class TestModifiedLastRow:
-    """J~ is J_N with its last diagonal entry replaced; the zero route counts
-    it on the prefix J_{N-1} and finishes the last row outside the kernel."""
+    """J~ is J_N with its last diagonal entry replaced; the zero route passes
+    the replaced entry to the kernel, which counts J~ itself."""
 
     @pytest.mark.parametrize("kind", ["random", "integer"])
     def test_finish_matches_the_modified_diagonal_call(self, rng, kind):
@@ -493,9 +597,10 @@ class TestModifiedLastRow:
             modified = diag.copy()
             modified[-1] = last
             ref_count, ref_last = _kernels.sturm_counts(modified, offsq, xs)
-            c, d = _kernels.sturm_counts(diag, offsq, xs, np.full(xs.size, n - 1))
-            d = spectrum._last_row(d, xs, last, offsq[-1])
-            assert np.array_equal(c + (d < 0), ref_count)
+            c, d = _kernels.sturm_counts(
+                diag, offsq, xs, np.full(xs.size, n), None, np.full(xs.size, last)
+            )
+            assert np.array_equal(c, ref_count)
             assert np.array_equal(d, ref_last)
 
     @pytest.mark.parametrize("which, r", [("m1", 1e4), ("m3", 1e6)])
@@ -807,9 +912,9 @@ class TestEigenvaluesInEach:
 
         monkeypatch.setattr(_kernels, "sturm_counts", counted)
         eigenvalues_in_each(_c14_problems())
-        # 22 sweeps on a stack of columns (diag, offsq, xs, stop, mat), where
-        # the 100 matrices alone take 715 sweeps
-        assert set(calls) == {5} and len(calls) <= 50
+        # 22 sweeps on a stack of columns (diag, offsq, xs, stop, mat, last),
+        # where the 100 matrices alone take 715 sweeps
+        assert set(calls) == {6} and len(calls) <= 50
 
     def test_empty_stack(self):
         assert eigenvalues_in_each([]) == []
