@@ -41,6 +41,13 @@ shifts; a stack of independent tridiagonals, one per column, is gathered
 per block, each shift reading its own column.  Either way each shift gets
 the count and last pivot of the per-row floored loop on its own matrix,
 bit for bit.
+
+Every pass over the N steps or rows holds one block of them at a time,
+never a copy of the whole sequence: ``solve_three_term`` and the transfer
+loop convert their coefficients ``_STEPS`` steps at a time, and the one-
+tridiagonal ``sturm_counts`` converts each row block's couplings.  Each
+binary64 operation is the one the whole-sequence loop makes, in the same
+order, so the block size sets the transient memory, never a value.
 """
 
 import numpy as np
@@ -51,6 +58,7 @@ BACKEND = "numpy"
 
 _PIVMIN = 1e-300       # Sturm pivot floor
 _OVERFLOW = 1e300      # recurrence blowup guard
+_STEPS = 1024          # recurrence and transfer steps converted at a time
 
 
 # ---------------------------------------------------------------------------
@@ -61,19 +69,25 @@ def solve_three_term(rho, q, u0, u1):
     """Return (u, overflow_index); overflow_index is -1 when none occurred.
 
     The steps run on Python floats, whose operations are the IEEE binary64
-    ones of numpy scalars, at a fraction of their per-operation cost."""
+    ones of numpy scalars, at a fraction of their per-operation cost; the
+    coefficients are converted and the values written ``_STEPS`` steps at
+    a time."""
     n = rho.shape[0]
     u = np.empty(n + 1, dtype=np.float64)
     a, b = float(u0), float(u1)
-    out = [a, b]
-    rho, q = rho.tolist(), q.tolist()
-    for k in range(n - 1):
-        a, b = b, -(q[k + 1] * b + rho[k] * a) / rho[k + 1]
-        out.append(b)
-        if abs(b) > _OVERFLOW:
-            u[: k + 3] = out
-            return u, k + 2
-    u[:] = out
+    u[:2] = a, b
+    for k0 in range(0, n - 1, _STEPS):
+        k1 = min(k0 + _STEPS, n - 1)
+        # step k reads rho[k], rho[k + 1] and q[k + 1], and writes u[k + 2]
+        r, qs = rho[k0 : k1 + 1].tolist(), q[k0 + 1 : k1 + 1].tolist()
+        out = []
+        for j in range(k1 - k0):
+            a, b = b, -(qs[j] * b + r[j] * a) / r[j + 1]
+            out.append(b)
+            if abs(b) > _OVERFLOW:
+                u[k0 + 2 : k0 + j + 3] = out
+                return u, k0 + j + 2
+        u[k0 + 2 : k1 + 2] = out
     return u, -1
 
 
@@ -107,7 +121,7 @@ def sturm_counts(diag, offsq, xs, stop=None, mat=None, last=None):
     order = np.argsort(-stop, kind="stable")
     xs, stop = xs[order], stop[order]
     if mat is None:
-        col, w = diag[:, None], offsq.tolist()
+        col = diag[:, None]
         d = diag[0]
     else:
         mat = np.asarray(mat)[order]
@@ -139,7 +153,7 @@ def sturm_counts(diag, offsq, xs, stop=None, mat=None, last=None):
         block = buf[: (k1 - k0) * act].reshape(k1 - k0, act)
         sign = neg[: block.size].reshape(block.shape)
         if mat is None:
-            ws = w[k0 - 1 : k1 - 1]
+            ws = offsq[k0 - 1 : k1 - 1].tolist()
         else:
             m = mat[:act]
             ws = wbuf[: block.size].reshape(block.shape)
@@ -205,24 +219,28 @@ def _transfer(P, Q, zs, N, u0, v0):
     colf, sf = col.view(np.float64), s.view(np.float64)
     tmp = np.empty_like(colf)
     tu, tv = tmp
-    npq = np.stack([-P[:N], Q[:N]], axis=1)[:, :, None]
-    qp = np.stack([Q[:N], P[:N]], axis=1)[:, :, None]
-    logg = np.log1p(np.max(np.abs(zs), initial=0.0) * (P[:N] ** 2 + Q[:N] ** 2))
+    zmax = np.max(np.abs(zs), initial=0.0)
     grown = 0.0
     mul, add = np.multiply, np.add
-    for a, b, g in zip(npq, qp, logg.tolist()):
-        if grown + g > _LOG_BUDGET:
-            # the largest real or imaginary part to [1/2, 1)
-            m = np.frexp(np.maximum(abs(col.real), abs(col.imag)).max(axis=0))[1]
-            col *= np.ldexp(1.0, -m)
-            e, grown = e + m, 0.0
-        grown += g
-        # s = z (q v - p u), as q v + (-p u); u += q s, v += p s
-        mul(colf, a, tmp)
-        add(tv, tu, sf)
-        mul(s, zs, s)
-        mul(b, sf, tmp)
-        add(colf, tmp, colf)
+    for k0 in range(0, N, _STEPS):
+        k1 = min(k0 + _STEPS, N)
+        p, q = P[k0:k1], Q[k0:k1]
+        npq = np.stack([-p, q], axis=1)[:, :, None]
+        qp = np.stack([q, p], axis=1)[:, :, None]
+        logg = np.log1p(zmax * (p**2 + q**2))
+        for a, b, g in zip(npq, qp, logg.tolist()):
+            if grown + g > _LOG_BUDGET:
+                # the largest real or imaginary part to [1/2, 1)
+                m = np.frexp(np.maximum(abs(col.real), abs(col.imag)).max(axis=0))[1]
+                col *= np.ldexp(1.0, -m)
+                e, grown = e + m, 0.0
+            grown += g
+            # s = z (q v - p u), as q v + (-p u); u += q s, v += p s
+            mul(colf, a, tmp)
+            add(tv, tu, sf)
+            mul(s, zs, s)
+            mul(b, sf, tmp)
+            add(colf, tmp, colf)
     m = np.frexp(np.maximum(abs(col.real), abs(col.imag)).max(axis=0))[1]
     m = np.maximum(m - 1, -e)  # to the canonical form
     col *= np.ldexp(1.0, -m)

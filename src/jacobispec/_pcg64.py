@@ -7,7 +7,8 @@ seeded through ``SeedSequence``.  Importing that subpackage imports
 ``secrets`` and so maps OpenSSL's libcrypto, which costs more peak memory
 than any stage of a run.  ``Pcg64`` reproduces the two draws the package
 makes, ``uniform`` and ``integers`` on a range below 2^32, bit for bit,
-with Python ints and numpy ``uint64`` arrays.
+with Python ints and numpy ``uint64`` arrays.  ``uniform`` holds at most
+``_BLOCK`` states at once, whatever the length of the draw.
 """
 
 from __future__ import annotations
@@ -27,6 +28,9 @@ _LOW32 = np.uint64(_M32)
 # over: a doubling step costs ~40 us of numpy calls, and c14 draws 2 to 8
 # values per call
 _STEPPED = 64
+# states held at once: the first block comes by stepping and doubling, each
+# later one from the block before it
+_BLOCK = 4096
 
 
 def _seed_sequence(seed: int) -> tuple[int, int]:
@@ -126,10 +130,14 @@ class Pcg64:
 
     def uniform(self, low: float, high: float, n: int) -> np.ndarray:
         """*n* doubles ``low + (high - low) * (v >> 11) * 2^-53`` from the
-        next *n* 64-bit draws v.  The first states are stepped one by one;
-        then they come by jump-ahead doubling: a block of m states gives the
-        next m through the affine map (a, c) that advances a state by m
-        steps."""
+        next *n* 64-bit draws v, made ``_BLOCK`` states at a time.  The
+        first states are stepped one by one; then they come by jump-ahead
+        doubling: a block of m states gives the next m through the affine
+        map (a, c) that advances a state by m.  Each later block is the one
+        before it advanced by ``_BLOCK`` steps through one such map."""
+        if n < 0:
+            raise ValueError("negative dimensions are not allowed")
+        out = np.empty(n)
         states = []
         s = self._state
         for _ in range(min(n, _STEPPED)):
@@ -139,14 +147,27 @@ class Pcg64:
         lo = np.array([x & _M64 for x in states], dtype=np.uint64)
         a = pow(_MULT, len(states), 1 << 128)
         c = (s - a * self._state) & _M128
-        while hi.size < n:
-            more = min(hi.size, n - hi.size)
+        first = min(n, _BLOCK)
+        while hi.size < first:
+            more = min(hi.size, first - hi.size)
             new_hi, new_lo = _mul_add(hi[:more], lo[:more], a, c)
             hi, lo = np.concatenate((hi, new_hi)), np.concatenate((lo, new_lo))
             a, c = a * a & _M128, (a * c + c) & _M128
+        if n > _BLOCK:
+            a = pow(_MULT, _BLOCK, 1 << 128)
+            c = ((int(hi[-1]) << 64 | int(lo[-1])) - a * self._state) & _M128
+        for i in range(0, n, _BLOCK):
+            if i:
+                hi, lo = _mul_add(hi[: n - i], lo[: n - i], a, c)
+            # XSL-RR output, its top 53 bits to [0, 1)
+            rot = hi >> np.uint64(58)
+            x = hi ^ lo
+            v = x >> rot | x << (np.uint64(64) - rot & np.uint64(63))
+            block = out[i : i + _BLOCK]
+            block[:] = v >> np.uint64(11)
+            block *= 2.0**-53
         if n:
             self._state = int(hi[-1]) << 64 | int(lo[-1])
-        rot = hi >> np.uint64(58)
-        x = hi ^ lo
-        v = x >> rot | x << (np.uint64(64) - rot & np.uint64(63))
-        return low + (high - low) * ((v >> np.uint64(11)).astype(np.float64) * 2.0**-53)
+        out *= high - low
+        out += low
+        return out

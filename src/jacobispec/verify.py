@@ -13,7 +13,6 @@ import time
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable
-from xml.etree import ElementTree
 
 import numpy as np
 
@@ -447,24 +446,45 @@ def run_all_checks() -> list:
     return [run_check(n) for n, _ in CHECKS]
 
 
+# ElementTree's escapes: character data, and attribute values
+_TEXT = str.maketrans({"&": "&amp;", "<": "&lt;", ">": "&gt;"})
+_ATTRIB = str.maketrans({
+    "&": "&amp;", "<": "&lt;", ">": "&gt;", '"': "&quot;",
+    "\r": "&#13;", "\n": "&#10;", "\t": "&#09;",
+})
+
+
+def _attrs(**values: str) -> str:
+    return "".join(f' {k}="{v.translate(_ATTRIB)}"' for k, v in values.items())
+
+
 def write_junit(results: list, path) -> None:
-    suite = ElementTree.Element(
-        "testsuite",
+    """Write the JUnit XML report of *results* to *path*, a file name or a
+    text stream, as ``xml.etree`` writes it indented, without importing
+    ``xml.etree``: that package and ``pyexpat`` would raise a ``verify``
+    run's peak memory."""
+    suite = _attrs(
         name="jacobispec.verify",
         tests=str(len(results)),
         failures=str(sum(not r.passed for r in results)),
         time=f"{sum(r.seconds for r in results):.3f}",
     )
+    lines = ["<?xml version='1.0' encoding='utf-8'?>", f"<testsuite{suite}>"]
     for r in results:
-        case = ElementTree.SubElement(
-            suite, "testcase", classname="verify", name=r.name,
-            time=f"{r.seconds:.3f}",
-        )
-        if not r.passed:
-            failure = ElementTree.SubElement(
-                case, "failure", message=f"observed {r.observed}; expected {r.expected}"
-            )
-            failure.text = r.line()
-    tree = ElementTree.ElementTree(suite)
-    ElementTree.indent(tree)
-    tree.write(path, encoding="unicode", xml_declaration=True)
+        case = _attrs(classname="verify", name=r.name, time=f"{r.seconds:.3f}")
+        if r.passed:
+            lines.append(f"  <testcase{case} />")
+        else:
+            message = _attrs(message=f"observed {r.observed}; expected {r.expected}")
+            lines += [
+                f"  <testcase{case}>",
+                f"    <failure{message}>{r.line().translate(_TEXT)}</failure>",
+                "  </testcase>",
+            ]
+    lines.append("</testsuite>")
+    text = "\n".join(lines)
+    if hasattr(path, "write"):
+        path.write(text)
+    else:
+        with open(path, "w", encoding="utf-8") as f:
+            f.write(text)

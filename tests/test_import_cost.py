@@ -2,13 +2,13 @@
 scipy.linalg alone roughly doubles the CLI's peak RSS.  Nor may a route
 call LAPACK through ``np.linalg``: the first ``lstsq`` call maps LAPACK's
 code into the process, and every fit is a closed-form line fit or a
-Gram-Schmidt four-term fit.  ``verify`` (with ``xml.etree``) is loaded
-only by the ``verify`` subcommand.  No subcommand may load ``numpy.random``
-(it imports ``secrets`` → ``hmac`` → ``_hashlib``) or ``hashlib``: either
-maps OpenSSL's libcrypto.  Without them the peak RSS of one CLI run on the
-bench configs fell by about 5.5 MiB, e.g. m3 ``growth`` 37.8 → 32.5 MiB
-and ``verify`` 40.6 → 34.6 MiB (median of 6 runs, ``os.wait4``, Python
-3.11, numpy 2.4, 2-core Xeon).
+Gram-Schmidt four-term fit.  ``verify`` is loaded only by the ``verify``
+subcommand, and writes its JUnit report without ``xml.etree``.  No
+subcommand may load ``numpy.random`` (it imports ``secrets`` → ``hmac`` →
+``_hashlib``) or ``hashlib``: either maps OpenSSL's libcrypto.  Without
+them the peak RSS of one CLI run on the bench configs fell by about 5.5
+MiB, e.g. m3 ``growth`` 37.8 → 32.5 MiB and ``verify`` 40.6 → 34.6 MiB
+(median of 6 runs, ``os.wait4``, Python 3.11, numpy 2.4, 2-core Xeon).
 
 The package root loads nothing until a name is used, then every layer
 once, and binds each name of the layers' ``__all__``; a CLI command
@@ -47,7 +47,7 @@ print(",".join(loaded))
 """
 
 # Every LAPACK entry point of np.linalg raises; growth then verify run in
-# the same child, and the modules loaded after growth are recorded.
+# the same child, and the modules loaded after each are recorded.
 NO_LAPACK_CODE = """
 import json
 import sys
@@ -73,7 +73,11 @@ config, out = sys.argv[1:3]
 growth_rc = main(["growth", "--config", config, "--out", out + "/growth"])
 after_growth = [m for m in ("jacobispec.verify", "xml.etree.ElementTree") if m in sys.modules]
 verify_rc = main(["verify", "--out", out + "/verify"])
-print(json.dumps({"growth_rc": growth_rc, "after_growth": after_growth, "verify_rc": verify_rc}))
+after_verify = [m for m in ("xml.etree.ElementTree", "pyexpat") if m in sys.modules]
+print(json.dumps({
+    "growth_rc": growth_rc, "after_growth": after_growth, "verify_rc": verify_rc,
+    "after_verify": after_verify,
+}))
 """
 
 # growth, spectrum and report on a seeded-noise config, then verify, in one
@@ -248,6 +252,9 @@ class TestWithoutLapack:
 
     def test_growth_loads_neither_verify_nor_element_tree(self, child):
         assert child[0]["after_growth"] == []
+
+    def test_verify_loads_no_element_tree(self, child):
+        assert child[0]["after_verify"] == []
 
 
 def test_cli_runs_load_neither_openssl_nor_numpy_random(tmp_path):

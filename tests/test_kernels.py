@@ -1,12 +1,16 @@
 """The numpy kernels: recurrence overflow index, the float loops against
-their numpy-scalar form, and the transfer loop's accuracy, renormalization
-and dtype entry points."""
+their numpy-scalar form, the transfer loop's accuracy, renormalization
+and dtype entry points, their step blocks, and the transient memory of
+every O(N) pass."""
+
+import tracemalloc
 
 import mpmath
 import numpy as np
 import pytest
 
 from jacobispec import _kernels as K
+from jacobispec._pcg64 import Pcg64
 
 
 @pytest.fixture(scope="module")
@@ -96,6 +100,30 @@ class _NumpyScalars(np.ndarray):
 
     def tolist(self):
         return list(np.asarray(self))
+
+
+@pytest.mark.parametrize("n", [K._STEPS - 1, K._STEPS, K._STEPS + 1, 3 * K._STEPS + 5])
+def test_solve_blocks_match_numpy_scalar_loop(n):
+    # n - 1 steps: one short of a full block, a full one, one past it, and
+    # three full blocks and four steps
+    rng = np.random.default_rng(n)
+    rho, q = np.ones(n), rng.uniform(-1.0, 1.0, n)
+    u, k = K.solve_three_term(rho, q, 1.0, -0.5)
+    ref, ref_k = _solve_three_term_numpy(rho, q, 1.0, -0.5)
+    assert k == ref_k == -1 and np.array_equal(u, ref)
+
+
+@pytest.mark.parametrize("index", [K._STEPS, K._STEPS + 1, K._STEPS + 2, 2 * K._STEPS + 19])
+def test_solve_overflow_at_block_edges(index):
+    # rho = 1 and q = 0 keep |u| = 1 until q[index - 1] makes u[index] about
+    # 1e301: step index - 2 overflows, the last or first step of a block for
+    # the first three indices, and a step inside the third block for the last
+    n = 3 * K._STEPS
+    rho, q = np.ones(n), np.zeros(n)
+    q[index - 1] = 1e301
+    u, k = K.solve_three_term(rho, q, 1.0, 1.0)
+    ref, ref_k = _solve_three_term_numpy(rho, q, 1.0, 1.0)
+    assert k == ref_k == index and np.array_equal(u[: k + 1], ref[: k + 1])
 
 
 def test_float_loops_match_numpy_scalar_loops(model):
@@ -229,6 +257,28 @@ def test_transfer_matches_eight_operation_loop(model, monkeypatch, budget):
     assert scaled > 0
 
 
+def test_transfer_rescale_carries_across_blocks():
+    # the growth bound sums to ~549 over the first block of steps, so the
+    # first rescale falls in the second; (P, Q) alternating between (a, 0)
+    # and (0, a) makes the column grow almost as fast as the bound, so a
+    # bound that restarted at a block edge would let the column overflow
+    B, x = K._STEPS, 1e4
+    N = 3 * B
+    t = np.where(np.arange(N) < B, 0.71, np.e**2)  # x a^2
+    even = np.arange(N) % 2 == 0
+    a = np.sqrt(t / x)
+    P, Q = np.where(even, a, 0.0), np.where(even, 0.0, a)
+    first = np.argmax(np.cumsum(np.log1p(x * (P**2 + Q**2))) > K._LOG_BUDGET)
+    assert B <= first < 2 * B
+    xs = np.array([-x, x, 0.5 * x, 3.0])
+    for u0, v0 in ((0.0, 1.0), (-1.0, 0.0)):
+        got = K.transfer_real(P, Q, xs, N, u0, v0)
+        ref = _transfer_eight_ops(P, Q, xs, N, u0, v0)
+        for g, r in zip(got, ref):
+            assert np.array_equal(g, r)
+        assert np.all(np.isfinite(got[0])) and got[2].max() > 5000
+
+
 def test_transfer_real_agrees_with_complex(model):
     # on the real axis the complex loop does the real loop's arithmetic
     P, Q = model
@@ -243,3 +293,40 @@ def test_transfer_real_agrees_with_complex(model):
 
 def test_backend_is_numpy():
     assert K.BACKEND == "numpy"
+
+
+class TestTransientMemory:
+    """Every O(N) pass holds one block of steps, rows or states at a time:
+    at N = 2e5 its traced peak stays within 1 MiB of its output's bytes."""
+
+    N = 200_000
+
+    @pytest.fixture(scope="class")
+    def calls(self):
+        rng = np.random.default_rng(5)
+        N = self.N
+        rho, q = np.ones(N), np.full(N, 0.5)
+        P, Q = rng.uniform(-1e-3, 1e-3, N), rng.uniform(-1e-3, 1e-3, N)
+        xs = np.linspace(-10.0, 10.0, 8)
+        diag, offsq = rng.uniform(-3.0, 3.0, N), rng.uniform(0.05, 4.0, N - 1)
+        shifts = np.array([-1.0, 0.0, 1.0, 2.0])
+        return {
+            "solve_three_term": lambda: K.solve_three_term(rho, q, 1.0, 0.5),
+            "transfer_real": lambda: K.transfer_real(P, Q, xs, N, 0.0, 1.0),
+            "sturm_counts": lambda: K.sturm_counts(diag, offsq, shifts),
+            "uniform": lambda: (Pcg64(3).uniform(-1.0, 1.0, 5 * N),),
+        }
+
+    @pytest.mark.parametrize(
+        "name", ["solve_three_term", "transfer_real", "sturm_counts", "uniform"]
+    )
+    def test_peak_within_output_plus_one_mib(self, calls, name):
+        assert not tracemalloc.is_tracing()
+        tracemalloc.start()
+        try:
+            out = calls[name]()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        output = sum(np.asarray(x).nbytes for x in out)
+        assert peak < output + 2**20, (peak / 2**20, output / 2**20)

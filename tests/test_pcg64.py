@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from jacobispec._pcg64 import Pcg64
+from jacobispec._pcg64 import _BLOCK, Pcg64
 
 SEEDS = [0, 1, 7, 2**32 - 1, 2**32, 2**64 + 5, 2**130 + 12345]
 
@@ -21,6 +21,17 @@ def test_uniform_matches_default_rng(seed, N):
     ours = Pcg64(seed).uniform(-1.0, 1.0, 2 * N).reshape(2, N)
     theirs = np.random.default_rng(seed).uniform(-1.0, 1.0, size=(2, N))
     assert np.array_equal(_bits(ours), _bits(theirs))
+
+
+@pytest.mark.parametrize("n", [_BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 5])
+def test_uniform_blocks_keep_the_stream(n):
+    # a draw around and past the block size, then a 32-bit draw and a short
+    # draw: the state after the last block is numpy's
+    ours, theirs = Pcg64(11), np.random.default_rng(11)
+    assert np.array_equal(_bits(ours.uniform(-2.0, 3.0, n)), _bits(theirs.uniform(-2.0, 3.0, n)))
+    assert ours._state == theirs.bit_generator.state["state"]["state"]
+    assert ours.integers(0, 1000) == int(theirs.integers(0, 1000))
+    assert np.array_equal(_bits(ours.uniform(0.0, 1.0, 3)), _bits(theirs.uniform(0.0, 1.0, 3)))
 
 
 def test_c05_stream():
@@ -56,6 +67,14 @@ def test_rejects_negative_seed_and_wide_range():
         Pcg64(-1)
     with pytest.raises(ValueError):
         Pcg64(0).integers(0, 2**32 + 1)
+
+
+def test_uniform_rejects_negative_size():
+    # as numpy does, where an unchecked size would index an empty block
+    for draw in (lambda: Pcg64(0).uniform(0.0, 1.0, -1),
+                 lambda: np.random.default_rng(0).uniform(0.0, 1.0, size=-1)):
+        with pytest.raises(ValueError, match="negative dimensions"):
+            draw()
 
 
 @settings(max_examples=40, deadline=None)

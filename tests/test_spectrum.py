@@ -110,7 +110,9 @@ class TestBlockedSturmKernel:
         )
         return calls
 
-    @pytest.mark.parametrize("N", [1, 15, 16, 17, 33])
+    # 600 rows: three blocks of at most _ROWS rows, each converting its own
+    # couplings
+    @pytest.mark.parametrize("N", [1, 15, 16, 17, 33, 600])
     def test_random_matrices(self, rng, N):
         for _ in range(20):
             diag = rng.uniform(-3.0, 3.0, N)
