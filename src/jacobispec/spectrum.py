@@ -3,17 +3,19 @@
 Only counts and brackets are ever needed downstream, so everything is
 built on the Sturm count (LD-factorization sign count with floored
 pivots) rather than on a factorization eigensolver.  Eigenvalues are
-bracketed in three phases that share batched Sturm sweeps: isolation of
+bracketed in two phases that share batched Sturm sweeps: isolation of
 each eigenvalue by cutting distinct intervals, each into at least as
 many equal parts as it holds eigenvalues of J_N and J_{N-1} (after the
-bisection of Barth, Martin and Wilkinson, Numer. Math. 9, 1967), a
+bisection of Barth, Martin and Wilkinson, Numer. Math. 9, 1967), and a
 safeguarded regula falsi on the last LD pivot, whose sign changes are
 decided by the count (after Li and Zeng, SIAM J. Matrix Anal. Appl. 15,
-1994), and a finish that centres each bracket on the converged point and
-confirms it by the counts at those of its ends that the bracket before
-it does not already settle.  A bracket that the regula falsi cannot
-finish goes back to isolation, the one rule that cuts, which narrows it
-to the tolerance.  A brute-force characteristic-polynomial
+1994).  Isolation is the one rule that cuts.  A bracket on which the
+regula falsi converges to a point x goes back to it, to be cut at
+x -+ 0.45 tol: the part that holds the eigenvalue is then either the
+bracket centred on x or, where the regula falsi stopped short of the
+eigenvalue, a side part that isolation narrows to the tolerance.  A
+bracket that the regula falsi cannot finish goes back to isolation as
+it stands.  A brute-force characteristic-polynomial
 root isolator serves as the independent cross-check for tiny matrices.
 """
 
@@ -86,9 +88,10 @@ def gershgorin_interval(seq: JacobiSequence, N: int) -> tuple[float, float]:
     return float(np.min(diag)) - spread, float(np.max(diag)) + spread
 
 
-#: a finished bracket is [x - _HALF * tol, x + _HALF * tol] around the
-#: converged secant point x, so that both of its ends keep a margin of
-#: about 0.45 tol from the eigenvalue for the sign checks made there
+#: a finish cuts its bracket at x - _HALF * tol and x + _HALF * tol around
+#: the converged secant point x, so that the part between them, where it
+#: holds the eigenvalue, keeps a margin of about 0.45 tol from it at both
+#: ends for the sign checks made there
 _HALF = 0.45
 #: the secant iteration stops once its next step is below _STEP * tol
 _STEP = 0.1
@@ -103,9 +106,8 @@ _SECANT_SWEEPS = 100
 #: N = 2000, fastest of 30 runs, 2-core Xeon)
 _SPLIT = 256
 
-# columns of the table of isolated eigenvalues in _stacked_brackets
-_LO, _HI, _FLO, _FHI, _K, _P, _LAST, _X, _MODE, _FAILS, _PROB = range(11)
-_SECANT, _CONFIRM = 0.0, 1.0
+# columns of the secant table of isolated eigenvalues in _stacked_brackets
+_LO, _HI, _FLO, _FHI, _K, _P, _LAST, _X, _PROB = range(9)
 
 
 def _cut(lo, hi, t):
@@ -148,6 +150,16 @@ def _isolation_cuts(iso):
     i = np.repeat(np.arange(len(iso)), ncut)
     t = (np.arange(first.size) - first + 1) / (ncut[i] + 1)
     return _cut(iso[i, 0], iso[i, 1], t), ncut
+
+
+def _finish_cuts(fin, tol):
+    """The cut points of every finishing interval, as (cuts, ncut): those of
+    x - _HALF * tol and x + _HALF * tol, for its converged secant point x,
+    that lie strictly inside it, ncut[i] of them in interval i."""
+    half = _HALF * tol[fin[:, 8].astype(np.int64)]
+    ends = np.column_stack([fin[:, 10] - half, fin[:, 10] + half])
+    inside = (fin[:, :1] < ends) & (ends < fin[:, 1:2])
+    return ends[inside], inside.sum(axis=1)
 
 
 def _split(iso, ncut, cuts, c, p, f):
@@ -202,7 +214,7 @@ def _stacked_brackets(diag, offsq, n, last, a, b, tol, col=None):
 
     Every sweep is one batched Sturm count, whose last pivot d_N(x) also
     gives the count of J_{N-1} at x.  The first counts the window ends
-    together with the first cuts.  Each bracket passes through up to three
+    together with the first cuts.  Each bracket passes through up to two
     phases, and brackets in different phases, or of different problems,
     share sweeps:
 
@@ -221,21 +233,26 @@ def _stacked_brackets(diag, offsq, n, last, a, b, tol, col=None):
        sign of d_N, decides which end the point replaces.  The weight
        applies from the first step on: the isolation end that the first
        step keeps counts as kept once already.
-    3. Centred finish.  Once the next step is below ``_STEP * tol``, the
-       bracket becomes [x - _HALF * tol, x + _HALF * tol] around the
-       proposed point x.  Each of its ends that lies strictly inside the
-       current bracket is confirmed by its count; one at or beyond the
-       current bracket's end on its side is on that side of eigenvalue k
-       already, as the count is monotone in the shift.  A finish with
-       both ends so placed is stored at once, with no count.
 
-    A bracket that fails its confirmation resumes the secant from the end
-    the confirmation moved.  One that fails twice, or whose pivots disagree
-    with its counts, and from sweep ``_SECANT_SWEEPS`` on every secant
-    bracket, goes back to isolation as an interval that holds eigenvalue k
-    of J_N and none of J_{N-1}, flagged never to return to the secant; from
-    that sweep on no interval is promoted at all.  Isolation is the one
-    rule that cuts.  An interval stops once it is at most tol wide, and its
+    Once the next step is below ``_STEP * tol``, or the bracket (lo, hi)
+    is at most tol wide, the bracket finishes: with h = _HALF * tol around
+    the proposed point x, it goes back to isolation as the interval
+    [min(lo, x - h), max(hi, x + h)], which the next sweep cuts at those of
+    x - h and x + h that lie strictly inside it.  An end at or beyond the
+    bracket's end on its side is on that side of eigenvalue k already, as
+    the count is monotone in the shift.  The part that holds eigenvalue k
+    is then [x - h, x + h], which stops as at most tol wide, or a side part
+    where the secant stopped short of the eigenvalue, which is isolated on.
+    A finish with neither point strictly inside is [x - h, x + h] itself
+    and stops in the sweep that proposes it, with no count.
+
+    A bracket whose pivots disagree with its counts, and from sweep
+    ``_SECANT_SWEEPS`` on every secant bracket that does not finish, goes
+    back to isolation as it stands.  Every bracket that leaves the secant
+    is an interval that holds eigenvalue k of J_N and none of J_{N-1},
+    flagged never to return to the secant; from that sweep on no interval
+    is promoted at all.  Isolation is the one rule that cuts and the one
+    that stores.  An interval stops once it is at most tol wide, and its
     eigenvalues get the interval itself as their bracket; one that holds
     more than one eigenvalue of J_N, a cluster narrower than tol, is cut on
     until no float is left strictly between its ends, so that only
@@ -261,28 +278,25 @@ def _stacked_brackets(diag, offsq, n, last, a, b, tol, col=None):
     # window ends come with the first sweep
     iso = np.zeros((n_prob, 10))
     iso[:, 0], iso[:, 1], iso[:, 8] = ends[0], ends[1], np.arange(n_prob)
+    # finishing intervals, to be cut in the next sweep: iso's columns and
+    # the converged secant point x
+    fin = np.empty((0, 11))
     # isolated eigenvalues, in the columns named above: lo, hi, d_N at both
     # (weighted), the index k, the J_{N-1} count, the end replaced last (-1
-    # lo, +1 hi, 0 none), the next point to count, the phase, the number
-    # of failed finishes and the problem
-    one = np.empty((0, 11))
+    # lo, +1 hi, 0 none), the next point to count and the problem
+    one = np.empty((0, 9))
     shift = None  # output index minus count(lo), per problem
     sweeps = 0
-    while shift is None or iso.size or one.size:
+    while shift is None or iso.size or fin.size or one.size:
         sweeps += 1
         cuts, ncut = _isolation_cuts(iso)
+        fin_cuts, fin_ncut = _finish_cuts(fin, tol)
+        # the finishing intervals are split with the others
+        iso = np.concatenate([iso, fin[:, :10]])
+        cuts, ncut = np.concatenate([cuts, fin_cuts]), np.concatenate([ncut, fin_ncut])
         one_prob = one[:, _PROB].astype(np.int64)
-        mode, k, tk = one[:, _MODE], one[:, _K], tol[one_prob]
-        conf = mode == _CONFIRM
-        # a bracket in its centred finish is counted at those of its two
-        # ends that lie strictly inside the bracket: one at or beyond an end
-        # of the bracket is on the right side of eigenvalue k already
-        x1 = one[:, _X] - np.where(conf, _HALF * tk, 0.0)
-        x2 = one[conf, _X] + _HALF * tk[conf]
-        at1 = ~conf | (x1 > one[:, _LO])
-        at2 = x2 < one[conf, _HI]
-        xs = [cuts, x1[at1], x2[at2]]
-        prob = [np.repeat(iso[:, 8].astype(np.int64), ncut), one_prob[at1], one_prob[conf][at2]]
+        xs = [cuts, one[:, _X]]
+        prob = [np.repeat(iso[:, 8].astype(np.int64), ncut), one_prob]
         if shift is None:
             xs += [ends.ravel()]
             prob += [np.tile(np.arange(n_prob), 2)]
@@ -294,86 +308,56 @@ def _stacked_brackets(diag, offsq, n, last, a, b, tol, col=None):
         )
         p = c - (f < 0)
         m0 = cuts.size
-        m1 = m0 + xs[1].size
-        m2 = m1 + xs[2].size
+        m1 = m0 + len(one)
         if shift is None:
-            iso[:, 2:8] = np.column_stack([e[m2:].reshape(2, n_prob).T for e in (c, p, f)])
+            iso[:, 2:8] = np.column_stack([e[m1:].reshape(2, n_prob).T for e in (c, p, f)])
             offsets = np.concatenate([[0], np.cumsum(iso[:, 3] - iso[:, 2])]).astype(np.int64)
             shift = offsets[:-1] - iso[:, 2].astype(np.int64)
             out_lo = np.empty(offsets[-1])
             out_hi = np.empty(offsets[-1])
 
-        fell = np.empty((0, 10))
+        fell, fin = np.empty((0, 10)), np.empty((0, 11))
         if one.size:
             # whether each point lies above eigenvalue k, with its pivots;
-            # an end of a finish that was not counted lies below the bracket
-            up, pc, fc = np.zeros(k.size, bool), np.zeros(k.size), np.full(k.size, np.nan)
-            up[at1], pc[at1], fc[at1] = c[m0:m1] >= k[at1], p[m0:m1], f[m0:m1]
-            # every counted point narrows its bracket, as the count says
-            lo = np.where(up, one[:, _LO], np.maximum(one[:, _LO], x1))
-            hi = np.where(up, np.minimum(one[:, _HI], x1), one[:, _HI])
-            back = np.zeros(k.size, dtype=bool)
-            done = np.zeros(k.size, dtype=bool)
-            # the point that moved each bracket, whose pivots are pc, fc
-            xc = x1.copy()
-            if x2.size:
-                # the upper ends of the finishes; one not counted lies above
-                # the bracket
-                up2, p2, f2 = np.ones(x2.size, bool), np.zeros(x2.size), np.full(x2.size, np.nan)
-                up2[at2], p2[at2], f2[at2] = c[m1:m2] >= k[conf][at2], p[m1:m2], f[m1:m2]
-                lo[conf] = np.where(up2, lo[conf], np.maximum(lo[conf], x2))
-                hi[conf] = np.where(up2, np.minimum(hi[conf], x2), hi[conf])
-                # the centred finish: confirmed, else back to the secant once
-                # from the end it moved (where d_N is huge at the other end a
-                # step is small far from the eigenvalue), then isolated again
-                done[conf] = ~up[conf] & up2
-                failed = conf & ~done
-                back |= failed & (one[:, _FAILS] > 0)
-                one[failed, _FAILS] += 1
-                one[failed & ~back, _MODE] = _SECANT
-                i = np.flatnonzero(conf)[~up2]  # x2 moved lo
-                xc[i], fc[i], pc[i] = x2[~up2], f2[~up2], p2[~up2]
+            # every point narrows its bracket, as the count says
+            k, tk, x = one[:, _K], tol[one_prob], one[:, _X]
+            up, pc, fc = c[m0:m1] >= k, p[m0:m1], f[m0:m1]
+            lo = np.where(up, one[:, _LO], np.maximum(one[:, _LO], x))
+            hi = np.where(up, np.minimum(one[:, _HI], x), one[:, _HI])
             one[:, _LO], one[:, _HI] = lo, hi
-            sec = mode == _SECANT
-            if sec.any():
-                # where the same end is replaced twice running, or at the
-                # first step (the other end counts as kept once already), the
-                # pivot kept at the other end is weighted by 1 - f_new / f_old,
-                # or by 1/2 where that is not positive
-                rows = np.arange(k.size)
-                side = np.where(up, 1.0, -1.0)
-                new_end = np.where(up, _FHI, _FLO)
-                again = sec & (one[:, _LAST] != -side)
-                with np.errstate(all="ignore"):
-                    w = 1.0 - fc / one[rows, new_end]
-                w = np.where(w > 0, w, 0.5)
-                one[rows[again], (_FLO + _FHI - new_end)[again]] *= w[again]
-                one[rows[sec], new_end[sec]] = fc[sec]
-                one[:, _LAST] = side
-                nxt = _secant_point(one)
-                one[sec, _X] = nxt[sec]
-                bad = sec & ((up != (fc < 0)) | (pc != one[:, _P]))
-                step = np.abs(nxt - xc)
-                near = sec & ~bad & ((step <= _STEP * tk) | (hi - lo <= tk))
-                one[near, _MODE] = _CONFIRM
-                # a finish whose ends both lie at or beyond the bracket's
-                # holds eigenvalue k without a count
-                x = one[:, _X]
-                done |= near & (x - _HALF * tk <= lo) & (x + _HALF * tk >= hi)
-                back |= bad
-            if sweeps >= _SECANT_SWEEPS:
-                back |= ~done
-            if done.any():
-                # a finished bracket is centred on its point
-                x, half = one[done, _X], _HALF * tk[done]
-                brackets = np.column_stack([x - half, x + half, k[done] - 1, k[done]])
-                _store(out_lo, out_hi, brackets, shift[one_prob[done]])
-            # a bracket that leaves the secant is an interval to isolate
-            # again, which holds eigenvalue k of J_N and none of J_{N-1}
-            fell = one[back][:, [_LO, _HI, _K, _K, _P, _P, _FLO, _FHI, _PROB, _PROB]]
-            fell[:, 2] -= 1.0
-            fell[:, 9] = 1.0
-            one = one[~(done | back)]
+            # where the same end is replaced twice running, or at the first
+            # step (the other end counts as kept once already), the pivot
+            # kept at the other end is weighted by 1 - f_new / f_old, or by
+            # 1/2 where that is not positive
+            rows = np.arange(k.size)
+            side = np.where(up, 1.0, -1.0)
+            new_end = np.where(up, _FHI, _FLO)
+            again = one[:, _LAST] != -side
+            with np.errstate(all="ignore"):
+                w = 1.0 - fc / one[rows, new_end]
+            w = np.where(w > 0, w, 0.5)
+            one[rows[again], (_FLO + _FHI - new_end)[again]] *= w[again]
+            one[rows, new_end] = fc
+            one[:, _LAST] = side
+            nxt = _secant_point(one)
+            bad = (up != (fc < 0)) | (pc != one[:, _P])
+            near = ~bad & ((np.abs(nxt - x) <= _STEP * tk) | (hi - lo <= tk))
+            one[:, _X] = nxt
+            # a bracket leaves the secant as an interval to isolate, which
+            # holds eigenvalue k of J_N and none of J_{N-1}
+            leave = bad | near | (sweeps >= _SECANT_SWEEPS)
+            out = one[:, [_LO, _HI, _K, _K, _P, _P, _FLO, _FHI, _PROB, _PROB, _X]]
+            out[:, 2] -= 1.0
+            out[:, 9] = 1.0
+            # a finish is widened to hold its cut points x -+ _HALF tol, to
+            # be cut at them in the next sweep; with neither strictly inside
+            # it is the interval between them, which stops in this one
+            out[near, 0] = np.minimum(lo, nxt - _HALF * tk)[near]
+            out[near, 1] = np.maximum(hi, nxt + _HALF * tk)[near]
+            centred = near & (_finish_cuts(out, tol)[1] == 0)
+            fin = out[near & ~centred]
+            fell = out[(leave & ~near) | centred, :10]
+            one = one[~leave]
 
         iso = np.concatenate([_split(iso, ncut, cuts, c[:m0], p[:m0], f[:m0]), fell])
         iso_prob = iso[:, 8].astype(np.int64)
@@ -386,7 +370,7 @@ def _stacked_brackets(diag, offsq, n, last, a, b, tol, col=None):
             iso = iso[~stop]
         ready = (iso[:, 3] - iso[:, 2] == 1.0) & (iso[:, 4] == iso[:, 5]) & (iso[:, 9] == 0.0)
         if sweeps < _SECANT_SWEEPS and ready.any():
-            add = np.zeros((np.count_nonzero(ready), 11))
+            add = np.zeros((np.count_nonzero(ready), 9))
             add[:, [_LO, _HI, _FLO, _FHI, _K, _P, _PROB]] = (
                 iso[ready][:, [0, 1, 6, 7, 3, 4, 8]]
             )

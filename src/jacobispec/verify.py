@@ -197,6 +197,13 @@ def _close(x: float, target: float, atol: float) -> bool:
     return abs(x - target) <= atol
 
 
+def _over_a_second(elapsed: float) -> str:
+    """The run time of a check with a < 1 s gate, as observed text only
+    where it fails that gate: the line's own suffix reports it always, so
+    a passing line reads the same on every run."""
+    return f" in {elapsed:.3f}s" if elapsed >= 1.0 else ""
+
+
 def _check_classification_table():
     t0 = time.perf_counter()
     failures = []
@@ -226,7 +233,7 @@ def _check_classification_table():
     elapsed = time.perf_counter() - t0
     passed = not failures and elapsed < 1.0
     obs = "all 12 rows match" if not failures else "; ".join(failures)
-    return passed, f"{obs} in {elapsed:.3f}s", "exact match of all 12 rows, < 1 s"
+    return passed, obs + _over_a_second(elapsed), "exact match of all 12 rows, < 1 s"
 
 
 def _check_wronskian():
@@ -235,7 +242,7 @@ def _check_wronskian():
     elapsed = time.perf_counter() - t0
     return (
         res <= 1e-8 and elapsed < 1.0,
-        f"max residual {res:.3e} in {elapsed:.3f}s",
+        f"max residual {res:.3e}" + _over_a_second(elapsed),
         "<= 1e-8, < 1 s",
     )
 

@@ -1,3 +1,5 @@
+import hashlib
+
 import mpmath
 import numpy as np
 import pytest
@@ -6,6 +8,7 @@ from hypothesis import strategies as st
 
 from jacobispec import _kernels, growth, spectrum, verify
 from jacobispec.params import JacobiSequence, descriptor_from_json, materialize
+from jacobispec.recurrence import solve_at_zero
 from jacobispec.spectrum import (
     TruncatedSpectrum,
     charpoly_eigenvalues,
@@ -624,6 +627,108 @@ class TestModifiedLastRow:
         assert np.all(np.abs(0.5 * (shared_lo + shared_hi) - 0.5 * (lo + hi)) <= 1e-9 * r)
 
 
+def _m1_exact(N):
+    """Golden m1, rho_n = m^2 (1 + 2/m + 1/m^2) with m = max(n, 1) and
+    q_n = 1, from binary64 products, quotients and sums alone (no pow)."""
+    m = np.maximum(np.arange(N, dtype=np.float64), 1.0)
+    return tiny(m * m * (1.0 + 2.0 / m + 1.0 / (m * m)), np.ones(N))
+
+
+# the eigenvalues (N, k) of J_1 .. J_50 of m1 whose centred finish fails in
+# c14's stack: the eigenvalue lies outside [x - 0.45 tol, x + 0.45 tol]
+_FAILED_FINISHES = {(26, 14), (28, 15), (30, 16), (36, 19), (38, 20), (40, 21), (42, 22), (50, 26)}
+
+
+class TestBracketBits:
+    """The bits of every bracket of four golden bracket calls, pinned.
+
+    Every cut, secant point and finish is a binary64 operation on inputs
+    built without libm, so a change to the bracket engine that keeps its
+    decisions keeps these digests; one that moves a single bracket end by
+    one ulp does not.  The brackets of the failed finishes in the prefix
+    stack are left out: where they go after the failure is the engine's
+    fallback, which ``TestFailedFinish`` checks."""
+
+    @staticmethod
+    def problems(case):
+        if case == "m1_eigenvalues":
+            return [(_m1_exact(2000), 2000, (-1e4, 1e4), 1e-7, None)]
+        if case == "m1_b_zeros":
+            seq = _m1_exact(2000)
+            return [growth._b_zero_problem(solve_at_zero(seq), seq, 2000, 1e4)]
+        if case == "m1_prefix_stack":
+            seq = _m1_exact(51)
+            return [(seq, N, gershgorin_interval(seq, N), None, None) for N in range(1, 51)]
+        return [(*problem, None) for problem in _c14_problems()]
+
+    @pytest.mark.parametrize("case, size, digest", [
+        ("m1_eigenvalues", 116, "df8c41eec682a3f8a566f42cdbfcf11b4635cc14"),
+        ("m1_b_zeros", 116, "cd7f4b3b2d6aad83f519cf51590120b91080548b"),
+        ("m1_prefix_stack", 1267, "1c6b36595c01f29310baa56a857a78a5b5177633"),
+        ("c14_random_stack", 461, "7bdaeccef7d5003c37debb2b9ade2e5b422c3c1b"),
+    ])
+    def test_bracket_digest(self, case, size, digest):
+        problems = self.problems(case)
+        sha, hashed = hashlib.sha1(), 0
+        for (_, N, *_), (lo, hi) in zip(problems, spectrum._bracket_each(problems)):
+            if case == "m1_prefix_stack":
+                keep = [(N, k) not in _FAILED_FINISHES for k in range(1, lo.size + 1)]
+                lo, hi = lo[keep], hi[keep]
+            sha.update(lo.tobytes())
+            sha.update(hi.tobytes())
+            hashed += lo.size
+        assert hashed == size
+        assert sha.hexdigest() == digest
+
+
+class TestFailedFinish:
+    def test_failed_finish_goes_straight_to_isolation(self, monkeypatch):
+        # J_1 .. J_50 of m1, as c14 computes them.  A bracket whose centred
+        # finish fails gets no further secant point, and isolation still
+        # brackets its eigenvalue within tol.
+        points = {}
+        secant = spectrum._secant_point
+
+        def recorded(one):
+            x = secant(one)
+            for row, xi in zip(one, x):
+                key = int(row[spectrum._PROB]), int(row[spectrum._K])
+                points.setdefault(key, []).append((row[spectrum._HI] - row[spectrum._LO], xi))
+            return x
+
+        monkeypatch.setattr(spectrum, "_secant_point", recorded)
+        seq = _seq("m1", 51)
+        spectra = full_spectra(seq, range(1, 51))
+        failed, resumed = set(), set()
+        for (m, k), steps in points.items():
+            N = m + 1
+            diag, offsq = seq.q[:N], seq.rho[: N - 1] ** 2
+            a, b = gershgorin_interval(seq, N)
+            tol = 1e-10 * max(1.0, abs(a), abs(b))
+            # a finish starts at the first point whose step from the point
+            # before it, or whose bracket, is small
+            finish = next((
+                i for i in range(1, len(steps))
+                if abs(steps[i][1] - steps[i - 1][1]) <= spectrum._STEP * tol
+                or steps[i][0] <= tol
+            ), None)
+            if finish is None:
+                continue
+            h = spectrum._HALF * tol
+            x = steps[finish][1]
+            below, above = _count(diag, offsq, [x - h, x + h])
+            if below < k <= above:
+                continue
+            failed.add((N, k))
+            if finish < len(steps) - 1:
+                resumed.add((N, k))
+            ev = spectra[m].eigenvalues[k - 1]
+            below, above = _count(diag, offsq, [ev - tol, ev + tol])
+            assert below < k <= above
+        assert failed == _FAILED_FINISHES
+        assert not resumed
+
+
 class TestSharedBracketCalls:
     @pytest.fixture
     def bracket_calls(self, monkeypatch):
@@ -1046,12 +1151,10 @@ class TestWorkCount:
 
 class TestSecantFinish:
     def test_small_step_far_from_the_eigenvalue(self, monkeypatch):
-        # golden m2, seed 1, N = 2000: the eigenvalue near 68.5546624 is
-        # isolated in [68.5302734375, 68.554687498813], whose lower end lies
-        # 1e-6 above an eigenvalue of J_1999, so d_N(lo) ~ 1e6 and the first
-        # secant step, 1.2e-9, is below 0.1 tol at 2.5e-5 from the
-        # eigenvalue.  Its failed finish goes back to the secant, which ends
-        # in a confirmed centred bracket instead of bisecting alone.
+        # golden m2, seed 1, N = 2000, tol 1e-7: the eigenvalue near
+        # 68.5546624 ends in a centred bracket, [x - 0.45 tol, x + 0.45 tol]
+        # around its converged secant point x and so 0.9 tol wide, within 20
+        # sweeps
         desc = descriptor_from_json({
             "beta1": 0.5, "beta2": 0, "x0": 1, "y0": 1,
             "remainder": {"kind": "seeded_noise", "amplitude": 0.5, "seed": 1},

@@ -1,4 +1,5 @@
 import io
+import itertools
 from xml.etree import ElementTree
 
 import numpy as np
@@ -83,6 +84,22 @@ def test_failing_check_gives_exit_one(tmp_path, monkeypatch, capsys):
     assert rc == 1
     assert "[FAIL] c99_broken" in out
     assert 'failures="1"' in (tmp_path / "verify.xml").read_text()
+
+
+@pytest.mark.parametrize("name", ["c01_classification_table", "c02_wronskian"])
+def test_timed_checks_name_their_time_only_when_slow(monkeypatch, name):
+    # c01 and c02 gate their run time at < 1 s; a passing observation reads
+    # the same whatever the clock says, and one over a second names the time
+    check = dict(verify.CHECKS)[name]
+    seen = []
+    for step in (0.001, 0.002, 2.0):
+        clock = itertools.count(0.0, step)
+        monkeypatch.setattr(verify.time, "perf_counter", lambda: next(clock))
+        seen.append(check())
+    (fast, observed, _), (also_fast, same, _), (slow, slow_observed, _) = seen
+    assert fast and also_fast and not slow
+    assert observed == same and " in " not in observed
+    assert slow_observed == observed + " in 2.000s"
 
 
 def test_golden_models_materialize(tmp_path):
