@@ -2,21 +2,22 @@
 
 Only counts and brackets are ever needed downstream, so everything is
 built on the Sturm count (LD-factorization sign count with floored
-pivots) rather than on a factorization eigensolver.  Eigenvalues are
-bracketed in two phases that share batched Sturm sweeps: isolation of
-each eigenvalue by cutting distinct intervals, each into at least as
-many equal parts as it holds eigenvalues of J_N and J_{N-1} (after the
-bisection of Barth, Martin and Wilkinson, Numer. Math. 9, 1967), and a
-safeguarded regula falsi on the last LD pivot, whose sign changes are
-decided by the count (after Li and Zeng, SIAM J. Matrix Anal. Appl. 15,
-1994).  Isolation is the one rule that cuts.  A bracket on which the
-regula falsi converges to a point x goes back to it, to be cut at
-x -+ 0.45 tol: the part that holds the eigenvalue is then either the
-bracket centred on x or, where the regula falsi stopped short of the
-eigenvalue, a side part that isolation narrows to the tolerance.  A
-bracket that the regula falsi cannot finish goes back to isolation as
-it stands.  A brute-force characteristic-polynomial
-root isolator serves as the independent cross-check for tiny matrices.
+pivots) rather than on a factorization eigensolver.  Every open bracket
+is a row of one table, whose phase says which of two rules works on it;
+rows in all phases share batched Sturm sweeps.  Isolation cuts distinct
+intervals, each into at least as many equal parts as it holds eigenvalues
+of J_N and J_{N-1} (after the bisection of Barth, Martin and Wilkinson,
+Numer. Math. 9, 1967); a safeguarded regula falsi on the last LD pivot,
+whose sign changes are decided by the count (after Li and Zeng, SIAM J.
+Matrix Anal. Appl. 15, 1994), narrows the bracket of an isolated
+eigenvalue.  Isolation is the one rule that cuts.  A secant bracket that
+converges to a point x finishes: the next sweep cuts it at x -+ 0.45 tol,
+and the part that holds the eigenvalue is either the bracket centred on x
+or, where the regula falsi stopped short of the eigenvalue, a side part
+that isolation narrows to the tolerance.  A bracket that the regula falsi
+cannot finish goes back to isolation as it stands.  A brute-force
+characteristic-polynomial root isolator serves as the independent
+cross-check for tiny matrices.
 """
 
 from __future__ import annotations
@@ -106,8 +107,16 @@ _SECANT_SWEEPS = 100
 #: N = 2000, fastest of 30 runs, 2-core Xeon)
 _SPLIT = 256
 
-# columns of the secant table of isolated eigenvalues in _stacked_brackets
-_LO, _HI, _FLO, _FHI, _K, _P, _LAST, _X, _PROB = range(9)
+# columns of the bracket table of _stacked_brackets: lo, hi, the counts of
+# J_N (_K at hi: a secant bracket's eigenvalue index k) and of J_{N-1} and
+# the (on the secant, weighted) d_N, each at lo and at hi, the problem, the
+# phase, the secant's next point (a finish's last one) and the end the
+# secant replaced last (-1 lo, +1 hi, 0 none)
+_LO, _HI, _KLO, _K, _P, _PHI, _FLO, _FHI, _PROB, _PHASE, _X, _LAST = range(12)
+_LOWER, _UPPER = slice(_LO, _PROB, 2), slice(_HI, _PROB, 2)  # the values at each end
+# phases: isolated (and promoted once it isolates an eigenvalue), isolated
+# after leaving the secant, the secant, and cut at x -+ _HALF tol next sweep
+_NEW, _LEFT, _SECANT, _FINISH = range(4)
 
 
 def _cut(lo, hi, t):
@@ -128,12 +137,12 @@ def _unsplittable(lo, hi, tol):
     return (hi - lo <= tol) | ~((lo < half) & (half < hi))
 
 
-def _secant_point(one: np.ndarray) -> np.ndarray:
+def _secant_point(rows: np.ndarray) -> np.ndarray:
     """Regula falsi point of d_N on each bracket, kept inside it; the
     midpoint where the pivots overflowed."""
-    lo, hi, flo = one[:, _LO], one[:, _HI], one[:, _FLO]
+    lo, hi, flo = rows[:, _LO], rows[:, _HI], rows[:, _FLO]
     with np.errstate(all="ignore"):
-        x = lo + (hi - lo) * (flo / (flo - one[:, _FHI]))
+        x = lo + (hi - lo) * (flo / (flo - rows[:, _FHI]))
     x = np.minimum(np.maximum(x, lo), hi)
     return np.where(np.isnan(x), _mid(lo, hi), x)
 
@@ -144,33 +153,33 @@ def _isolation_cuts(iso):
     max(e, max(2, _SPLIT // len(iso)) - 1) for the number e of eigenvalues
     of J_N and of J_{N-1} in it, which is 0 before the first sweep has
     counted the window ends."""
-    e = (iso[:, 3] - iso[:, 2] + iso[:, 5] - iso[:, 4]).astype(np.int64)
+    e = (iso[:, _K] - iso[:, _KLO] + iso[:, _PHI] - iso[:, _P]).astype(np.int64)
     ncut = np.maximum(e, max(2, _SPLIT // max(len(iso), 1)) - 1)
     first = np.repeat(np.cumsum(ncut) - ncut, ncut)
     i = np.repeat(np.arange(len(iso)), ncut)
     t = (np.arange(first.size) - first + 1) / (ncut[i] + 1)
-    return _cut(iso[i, 0], iso[i, 1], t), ncut
+    return _cut(iso[i, _LO], iso[i, _HI], t), ncut
 
 
 def _finish_cuts(fin, tol):
     """The cut points of every finishing interval, as (cuts, ncut): those of
     x - _HALF * tol and x + _HALF * tol, for its converged secant point x,
     that lie strictly inside it, ncut[i] of them in interval i."""
-    half = _HALF * tol[fin[:, 8].astype(np.int64)]
-    ends = np.column_stack([fin[:, 10] - half, fin[:, 10] + half])
-    inside = (fin[:, :1] < ends) & (ends < fin[:, 1:2])
+    half = _HALF * tol[fin[:, _PROB].astype(np.int64)]
+    ends = np.column_stack([fin[:, _X] - half, fin[:, _X] + half])
+    inside = (fin[:, [_LO]] < ends) & (ends < fin[:, [_HI]])
     return ends[inside], inside.sum(axis=1)
 
 
 def _split(iso, ncut, cuts, c, p, f):
     """The parts of every interval between its cut points, ncut[i] of them
-    in interval i, each with the counts and pivots at both of its ends, its
-    problem and its flag; empty parts are dropped."""
+    in interval i, each with the counts and pivots at both of its ends and
+    the interval's other columns; empty parts are dropped."""
     i = np.repeat(np.arange(len(iso)), ncut)
     # a count is kept monotone across the cuts of its interval; offset by
     # interval, a running maximum never reaches into the next one
-    offset = i * (iso[:, 3].max(initial=0.0) + 1.0)
-    c = np.maximum.accumulate(np.clip(c, iso[i, 2], iso[i, 3]) + offset) - offset
+    offset = i * (iso[:, _K].max(initial=0.0) + 1.0)
+    c = np.maximum.accumulate(np.clip(c, iso[i, _KLO], iso[i, _K]) + offset) - offset
     # each interval's points, its ends included, in rows: x, the counts of
     # J_N and of J_{N-1}, and d_N
     lo = np.cumsum(ncut + 2) - ncut - 2
@@ -178,26 +187,26 @@ def _split(iso, ncut, cuts, c, p, f):
     points = np.empty((4, cuts.size + 2 * len(iso)))
     inner = np.ones(points.shape[1], dtype=bool)
     inner[lo] = inner[hi] = False
-    points[:, lo], points[:, hi] = iso[:, 0:8:2].T, iso[:, 1:8:2].T
+    points[:, lo], points[:, hi] = iso[:, _LOWER].T, iso[:, _UPPER].T
     points[:, inner] = cuts, c, p, f
     inner[lo] = True  # the lower end of every part
-    parts = np.empty((cuts.size + len(iso), 10))
-    parts[:, 0:8:2], parts[:, 1:8:2] = points[:, inner].T, points[:, np.roll(inner, 1)].T
-    parts[:, 8:] = np.repeat(iso[:, 8:], ncut + 1, axis=0)
-    return parts[parts[:, 3] > parts[:, 2]]
+    parts = np.empty((cuts.size + len(iso), iso.shape[1]))
+    parts[:, _LOWER], parts[:, _UPPER] = points[:, inner].T, points[:, np.roll(inner, 1)].T
+    parts[:, _PROB:] = np.repeat(iso[:, _PROB:], ncut + 1, axis=0)
+    return parts[parts[:, _K] > parts[:, _KLO]]
 
 
 def _store(out_lo, out_hi, brackets, shift):
     """Write each bracket (lo, hi, count(lo), count(hi)) as the bracket of
     every eigenvalue index count(lo) + 1 .. count(hi), at the output index
     count(lo) + shift."""
-    n_each = (brackets[:, 3] - brackets[:, 2]).astype(np.int64)
+    n_each = (brackets[:, _K] - brackets[:, _KLO]).astype(np.int64)
     first = np.repeat(np.cumsum(n_each) - n_each, n_each)
-    idx = np.repeat(brackets[:, 2].astype(np.int64) + shift, n_each) + (
+    idx = np.repeat(brackets[:, _KLO].astype(np.int64) + shift, n_each) + (
         np.arange(first.size) - first
     )
-    out_lo[idx] = np.repeat(brackets[:, 0], n_each)
-    out_hi[idx] = np.repeat(brackets[:, 1], n_each)
+    out_lo[idx] = np.repeat(brackets[:, _LO], n_each)
+    out_hi[idx] = np.repeat(brackets[:, _HI], n_each)
 
 
 def _stacked_brackets(diag, offsq, n, last, a, b, tol, col=None):
@@ -214,49 +223,49 @@ def _stacked_brackets(diag, offsq, n, last, a, b, tol, col=None):
 
     Every sweep is one batched Sturm count, whose last pivot d_N(x) also
     gives the count of J_{N-1} at x.  The first counts the window ends
-    together with the first cuts.  Each bracket passes through up to two
-    phases, and brackets in different phases, or of different problems,
-    share sweeps:
+    together with the first cuts.  Every open bracket is a row of one
+    table, with its counts and pivots at both ends and its phase; rows in
+    different phases, or of different problems, share sweeps:
 
-    1. Isolation.  Distinct intervals, each with its counts at both ends,
-       are cut while they hold more than one eigenvalue of J_N or an
-       eigenvalue of J_{N-1} (LAPACK's ``dstebz`` keeps its intervals so):
-       into equal parts, as many as the eigenvalues of J_N and of J_{N-1}
-       the interval holds plus one, and, while there are few intervals,
-       at least _SPLIT // count of them; the first sweep, before the
-       window ends are counted, uses the second rule alone.
-    2. Secant.  On an interval with one eigenvalue of J_N and none of
-       J_{N-1}, d_N is continuous and decreasing, positive at the lower
-       end and negative at the upper one.  A regula falsi on d_N with the
-       Anderson-Bjorck weight (a refinement of the Illinois and Pegasus
-       rules) proposes each next point; the Sturm count there, never the
-       sign of d_N, decides which end the point replaces.  The weight
-       applies from the first step on: the isolation end that the first
-       step keeps counts as kept once already.
+    1. Isolation: new and left rows.  Distinct intervals, each with its
+       counts at both ends, are cut while they hold more than one
+       eigenvalue of J_N or an eigenvalue of J_{N-1} (LAPACK's ``dstebz``
+       keeps its intervals so): into equal parts, as many as the
+       eigenvalues of J_N and of J_{N-1} the interval holds plus one, and,
+       while there are few intervals, at least _SPLIT // count of them;
+       the first sweep, before the window ends are counted, uses the
+       second rule alone.  Each part keeps its interval's phase.
+    2. Secant.  A new interval with one eigenvalue of J_N and none of
+       J_{N-1} turns secant: there d_N is continuous and decreasing,
+       positive at the lower end and negative at the upper one.  A regula
+       falsi on d_N with the Anderson-Bjorck weight (a refinement of the
+       Illinois and Pegasus rules) proposes each next point; the Sturm
+       count there, never the sign of d_N, decides which end the point
+       replaces.  The weight applies from the first step on: the isolation
+       end that the first step keeps counts as kept once already.
+    3. Finish.  Once the next step is below ``_STEP * tol``, or the
+       bracket (lo, hi) is at most tol wide, the bracket finishes: with
+       h = _HALF * tol around the proposed point x, it becomes the
+       interval [min(lo, x - h), max(hi, x + h)], which the next sweep cuts
+       into left parts at those of x - h and x + h that lie strictly
+       inside it.  An end at or beyond the bracket's end on its side is on
+       that side of eigenvalue k already, as the count is monotone in the
+       shift.  The part that holds eigenvalue k is then [x - h, x + h],
+       which stops as at most tol wide, or a side part where the secant
+       stopped short of the eigenvalue, which is isolated on.  A finish
+       with neither point strictly inside is [x - h, x + h] itself, left at
+       once, and stops in the sweep that proposes it, with no count.
 
-    Once the next step is below ``_STEP * tol``, or the bracket (lo, hi)
-    is at most tol wide, the bracket finishes: with h = _HALF * tol around
-    the proposed point x, it goes back to isolation as the interval
-    [min(lo, x - h), max(hi, x + h)], which the next sweep cuts at those of
-    x - h and x + h that lie strictly inside it.  An end at or beyond the
-    bracket's end on its side is on that side of eigenvalue k already, as
-    the count is monotone in the shift.  The part that holds eigenvalue k
-    is then [x - h, x + h], which stops as at most tol wide, or a side part
-    where the secant stopped short of the eigenvalue, which is isolated on.
-    A finish with neither point strictly inside is [x - h, x + h] itself
-    and stops in the sweep that proposes it, with no count.
-
-    A bracket whose pivots disagree with its counts, and from sweep
-    ``_SECANT_SWEEPS`` on every secant bracket that does not finish, goes
-    back to isolation as it stands.  Every bracket that leaves the secant
-    is an interval that holds eigenvalue k of J_N and none of J_{N-1},
-    flagged never to return to the secant; from that sweep on no interval
-    is promoted at all.  Isolation is the one rule that cuts and the one
-    that stores.  An interval stops once it is at most tol wide, and its
-    eigenvalues get the interval itself as their bracket; one that holds
-    more than one eigenvalue of J_N, a cluster narrower than tol, is cut on
-    until no float is left strictly between its ends, so that only
-    eigenvalues equal at float resolution share a bracket.
+    A secant bracket whose pivots disagree with its counts, and from sweep
+    ``_SECANT_SWEEPS`` on every secant bracket that does not finish, is
+    left as it stands: an interval that holds eigenvalue k of J_N and none
+    of J_{N-1}.  A left interval never turns secant again, and from that
+    sweep on no new one does either.  Isolation is the one rule that cuts
+    and the one that stores.  An interval stops once it is at most tol
+    wide, and its eigenvalues get the interval itself as their bracket; one
+    that holds more than one eigenvalue of J_N, a cluster narrower than
+    tol, is cut on until no float is left strictly between its ends, so
+    that only eigenvalues equal at float resolution share a bracket.
 
     Every decision is taken per bracket, except the number of parts an
     interval is cut into: about ``_SPLIT`` cut points per sweep are shared
@@ -272,31 +281,26 @@ def _stacked_brackets(diag, offsq, n, last, a, b, tol, col=None):
     # has a zero pivot there, which the floor counts as negative
     top = np.finfo(np.float64).max
     ends = np.clip([np.nextafter(a, -top), np.nextafter(b, top)], -top, top)
-    # intervals being isolated: lo, hi, the J_N counts, the J_{N-1} counts
-    # and d_N, each at both ends, the problem and a flag set on a bracket
-    # that left the secant, which never returns to it; the counts at the
-    # window ends come with the first sweep
-    iso = np.zeros((n_prob, 10))
-    iso[:, 0], iso[:, 1], iso[:, 8] = ends[0], ends[1], np.arange(n_prob)
-    # finishing intervals, to be cut in the next sweep: iso's columns and
-    # the converged secant point x
-    fin = np.empty((0, 11))
-    # isolated eigenvalues, in the columns named above: lo, hi, d_N at both
-    # (weighted), the index k, the J_{N-1} count, the end replaced last (-1
-    # lo, +1 hi, 0 none), the next point to count and the problem
-    one = np.empty((0, 9))
+    # every open bracket, one row each; the counts at the window ends come
+    # with the first sweep
+    table = np.zeros((n_prob, 12))
+    table[:, _LO], table[:, _HI], table[:, _PROB] = ends[0], ends[1], np.arange(n_prob)
     shift = None  # output index minus count(lo), per problem
     sweeps = 0
-    while shift is None or iso.size or fin.size or one.size:
+    while shift is None or table.size:
         sweeps += 1
+        phase = table[:, _PHASE]
+        iso, fin, sec = table[phase <= _LEFT], table[phase == _FINISH], table[phase == _SECANT]
+        del table, phase  # rebuilt from these rows after the split
         cuts, ncut = _isolation_cuts(iso)
         fin_cuts, fin_ncut = _finish_cuts(fin, tol)
-        # the finishing intervals are split with the others
-        iso = np.concatenate([iso, fin[:, :10]])
+        # the finishing intervals are split with the others, into left parts
+        fin[:, _PHASE] = _LEFT
+        iso = np.concatenate([iso, fin])
         cuts, ncut = np.concatenate([cuts, fin_cuts]), np.concatenate([ncut, fin_ncut])
-        one_prob = one[:, _PROB].astype(np.int64)
-        xs = [cuts, one[:, _X]]
-        prob = [np.repeat(iso[:, 8].astype(np.int64), ncut), one_prob]
+        sec_prob = sec[:, _PROB].astype(np.int64)
+        xs = [cuts, sec[:, _X]]
+        prob = [np.repeat(iso[:, _PROB].astype(np.int64), ncut), sec_prob]
         if shift is None:
             xs += [ends.ravel()]
             prob += [np.tile(np.arange(n_prob), 2)]
@@ -308,23 +312,22 @@ def _stacked_brackets(diag, offsq, n, last, a, b, tol, col=None):
         )
         p = c - (f < 0)
         m0 = cuts.size
-        m1 = m0 + len(one)
+        m1 = m0 + len(sec)
         if shift is None:
-            iso[:, 2:8] = np.column_stack([e[m1:].reshape(2, n_prob).T for e in (c, p, f)])
-            offsets = np.concatenate([[0], np.cumsum(iso[:, 3] - iso[:, 2])]).astype(np.int64)
-            shift = offsets[:-1] - iso[:, 2].astype(np.int64)
+            iso[:, _KLO:_PROB] = np.column_stack([e[m1:].reshape(2, n_prob).T for e in (c, p, f)])
+            offsets = np.concatenate([[0], np.cumsum(iso[:, _K] - iso[:, _KLO])]).astype(np.int64)
+            shift = offsets[:-1] - iso[:, _KLO].astype(np.int64)
             out_lo = np.empty(offsets[-1])
             out_hi = np.empty(offsets[-1])
 
-        fell, fin = np.empty((0, 10)), np.empty((0, 11))
-        if one.size:
+        if sec.size:
             # whether each point lies above eigenvalue k, with its pivots;
             # every point narrows its bracket, as the count says
-            k, tk, x = one[:, _K], tol[one_prob], one[:, _X]
+            k, tk, x = sec[:, _K], tol[sec_prob], sec[:, _X]
             up, pc, fc = c[m0:m1] >= k, p[m0:m1], f[m0:m1]
-            lo = np.where(up, one[:, _LO], np.maximum(one[:, _LO], x))
-            hi = np.where(up, np.minimum(one[:, _HI], x), one[:, _HI])
-            one[:, _LO], one[:, _HI] = lo, hi
+            lo = np.where(up, sec[:, _LO], np.maximum(sec[:, _LO], x))
+            hi = np.where(up, np.minimum(sec[:, _HI], x), sec[:, _HI])
+            sec[:, _LO], sec[:, _HI] = lo, hi
             # where the same end is replaced twice running, or at the first
             # step (the other end counts as kept once already), the pivot
             # kept at the other end is weighted by 1 - f_new / f_old, or by
@@ -332,51 +335,44 @@ def _stacked_brackets(diag, offsq, n, last, a, b, tol, col=None):
             rows = np.arange(k.size)
             side = np.where(up, 1.0, -1.0)
             new_end = np.where(up, _FHI, _FLO)
-            again = one[:, _LAST] != -side
+            again = sec[:, _LAST] != -side
             with np.errstate(all="ignore"):
-                w = 1.0 - fc / one[rows, new_end]
+                w = 1.0 - fc / sec[rows, new_end]
             w = np.where(w > 0, w, 0.5)
-            one[rows[again], (_FLO + _FHI - new_end)[again]] *= w[again]
-            one[rows, new_end] = fc
-            one[:, _LAST] = side
-            nxt = _secant_point(one)
-            bad = (up != (fc < 0)) | (pc != one[:, _P])
+            sec[rows[again], (_FLO + _FHI - new_end)[again]] *= w[again]
+            sec[rows, new_end] = fc
+            sec[:, _LAST] = side
+            nxt = _secant_point(sec)
+            bad = (up != (fc < 0)) | (pc != sec[:, _P])
             near = ~bad & ((np.abs(nxt - x) <= _STEP * tk) | (hi - lo <= tk))
-            one[:, _X] = nxt
-            # a bracket leaves the secant as an interval to isolate, which
-            # holds eigenvalue k of J_N and none of J_{N-1}
-            leave = bad | near | (sweeps >= _SECANT_SWEEPS)
-            out = one[:, [_LO, _HI, _K, _K, _P, _P, _FLO, _FHI, _PROB, _PROB, _X]]
-            out[:, 2] -= 1.0
-            out[:, 9] = 1.0
+            sec[:, _X] = nxt
             # a finish is widened to hold its cut points x -+ _HALF tol, to
             # be cut at them in the next sweep; with neither strictly inside
-            # it is the interval between them, which stops in this one
-            out[near, 0] = np.minimum(lo, nxt - _HALF * tk)[near]
-            out[near, 1] = np.maximum(hi, nxt + _HALF * tk)[near]
-            centred = near & (_finish_cuts(out, tol)[1] == 0)
-            fin = out[near & ~centred]
-            fell = out[(leave & ~near) | centred, :10]
-            one = one[~leave]
+            # it is the interval between them, left to stop in this one
+            sec[near, _LO] = np.minimum(lo, nxt - _HALF * tk)[near]
+            sec[near, _HI] = np.maximum(hi, nxt + _HALF * tk)[near]
+            centred = near & (_finish_cuts(sec, tol)[1] == 0)
+            # a bracket leaves with the counts it came with: k - 1 and k of
+            # J_N, and the same count of J_{N-1}, at its two ends
+            sec[bad | near | (sweeps >= _SECANT_SWEEPS), _PHASE] = _LEFT
+            sec[near & ~centred, _PHASE] = _FINISH
 
-        iso = np.concatenate([_split(iso, ncut, cuts, c[:m0], p[:m0], f[:m0]), fell])
-        iso_prob = iso[:, 8].astype(np.int64)
+        table = np.concatenate([_split(iso, ncut, cuts, c[:m0], p[:m0], f[:m0]), sec])
+        prob = table[:, _PROB].astype(np.int64)
         # an interval stops at width <= tol, or, while it holds more than one
         # eigenvalue of J_N, once no float is left strictly between its ends
-        crowded = iso[:, 3] - iso[:, 2] > 1.0
-        stop = _unsplittable(iso[:, 0], iso[:, 1], np.where(crowded, 0.0, tol[iso_prob]))
+        crowded = table[:, _K] - table[:, _KLO] > 1.0
+        stop = (table[:, _PHASE] <= _LEFT) & _unsplittable(
+            table[:, _LO], table[:, _HI], np.where(crowded, 0.0, tol[prob])
+        )
         if stop.any():
-            _store(out_lo, out_hi, iso[stop], shift[iso_prob[stop]])
-            iso = iso[~stop]
-        ready = (iso[:, 3] - iso[:, 2] == 1.0) & (iso[:, 4] == iso[:, 5]) & (iso[:, 9] == 0.0)
+            _store(out_lo, out_hi, table[stop], shift[prob[stop]])
+            table = table[~stop]
+        ready = (table[:, _K] - table[:, _KLO] == 1.0) & (table[:, _P] == table[:, _PHI])
+        ready &= table[:, _PHASE] == _NEW
         if sweeps < _SECANT_SWEEPS and ready.any():
-            add = np.zeros((np.count_nonzero(ready), 9))
-            add[:, [_LO, _HI, _FLO, _FHI, _K, _P, _PROB]] = (
-                iso[ready][:, [0, 1, 6, 7, 3, 4, 8]]
-            )
-            add[:, _X] = _secant_point(add)
-            one = np.concatenate([one, add])
-            iso = iso[~ready]
+            table[ready, _PHASE] = _SECANT
+            table[ready, _X] = _secant_point(table[ready])
     return out_lo, out_hi, offsets
 
 

@@ -1,4 +1,5 @@
 import hashlib
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -679,6 +680,48 @@ class TestBracketBits:
             hashed += lo.size
         assert hashed == size
         assert sha.hexdigest() == digest
+
+
+class TestBracketWork:
+    """The Sturm sweeps and shifts of the four calls of ``TestBracketBits``,
+    pinned: a change to the engine that keeps its decisions keeps them."""
+
+    @pytest.mark.parametrize("case, sweeps, shifts", [
+        ("m1_eigenvalues", 9, 1306),
+        ("m1_b_zeros", 9, 1336),
+        ("m1_prefix_stack", 14, 12300),
+        ("c14_random_stack", 16, 7114),
+    ])
+    def test_sweeps_and_shifts(self, monkeypatch, case, sweeps, shifts):
+        problems = TestBracketBits.problems(case)
+        calls = []
+        kernel = _kernels.sturm_counts
+
+        def counted(diag, offsq, xs, *rest):
+            calls.append(np.size(xs))
+            return kernel(diag, offsq, xs, *rest)
+
+        monkeypatch.setattr(_kernels, "sturm_counts", counted)
+        spectrum._bracket_each(problems)
+        assert (len(calls), sum(calls)) == (sweeps, shifts)
+
+
+class TestBracketMemory:
+    def test_traced_peak_on_the_m2_truncations(self):
+        # the three truncations of the m2_spectrum bench config, seed 1: the
+        # engine's traced peak was 2.03 MiB with three bracket tables, and
+        # 2.20 MiB with one that is kept alive across the split
+        seq, _, _ = _golden_m2_2000()
+        problems = [(seq, N, (-1e3, 1e3), None) for N in (500, 1000, 2000)]
+        eigenvalues_in_each(problems)  # a first call, untraced
+        tracemalloc.start()
+        try:
+            evs = eigenvalues_in_each(problems)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert [ev.size for ev in evs] == [500, 1000, 2000]
+        assert peak <= 2.03 * 2**20
 
 
 class TestFailedFinish:
